@@ -62,6 +62,18 @@ def _prob_first(loss_first, loss_second):
     return 1.0 / (1.0 + e)
 
 
+def _prob_first_array(loss_first, loss_second):
+    """:func:`_prob_first` over arrays, equal to it bit for bit.
+
+    The exponential is the C library's ``math.exp``: NumPy's vectorized
+    ``exp`` may round differently in the last bit.
+    """
+    eta = np.minimum(0.5, np.sqrt(LN2 / (1.0 + np.minimum(loss_first, loss_second))))
+    x = eta * (loss_first - loss_second)
+    e = np.fromiter(map(math.exp, (-np.abs(x)).tolist()), dtype=np.float64, count=x.size)
+    return np.where(x >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+
+
 class OnlineState:
     """Mutable state of the stacked predictor over a fixed node set.
 
@@ -174,7 +186,9 @@ class OnlineState:
             "expected_mistakes": self.expected_mistakes,
             "realized_mistakes": self.realized_mistakes,
             "edges_seen": self.edges_seen,
-            "revealed": sorted([list(e) for e in self._revealed]),
+            "revealed": sorted([[int(i), int(j)] for i, j in self._revealed]),
+            "pending": sorted([[int(i), int(j), int(guess)]
+                               for (i, j), guess in self._pending.items()]),
         }
 
     @classmethod
@@ -188,6 +202,8 @@ class OnlineState:
         state.realized_mistakes = d["realized_mistakes"]
         state.edges_seen = d["edges_seen"]
         state._revealed = {tuple(e) for e in d["revealed"]}
+        # files written before pending predictions were kept lack the key
+        state._pending = {(i, j): guess for i, j, guess in d.get("pending", [])}
         return state
 
 
@@ -245,65 +261,132 @@ def run_online(g, labeling=None, order="random", seed=0):
     labeling : ±1 array per edge; required unless ``order`` is an
         :class:`AdversarySequence` (which carries its own labels).
     order : "random" (seeded shuffle), an explicit edge-id permutation
-        covering every edge exactly once, or an AdversarySequence. For an
-        adversary the forced prefix drives the headline tallies; if the
-        sequence carries a tail the remaining edges are played afterwards
-        and reported separately.
-    seed : drives the prediction sampling (and the shuffle for "random").
+        covering every edge exactly once, or an AdversarySequence drawn for
+        this graph. For an adversary the forced prefix drives the headline
+        tallies; if the sequence carries a tail the remaining edges are
+        played afterwards and reported separately.
+    seed : seeds ``numpy.random.default_rng``. For "random" order the
+        generator first draws ``permutation(|E|)``; then every round, in
+        reveal order, draws two uniforms: the first picks the meta-expert
+        side (outgoing when below the top weight), the second the sign (+1
+        when below that side's base P(+1)).
+
+    The weight state depends only on the reveal sequence, so the whole pass
+    is computed with array operations, and stepping an :class:`OnlineState`
+    through the same sequence with the same generator (``online_predict``
+    then ``online_update`` per round) reproduces its tallies exactly.
+    Every input is checked before any round is played.
 
     Returns an :class:`OnlineReport` holding realized and exact expected
     mistake counts, the labeling's regularity psi_g, and the documented
     mistake-bound envelope evaluated at (psi_g, |V|).
     """
     rng = np.random.default_rng(seed)
-    state = online_init(g)
+    m = g.edge_count
     if isinstance(order, AdversarySequence):
-        labels = order.labels()
-        rounds = order.forced
-        tail = order.tail
+        labels, edges, round_labels = _sequence_rounds(order, m)
+        headline = len(order.forced)
         order_name = f"adversary(K={order.budget})"
     else:
         if labeling is None:
             raise ValueError("an explicit labeling is required for permutation orders")
         labels = np.asarray(labeling)
-        if labels.shape != (g.edge_count,):
+        if labels.shape != (m,):
             raise ProtocolError("labeling length must equal the edge count")
         if isinstance(order, str) and order == "random":
-            perm = rng.permutation(g.edge_count)
+            edges = rng.permutation(m)
             order_name = "random"
         else:
-            perm = np.asarray(order)
-            if (perm.shape != (g.edge_count,)
-                    or not np.array_equal(np.sort(perm), np.arange(g.edge_count))):
+            edges = np.asarray(order)
+            if edges.shape != (m,) or not np.array_equal(np.sort(edges), np.arange(m)):
                 raise ProtocolError("order must cover every edge exactly once")
+            edges = edges.astype(np.int64)
             order_name = "permutation"
-        rounds = [(int(e), int(labels[e])) for e in perm]
-        tail = None
-    src, dst = g.src, g.dst
-    for edge_id, label in rounds:
-        i, j = int(src[edge_id]), int(dst[edge_id])
-        guess, _ = state.predict((i, j), rng)
-        state.update((i, j), label)
+        round_labels = labels[edges]
+        headline = m
+    if not np.all((round_labels == 1) | (round_labels == -1)):
+        raise ValueError("labels must be +1 or -1")
+
+    plus = round_labels == 1
+    p_out = _base_prob_plus(g.src[edges], plus)
+    p_in = _base_prob_plus(g.dst[edges], plus)
+    miss_out = np.where(plus, 1.0 - p_out, p_out)
+    miss_in = np.where(plus, 1.0 - p_in, p_in)
+    w_out = _prob_first_array(_exclusive_cumsum(miss_out), _exclusive_cumsum(miss_in))
+    u = rng.random((edges.size, 2))
+    wrong = (u[:, 1] < np.where(u[:, 0] < w_out, p_out, p_in)) != plus
+    # cumsum adds in reveal order, as the streaming tally does
+    expected = np.zeros(edges.size + 1)
+    np.cumsum(w_out * miss_out + (1.0 - w_out) * miss_in, out=expected[1:])
+
     psi = psi_g_for_labels(g, labels)[2]
     report = OnlineReport(
-        node_count=g.node_count, edge_count=g.edge_count,
-        edges_predicted=state.edges_seen,
-        realized_mistakes=state.realized_mistakes,
-        expected_mistakes=state.expected_mistakes,
+        node_count=g.node_count, edge_count=m, edges_predicted=int(edges.size),
+        realized_mistakes=int(np.count_nonzero(wrong[:headline])),
+        expected_mistakes=float(expected[headline]),
         psi_g=psi, bound=mistake_bound(psi, g.node_count),
         seed=int(seed), order=order_name)
     if isinstance(order, AdversarySequence):
-        report.forced_len = len(rounds)
-        if tail is not None:
-            before_r, before_e = state.realized_mistakes, state.expected_mistakes
-            for edge_id in tail:
-                i, j = int(src[edge_id]), int(dst[edge_id])
-                state.predict((i, j), rng)
-                state.update((i, j), int(labels[edge_id]))
-            report.tail_realized = state.realized_mistakes - before_r
-            report.tail_expected = state.expected_mistakes - before_e
-            report.edges_predicted = state.edges_seen
+        report.forced_len = headline
+        if order.tail is not None:
+            report.tail_realized = int(np.count_nonzero(wrong[headline:]))
+            report.tail_expected = float(expected[-1] - expected[headline])
     return report
+
+
+def _sequence_rounds(seq, m):
+    """Check an adversary sequence against a graph with m edges.
+
+    Returns (labeling, edge id per round, label per round) for the forced
+    prefix followed by the tail, if the sequence has one.
+    """
+    if seq.edge_count != m:
+        raise ProtocolError(
+            f"sequence was drawn for {seq.edge_count} edges, the graph has {m}")
+    # the label column keeps its type, so a label such as 0.5 fails the ±1 check
+    forced = np.asarray(seq.forced).reshape(-1, 2)
+    forced_edges = forced[:, 0].astype(np.int64)
+    tail = np.asarray([] if seq.tail is None else seq.tail, dtype=np.int64)
+    for ids in (forced_edges, tail, np.asarray(seq.negative_edges)):
+        if ids.size and (ids.min() < 0 or ids.max() >= m):
+            raise ProtocolError(f"sequence names edge ids outside [0, {m})")
+    edges = np.concatenate([forced_edges, tail])
+    repeated = np.flatnonzero(np.bincount(edges, minlength=m) > 1)
+    if repeated.size:
+        raise ProtocolError(f"edge {int(repeated[0])} is revealed more than once")
+    labels = seq.labels()
+    return labels, edges, np.concatenate([forced[:, 1], labels[tail]])
+
+
+def _exclusive_cumsum(x):
+    """Running sums before each entry, added in order like the streaming ``+=``."""
+    out = np.zeros_like(x)
+    np.cumsum(x[:-1], out=out[1:])
+    return out
+
+
+def _base_prob_plus(nodes, plus):
+    """P(+1) of the base instance that each round consults, before its reveal.
+
+    ``nodes[t]`` hosts round t's instance and ``plus[t]`` says whether its
+    label is +1. The +1 expert has lost once per earlier −1 label on the same
+    node, the −1 expert once per earlier +1: exclusive prefix counts within
+    the rounds grouped by node, kept in reveal order by a stable sort.
+    """
+    by_node = np.argsort(nodes, kind="stable")
+    grouped = nodes[by_node]
+    rank = np.arange(nodes.size)
+    is_first = np.ones(nodes.size, dtype=bool)
+    is_first[1:] = grouped[1:] != grouped[:-1]
+    first = np.maximum.accumulate(np.where(is_first, rank, 0))
+    plus_grouped = plus[by_node].astype(np.int64)
+    plus_before = np.cumsum(plus_grouped) - plus_grouped
+    plus_before -= plus_before[first]
+    loss_plus = np.empty(nodes.size, dtype=np.int64)
+    loss_minus = np.empty(nodes.size, dtype=np.int64)
+    loss_plus[by_node] = rank - first - plus_before
+    loss_minus[by_node] = plus_before
+    return _prob_first_array(loss_plus, loss_minus)
 
 
 # ---------------------------------------------------------------------------

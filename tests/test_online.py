@@ -1,0 +1,264 @@
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edgesign import online
+from edgesign.errors import ProtocolError
+from edgesign.genmodel import TwoPointPrior, make_synthetic
+from edgesign.graph import SignedDigraph
+from edgesign.online import (AdversarySequence, OnlineState, adversary_expected_mistakes,
+                             adversary_generate, mistake_bound, run_online)
+
+from conftest import random_graph
+from oracles import mrc_recurrence_table, rwm_two_expert_mistakes
+
+ORDER_KINDS = ("random", "permutation", "adversary", "adversary+tail")
+
+
+def stream(g, rounds, rng):
+    """Play (edge id, label) rounds through the streaming API."""
+    state = online.online_init(g)
+    for e, y in rounds:
+        edge = (int(g.src[e]), int(g.dst[e]))
+        online.online_predict(state, edge, rng)
+        online.online_update(state, edge, int(y))
+    return state
+
+
+def run_and_replay(g, kind, seed, budget=1):
+    """run_online's report and the streaming state after the same rounds.
+
+    For adversary orders the streaming (realized, expected) tallies after
+    the forced prefix come back too, so headline and tail tallies can be
+    compared; otherwise that slot is None.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        report = run_online(g, g.labels, "random", seed)
+        perm = rng.permutation(g.edge_count)
+        return report, None, stream(g, [(e, g.labels[e]) for e in perm], rng)
+    if kind == "permutation":
+        perm = np.random.default_rng(seed + 1).permutation(g.edge_count)
+        report = run_online(g, g.labels, perm.tolist(), seed)
+        return report, None, stream(g, [(e, g.labels[e]) for e in perm], rng)
+    seq = adversary_generate(g, budget, seed, include_tail=kind == "adversary+tail")
+    report = run_online(g, order=seq, seed=seed)
+    head = stream(g, seq.forced, rng)
+    head_tallies = (head.realized_mistakes, head.expected_mistakes)
+    if seq.tail is not None:
+        labels = seq.labels()
+        for e in seq.tail:
+            edge = (int(g.src[e]), int(g.dst[e]))
+            online.online_predict(head, edge, rng)
+            online.online_update(head, edge, int(labels[e]))
+    return report, head_tallies, head
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 12), edges=st.integers(1, 60), graph_seed=st.integers(0, 2 ** 16),
+       seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(ORDER_KINDS),
+       budget_share=st.floats(0.0, 1.0))
+def test_run_online_matches_streaming_replay(n, edges, graph_seed, seed, kind, budget_share):
+    g = random_graph(n, edges, graph_seed)
+    m = g.edge_count
+    if kind.startswith("adversary") and m < 2:
+        kind = "random"
+    budget = 1 + int(budget_share * (m // 2 - 1)) if m >= 2 else 1
+    report, head, state = run_and_replay(g, kind, seed, budget)
+    assert report.edges_predicted == state.edges_seen
+    if head is None:
+        assert report.edges_predicted == m
+        assert report.realized_mistakes == state.realized_mistakes
+        assert report.expected_mistakes == pytest.approx(state.expected_mistakes, rel=1e-12)
+        return
+    assert report.realized_mistakes == head[0]
+    assert report.expected_mistakes == pytest.approx(head[1], rel=1e-12)
+    if kind == "adversary":
+        assert report.tail_realized is None and report.tail_expected is None
+        assert report.forced_len == report.edges_predicted
+    else:
+        assert report.edges_predicted == m
+        assert report.tail_realized == state.realized_mistakes - head[0]
+        assert report.tail_expected == pytest.approx(state.expected_mistakes - head[1],
+                                                     rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_replay_on_a_larger_graph(kind):
+    g, _ = make_synthetic(300, TwoPointPrior(0.1, 0.9), 10, seed=4)
+    report, head, state = run_and_replay(g, kind, seed=11, budget=200)
+    realized, expected = head if head is not None else (state.realized_mistakes,
+                                                        state.expected_mistakes)
+    assert report.realized_mistakes == realized
+    assert report.expected_mistakes == pytest.approx(expected, rel=1e-12)
+
+
+def empty_graph():
+    return SignedDigraph(3, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                         np.zeros(0, dtype=np.int8))
+
+
+@pytest.mark.parametrize("order", ["random", []])
+def test_empty_graph_gives_zero_tallies(order):
+    report = run_online(empty_graph(), np.zeros(0, dtype=np.int8), order, seed=3)
+    assert report.edges_predicted == 0
+    assert report.realized_mistakes == 0
+    assert report.expected_mistakes == 0.0
+    assert report.psi_g == 0
+
+
+@pytest.mark.parametrize("label", [1, -1])
+def test_single_edge_graph(label):
+    g = SignedDigraph(2, [0], [1], [label])
+    for seed in range(20):
+        report, _, state = run_and_replay(g, "random", seed)
+        # uniform weights everywhere: the one round is a coin flip
+        assert report.expected_mistakes == 0.5
+        assert report.realized_mistakes == state.realized_mistakes
+        assert report.edges_predicted == 1
+
+
+class TestRunOnlineRejects:
+    def setup_method(self):
+        self.g = random_graph(8, 20, seed=1)
+
+    def test_labeling_of_wrong_length(self):
+        with pytest.raises(ProtocolError):
+            run_online(self.g, self.g.labels[:-1], "random", seed=0)
+
+    def test_missing_labeling(self):
+        with pytest.raises(ValueError):
+            run_online(self.g, None, "random", seed=0)
+
+    @pytest.mark.parametrize("bad", [
+        lambda m: np.arange(m - 1),
+        lambda m: np.r_[0, np.arange(m - 1)],
+        lambda m: np.r_[np.arange(1, m), m],
+        lambda m: np.r_[np.arange(m - 1), -1],
+        lambda m: "sorted",
+    ])
+    def test_permutation_that_is_not_an_exact_cover(self, bad):
+        with pytest.raises(ProtocolError):
+            run_online(self.g, self.g.labels, bad(self.g.edge_count), seed=0)
+
+    def test_label_outside_plus_minus_one(self):
+        labels = self.g.labels.copy()
+        labels[5] = 0
+        with pytest.raises(ValueError):
+            run_online(self.g, labels, "random", seed=0)
+
+    @pytest.mark.parametrize("label", [2, 0, 0.5])
+    def test_adversary_label_outside_plus_minus_one(self, label):
+        seq = adversary_generate(self.g, 3, seed=2)
+        forced = list(seq.forced)
+        forced[0] = (forced[0][0], label)
+        with pytest.raises(ValueError):
+            run_online(self.g, order=dataclasses.replace(seq, forced=forced), seed=0)
+
+    def test_sequence_that_repeats_an_edge(self):
+        seq = adversary_generate(self.g, 3, seed=2)
+        with pytest.raises(ProtocolError, match="more than once"):
+            run_online(self.g, order=dataclasses.replace(seq, forced=seq.forced * 2), seed=0)
+        tail = np.array([seq.forced[0][0]])
+        with pytest.raises(ProtocolError, match="more than once"):
+            run_online(self.g, order=dataclasses.replace(seq, tail=tail), seed=0)
+
+    @pytest.mark.parametrize("other_edges", [60, 8])
+    def test_sequence_drawn_for_another_graph(self, other_edges):
+        other = random_graph(12, other_edges, seed=5)
+        assert other.edge_count != self.g.edge_count
+        seq = adversary_generate(other, other.edge_count // 2, seed=2, include_tail=True)
+        with pytest.raises(ProtocolError, match="drawn for"):
+            run_online(self.g, order=seq, seed=0)
+
+    @pytest.mark.parametrize("field", ["forced", "tail", "negative_edges"])
+    def test_sequence_with_edge_ids_out_of_range(self, field):
+        m = self.g.edge_count
+        seq = AdversarySequence(edge_count=m, budget=1, seed=0,
+                                negative_edges=np.array([0]), forced=[(1, 1), (0, -1)],
+                                tail=np.arange(2, m))
+        if field == "forced":
+            seq.forced = [(m, 1), (0, -1)]
+        elif field == "tail":
+            seq.tail = np.r_[np.arange(2, m - 1), m]
+        else:
+            seq.negative_edges = np.array([m])
+        with pytest.raises(ProtocolError, match="outside"):
+            run_online(self.g, order=seq, seed=0)
+
+
+class TestStatePersistence:
+    def test_pending_prediction_survives_json(self):
+        g = random_graph(6, 12, seed=3)
+        rng = np.random.default_rng(0)
+        state = online.online_init(g)
+        edges = [(int(g.src[e]), int(g.dst[e])) for e in range(3)]
+        online.online_predict(state, edges[0], rng)
+        online.online_update(state, edges[0], int(g.labels[0]))
+        online.online_predict(state, edges[1], rng)
+        online.online_predict(state, edges[2], rng)
+        again = OnlineState.from_json_dict(json.loads(json.dumps(state.to_json_dict())))
+        for s in (state, again):
+            online.online_update(s, edges[2], int(g.labels[2]))
+            online.online_update(s, edges[1], int(g.labels[1]))
+        assert again.to_json_dict() == state.to_json_dict()
+        assert again.realized_mistakes == state.realized_mistakes
+
+    def test_numpy_edge_ids_serialize(self):
+        state = OnlineState(3)
+        rng = np.random.default_rng(1)
+        edge = (np.int64(0), np.int64(2))
+        state.predict(edge, rng)
+        json.dumps(state.to_json_dict())
+        state.update(edge, -1)
+        assert json.loads(json.dumps(state.to_json_dict()))["revealed"] == [[0, 2]]
+
+    def test_reads_files_without_pending_key(self):
+        state = OnlineState(4)
+        rng = np.random.default_rng(2)
+        state.predict((0, 1), rng)
+        state.update((0, 1), 1)
+        d = state.to_json_dict()
+        del d["pending"]
+        again = OnlineState.from_json_dict(d)
+        assert again.edges_seen == 1
+        with pytest.raises(ProtocolError, match="already revealed"):
+            again.predict((0, 1), rng)
+
+
+def test_base_instance_matches_hand_simulated_two_expert_rwm():
+    labels = np.where(np.random.default_rng(8).random(200) < 0.3, -1, 1)
+    state = OnlineState(labels.size + 1)
+    rng = np.random.default_rng(9)
+    total = 0.0
+    for k, y in enumerate(labels):
+        p_plus = state.base_prob_plus(0, "out")
+        total += 1.0 - p_plus if y == 1 else p_plus
+        state.predict((0, k + 1), rng)
+        state.update((0, k + 1), int(y))
+    assert total == pytest.approx(rwm_two_expert_mistakes(labels.tolist()), rel=1e-12)
+
+
+@pytest.mark.parametrize("budget,r_max", [(1, 1), (1, 30), (3, 2), (5, 40), (17, 60),
+                                          (50, 49), (50, 120)])
+def test_adversary_closed_form_matches_recurrence(budget, r_max):
+    table = mrc_recurrence_table(r_max, budget)
+    assert adversary_expected_mistakes(budget, r_max) == float(sum(table.values()))
+
+
+def test_adversary_closed_form_tends_to_budget():
+    assert adversary_expected_mistakes(5, 300) == pytest.approx(5.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_expected_mistakes_within_bound_on_two_point_graphs(seed):
+    # dense enough that the envelope is below |E|, so the check can fail
+    g, _ = make_synthetic(200, TwoPointPrior(0.1, 0.9), 190, seed)
+    report = run_online(g, g.labels, "random", seed)
+    assert report.bound == mistake_bound(report.psi_g, g.node_count)
+    assert report.bound < g.edge_count
+    assert 0.0 <= report.expected_mistakes <= report.bound
