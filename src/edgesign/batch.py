@@ -7,8 +7,9 @@ Four methods share the same (graph, split) interface:
 * ``logreg_*`` — two-feature logistic model on (1−tr̂(i), 1−ûn(j)).
 * ``lp_*`` — label propagation on the weighted edge-to-node transform,
   run directly on the original adjacency via its closed-form updates.
-* ``unreg_*`` — projected-gradient minimization of the unregularized
-  quadratic over p, q ∈ [0,1] and soft test labels y ∈ [−1,1].
+* ``unreg_*`` — the unregularized quadratic over p, q ∈ [0,1] and soft test
+  labels y ∈ [−1,1], solved as a box least-squares fit of the training edges
+  that scores each test edge by p_i+q_j−1.
 
 All binarizing thresholds are tuned by empirical risk minimization over the
 training scores (:func:`tune_threshold`). The global tie rule is sgn(0) = +1.
@@ -24,7 +25,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, DataError, DegenerateFitError
-from .features import troll_trust
+from .features import box_fit_edges, troll_trust
 from .genmodel import sign_with_tie
 
 
@@ -578,7 +579,6 @@ class LpModel:
 class UnregOptions:
     tol: float = 1e-8
     max_iter: int = 20000
-    armijo: float = 1e-4
 
 
 @dataclass
@@ -591,81 +591,44 @@ class UnregResult:
     pg_norm: float
 
 
-def _unreg_value_grad(g, split, p, q, y, want_grad=True):
-    train = split.training_indices()
-    test = split.test_indices()
-    n = g.node_count
-    targets = np.empty(g.edge_count)
-    targets[train] = (1.0 + g.labels[train]) / 2.0
-    targets[test] = (1.0 + y) / 2.0
-    half = 0.5 * (p[g.src] + q[g.dst]) - targets
-    value = float(half @ half)
-    if not want_grad:
-        return value, None, None, None
-    gp = np.bincount(g.src, weights=half, minlength=n)
-    gq = np.bincount(g.dst, weights=half, minlength=n)
-    gy = -half[test]
-    return value, gp, gq, gy
-
-
 def unreg_objective(g, split, p, q, y_soft):
     """Joint quadratic: training fit plus test fit with free y ∈ [−1,1]."""
-    return _unreg_value_grad(g, split, np.asarray(p, dtype=np.float64),
-                             np.asarray(q, dtype=np.float64),
-                             np.asarray(y_soft, dtype=np.float64),
-                             want_grad=False)[0]
+    y = g.labels.astype(np.float64)
+    y[split.test_indices()] = y_soft
+    r = (1.0 + y) / 2.0 - 0.5 * (np.asarray(p, dtype=np.float64)[g.src]
+                                 + np.asarray(q, dtype=np.float64)[g.dst])
+    return float(r @ r)
 
 
 def unreg_solve(g, split, opt=None):
-    """Projected gradient descent on the unregularized joint quadratic.
+    """Minimize the unregularized joint quadratic over p, q ∈ [0,1] and test y ∈ [−1,1].
 
-    Box constraints p, q ∈ [0,1] and test y ∈ [−1,1]; backtracking line
-    search halves the step from 1.0 under an Armijo sufficient-decrease test.
-    Stops when the projected-gradient infinity norm reaches ``opt.tol``;
-    raises ConvergenceError with the best iterate otherwise.
+    p_i+q_j−1 always lies in [−1,1], so every minimizer fits each test edge
+    exactly with y = p_i+q_j−1. What is left is the box least-squares fit of
+    the training edges alone, solved by :func:`features.box_fit_edges` to a
+    projected-gradient infinity norm of ``opt.tol``; test edges then get
+    ``y_soft = p_i+q_j−1``. The minimizer is not unique: the objective does
+    not depend on p (q) of a node without a training out-edge (in-edge),
+    which keeps 1/2, so test labels depend on where the solver starts and
+    stops. Raises ConvergenceError carrying the last iterate as an
+    :class:`UnregResult` if ``opt.max_iter`` sweeps are exhausted.
     """
     opt = opt or UnregOptions()
-    n = g.node_count
+    train = split.training_indices()
     test = split.test_indices()
-    p = np.full(n, 0.5)
-    q = np.full(n, 0.5)
-    y = np.zeros(test.size)
-    value, gp, gq, gy = _unreg_value_grad(g, split, p, q, y)
-    it = 0
-    for it in range(1, opt.max_iter + 1):
-        pg = max(
-            np.abs(p - np.clip(p - gp, 0.0, 1.0)).max(initial=0.0),
-            np.abs(q - np.clip(q - gq, 0.0, 1.0)).max(initial=0.0),
-            np.abs(y - np.clip(y - gy, -1.0, 1.0)).max(initial=0.0),
-        )
-        if pg <= opt.tol:
-            return UnregResult(p=p, q=q, y_soft=y, objective=value,
-                               iterations=it - 1, pg_norm=float(pg))
-        step = 1.0
-        while True:
-            p_new = np.clip(p - step * gp, 0.0, 1.0)
-            q_new = np.clip(q - step * gq, 0.0, 1.0)
-            y_new = np.clip(y - step * gy, -1.0, 1.0)
-            value_new, gp_new, gq_new, gy_new = _unreg_value_grad(
-                g, split, p_new, q_new, y_new)
-            inner = (gp @ (p_new - p) + gq @ (q_new - q) + gy @ (y_new - y))
-            if value_new <= value + opt.armijo * inner or step < 1e-14:
-                break
-            step *= 0.5
-        p, q, y = p_new, q_new, y_new
-        value, gp, gq, gy = value_new, gp_new, gq_new, gy_new
-    pg = max(
-        np.abs(p - np.clip(p - gp, 0.0, 1.0)).max(initial=0.0),
-        np.abs(q - np.clip(q - gq, 0.0, 1.0)).max(initial=0.0),
-        np.abs(y - np.clip(y - gy, -1.0, 1.0)).max(initial=0.0),
-    )
-    if pg <= opt.tol:
-        return UnregResult(p=p, q=q, y_soft=y, objective=value,
-                           iterations=it, pg_norm=float(pg))
-    raise ConvergenceError(
-        f"projected gradient stalled at pg={pg:.3g} after {opt.max_iter} iterations",
-        state=UnregResult(p=p, q=q, y_soft=y, objective=value,
-                          iterations=it, pg_norm=float(pg)))
+
+    def result(fit):
+        y_soft = fit.p[g.src[test]] + fit.q[g.dst[test]] - 1.0
+        return UnregResult(p=fit.p, q=fit.q, y_soft=y_soft, objective=fit.value,
+                           iterations=fit.iterations, pg_norm=fit.pg_norm)
+
+    try:
+        fit = box_fit_edges(g.node_count, g.src[train], g.dst[train],
+                            (1.0 + g.labels[train]) / 2.0, tol=opt.tol,
+                            max_iter=opt.max_iter, keep_trace=False)
+    except ConvergenceError as err:
+        raise ConvergenceError(str(err), state=result(err.state)) from err
+    return result(fit)
 
 
 def unreg_predict(result, g, split):
@@ -674,6 +637,33 @@ def unreg_predict(result, g, split):
     train_scores = result.p[g.src[train]] + result.q[g.dst[train]] - 1.0
     threshold = tune_threshold(train_scores, g.labels[train])
     return _prediction_for(g, split, result.y_soft, threshold, "unreg")
+
+
+@dataclass
+class UnregModel:
+    """Persistable (p, q, threshold) triple; scores test edges as p_i+q_j−1."""
+
+    p: np.ndarray
+    q: np.ndarray
+    threshold: float
+
+    def to_json_dict(self):
+        return {"format": "edgesign-unreg", "version": 1,
+                "p": self.p.tolist(), "q": self.q.tolist(),
+                "threshold": self.threshold}
+
+    @classmethod
+    def from_json_dict(cls, d):
+        # files written before this class also carry y_soft, in the order of
+        # the training split's test edges; p_i+q_j−1 replaces it
+        if d.get("format") != "edgesign-unreg" or d.get("version") != 1:
+            raise DataError("not a recognized unreg model container")
+        return cls(np.asarray(d["p"]), np.asarray(d["q"]), float(d["threshold"]))
+
+    def predict_split(self, g, split):
+        test = split.test_indices()
+        scores = self.p[g.src[test]] + self.q[g.dst[test]] - 1.0
+        return _prediction_for(g, split, scores, self.threshold, "unreg")
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +679,7 @@ def load_model(path):
     with open(path, "r", encoding="utf-8") as f:
         d = json.load(f)
     fmt = d.get("format")
-    for cls in (BlcModel, LogRegModel, LpModel):
+    for cls in (BlcModel, LogRegModel, LpModel, UnregModel):
         try:
             return cls.from_json_dict(d)
         except DataError:

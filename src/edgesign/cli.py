@@ -117,15 +117,7 @@ def cmd_train(args):
         result = batch.unreg_solve(g, split, batch.UnregOptions(tol=args.tol,
                                                                 max_iter=args.max_iter))
         pred = batch.unreg_predict(result, g, split)
-        payload = {"format": "edgesign-unreg", "version": 1,
-                   "p": result.p.tolist(), "q": result.q.tolist(),
-                   "y_soft": result.y_soft.tolist(),
-                   "threshold": pred.threshold}
-        _write_json(payload, args.output)
-        if args.split_out:
-            split.save(args.split_out)
-        print(f"objective\t{result.objective!r}")
-        return 0
+        model = batch.UnregModel(p=result.p, q=result.q, threshold=pred.threshold)
     else:
         raise DataError(f"unknown method {args.method!r}")
     batch.save_model(model, args.output)
@@ -138,19 +130,13 @@ def cmd_train(args):
 def cmd_predict(args):
     g = _load_graph(args.graph)
     split = _get_split(g, args)
-    with open(args.model, "r", encoding="utf-8") as f:
-        payload = json.load(f)
-    if payload.get("format") == "edgesign-unreg":
-        scores = np.asarray(payload["y_soft"])
-        pred = batch._prediction_for(g, split, scores, payload["threshold"], "unreg")
+    model = batch.load_model(args.model)
+    if isinstance(model, batch.BlcModel):
+        pred = batch.blc_predict_split(model, g, split)
+    elif isinstance(model, batch.LogRegModel):
+        pred = batch.logreg_predict_split(model, g, split)
     else:
-        model = batch.load_model(args.model)
-        if isinstance(model, batch.BlcModel):
-            pred = batch.blc_predict_split(model, g, split)
-        elif isinstance(model, batch.LogRegModel):
-            pred = batch.logreg_predict_split(model, g, split)
-        else:
-            pred = model.predict_split(g, split)
+        pred = model.predict_split(g, split)
     pred.to_csv(args.output, node_ids=g.node_ids)
     print(f"predictions\t{args.output}")
     return 0
@@ -239,6 +225,8 @@ def cmd_sweep(args):
 
 
 def cmd_online(args):
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     g = _load_graph(args.graph)
     reports = []
     for trial in range(args.trials):

@@ -74,7 +74,7 @@ def psi_g_for_labels(g, labels):
 
 @dataclass
 class BoxLsResult:
-    """Solution of the box-constrained full-graph quadratic fit."""
+    """Solution of the box-constrained edge quadratic fit."""
 
     value: float
     p: np.ndarray
@@ -89,7 +89,7 @@ def _edge_quadratic_value(targets, src, dst, p, q):
     return float(r @ r)
 
 
-def _edge_quadratic_pg_norm(targets, src, dst, p, q, d_out, d_in, n):
+def _edge_quadratic_pg_norm(targets, src, dst, p, q, n):
     # residual convention: grad_p[i] = sum over out-edges of ((p_i+q_j)/2 - t)
     half = 0.5 * (p[src] + q[dst]) - targets
     gp = np.bincount(src, weights=half, minlength=n)
@@ -99,21 +99,21 @@ def _edge_quadratic_pg_norm(targets, src, dst, p, q, d_out, d_in, n):
     return max(np.abs(pg_p).max(initial=0.0), np.abs(pg_q).max(initial=0.0))
 
 
-def minimize_edge_quadratic(g, tol=1e-8, max_iter=10000, keep_trace=True):
-    """Minimize Σ_E ((1+y)/2 − (p_i+q_j)/2)² over p, q ∈ [0,1]^|V|.
+def box_fit_edges(n, src, dst, targets, tol=1e-8, max_iter=10000, keep_trace=True):
+    """Minimize Σ_e (t_e − (p_i+q_j)/2)² over p, q ∈ [0,1]^n for edges e = (i, j).
 
-    Alternating exact block minimization: given q, every p_i has the
-    closed-form constrained optimum clip(mean_j(2t_ij − q_j), 0, 1), and
-    symmetrically for q given p. Each block update can only decrease the
-    objective, so the per-sweep value trace is monotone. Stops when the
-    projected-gradient infinity norm drops to ``tol``.
+    ``src``, ``dst`` and ``targets`` list the fitted edges. Alternating exact
+    block minimization: given q, every p_i has the closed-form constrained optimum
+    clip(mean_j(2t_ij − q_j), 0, 1), and symmetrically for q given p. Each
+    block update can only decrease the objective, so the per-sweep value
+    trace is monotone. Nodes with no fitted out-edge (in-edge) keep p (q) at
+    its start value 1/2. Stops when the projected-gradient infinity norm
+    drops to ``tol``.
 
-    Raises ConvergenceError (carrying the best value) if ``max_iter`` sweeps
-    are exhausted.
+    Raises ConvergenceError carrying the last iterate as a :class:`BoxLsResult`
+    (``state``) and its value (``best_value``) if ``max_iter`` sweeps are
+    exhausted.
     """
-    n, m = g.node_count, g.edge_count
-    src, dst = g.src, g.dst
-    targets = (1.0 + g.labels.astype(np.float64)) / 2.0
     d_out = np.bincount(src, minlength=n).astype(np.float64)
     d_in = np.bincount(dst, minlength=n).astype(np.float64)
     has_out = d_out > 0
@@ -121,11 +121,12 @@ def minimize_edge_quadratic(g, tol=1e-8, max_iter=10000, keep_trace=True):
     p = np.full(n, 0.5)
     q = np.full(n, 0.5)
     trace = []
-    if m == 0:
+    if len(src) == 0:
         return BoxLsResult(0.0, p, q, 0, 0.0, trace)
     sum_out_t = np.bincount(src, weights=targets, minlength=n)
     sum_in_t = np.bincount(dst, weights=targets, minlength=n)
     pg = np.inf
+    it = 0
     for it in range(1, max_iter + 1):
         num_p = 2.0 * sum_out_t - np.bincount(src, weights=q[dst], minlength=n)
         np.clip(np.divide(num_p, d_out, out=num_p, where=has_out), 0.0, 1.0, out=num_p)
@@ -135,13 +136,24 @@ def minimize_edge_quadratic(g, tol=1e-8, max_iter=10000, keep_trace=True):
         q = np.where(has_in, num_q, q)
         if keep_trace:
             trace.append(_edge_quadratic_value(targets, src, dst, p, q))
-        pg = _edge_quadratic_pg_norm(targets, src, dst, p, q, d_out, d_in, n)
+        pg = _edge_quadratic_pg_norm(targets, src, dst, p, q, n)
         if pg <= tol:
             return BoxLsResult(_edge_quadratic_value(targets, src, dst, p, q),
                                p, q, it, float(pg), trace)
+    value = _edge_quadratic_value(targets, src, dst, p, q)
     raise ConvergenceError(
         f"box-constrained fit not stationary after {max_iter} sweeps (pg={pg:.3g})",
-        best_value=_edge_quadratic_value(targets, src, dst, p, q))
+        state=BoxLsResult(value, p, q, it, float(pg), trace), best_value=value)
+
+
+def minimize_edge_quadratic(g, tol=1e-8, max_iter=10000, keep_trace=True):
+    """Minimize Σ_E ((1+y)/2 − (p_i+q_j)/2)² over p, q ∈ [0,1]^|V|.
+
+    :func:`box_fit_edges` on every edge of g with its label target.
+    """
+    targets = (1.0 + g.labels.astype(np.float64)) / 2.0
+    return box_fit_edges(g.node_count, g.src, g.dst, targets, tol=tol,
+                         max_iter=max_iter, keep_trace=keep_trace)
 
 
 def psi2(g, tol=1e-8, max_iter=10000):

@@ -2,10 +2,10 @@
 
 Everything here deliberately avoids the solver code paths under test:
 brute-force enumeration, dense grids, finite differences, plain projected
-gradient descent, and exact-rational dynamic programming.
+gradient descent, scipy's bounded-variable least squares, and exact-rational
+dynamic programming.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -69,21 +69,94 @@ def lp_reference_minimize(g, split, iters=400000, check_every=200, tol=1e-11):
     return p, q, t
 
 
-def grid_minimum(fun, bounds, step):
-    """Exhaustive grid search; returns (best value, best point)."""
-    axes = [np.arange(lo, hi + 0.5 * step, step) for lo, hi in bounds]
+def grid_axes(bounds, step):
+    return [np.arange(lo, hi + 0.5 * step, step) for lo, hi in bounds]
+
+
+def grid_minimum(fun_batch, bounds, step, chunk=1 << 16):
+    """Exhaustive grid search; returns (best value, best point).
+
+    ``fun_batch`` maps a (k, d) array of grid points to their k values. The
+    points are visited in ``itertools.product`` order, ``chunk`` at a time,
+    and the first of equal minima wins.
+    """
+    axes = grid_axes(bounds, step)
+    shape = tuple(a.size for a in axes)
+    total = math.prod(shape)
     best = (np.inf, None)
-    for point in itertools.product(*axes):
-        v = fun(np.asarray(point))
-        if v < best[0]:
-            best = (v, np.asarray(point))
+    for start in range(0, total, chunk):
+        index = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
+        points = np.column_stack([a[i] for a, i in zip(axes, index)])
+        values = fun_batch(points)
+        k = int(np.argmin(values))
+        if values[k] < best[0]:
+            best = (float(values[k]), points[k])
     return best
 
 
-def refine_minimum(fun, point, radius, step):
-    """Local grid refinement around a coarse-grid optimum."""
-    bounds = [(x - radius, x + radius) for x in point]
-    return grid_minimum(fun, bounds, step)
+def grid_sample(bounds, step, count, seed=0):
+    """``count`` distinct points drawn from the grid of :func:`grid_minimum`."""
+    axes = grid_axes(bounds, step)
+    shape = tuple(a.size for a in axes)
+    flat = np.random.default_rng(seed).choice(math.prod(shape), size=count, replace=False)
+    return np.column_stack([a[i] for a, i in zip(axes, np.unravel_index(flat, shape))])
+
+
+def batch_mismatch(fun, fun_batch, bounds, step, count=128, seed=0):
+    """Largest |fun(x) − fun_batch(x)| over ``count`` sampled grid points."""
+    points = grid_sample(bounds, step, count, seed)
+    scalar = np.array([fun(x) for x in points])
+    return float(np.abs(scalar - fun_batch(points)).max())
+
+
+def lp_objective_batch(g, split, P, Q, T):
+    """The propagation objective at each row of P, Q (k × |V|) and T (k × test edges).
+
+    Edge fit Σ_E (t − (p_i+q_j)/2)², t = (1+y)/2 on training edges and T on
+    test edges, plus (1/2)Σ_i [d_out(i)p_i² + d_in(i)q_i²].
+    """
+    train = split.training_mask
+    t = np.empty((P.shape[0], g.edge_count))
+    t[:, train] = (1.0 + g.labels[train]) / 2.0
+    t[:, ~train] = T
+    r = t - 0.5 * (P[:, g.src] + Q[:, g.dst])
+    d_out = np.bincount(g.src, minlength=g.node_count)
+    d_in = np.bincount(g.dst, minlength=g.node_count)
+    return np.einsum("ke,ke->k", r, r) + 0.5 * ((P * P) @ d_out + (Q * Q) @ d_in)
+
+
+def unreg_objective_batch(g, split, P, Q, Y):
+    """The unregularized objective Σ_E ((1+y)/2 − (p_i+q_j)/2)² at each row,
+    y the label on training edges and Y on test edges."""
+    train = split.training_mask
+    y = np.empty((P.shape[0], g.edge_count))
+    y[:, train] = g.labels[train]
+    y[:, ~train] = Y
+    r = (1.0 + y) / 2.0 - 0.5 * (P[:, g.src] + Q[:, g.dst])
+    return np.einsum("ke,ke->k", r, r)
+
+
+def unreg_box_lsq_minimum(g, split):
+    """Minimum of the training-edge box least-squares fit by scipy's BVLS.
+
+    Unknowns are p of each node with a training out-edge and q of each node
+    with a training in-edge, boxed in [0, 1]; each training edge (i, j)
+    contributes the row (p_i + q_j)/2 ≈ (1+y)/2.
+    """
+    from scipy.optimize import lsq_linear
+
+    train = split.training_indices()
+    src, dst = g.src[train], g.dst[train]
+    p_nodes, p_col = np.unique(src, return_inverse=True)
+    q_nodes, q_col = np.unique(dst, return_inverse=True)
+    A = np.zeros((train.size, p_nodes.size + q_nodes.size))
+    rows = np.arange(train.size)
+    A[rows, p_col] = 0.5
+    A[rows, p_nodes.size + q_col] = 0.5
+    b = (1.0 + g.labels[train]) / 2.0
+    fit = lsq_linear(A, b, bounds=(0.0, 1.0), method="bvls", tol=1e-14)
+    r = A @ fit.x - b
+    return float(r @ r)
 
 
 def mrc_recurrence_table(r_max, c_max):

@@ -2,9 +2,13 @@ import json
 
 import pytest
 
+import numpy as np
+
 from edgesign import cli
+from edgesign.batch import (UnregModel, load_model, save_model, unreg_predict,
+                            unreg_solve)
 from edgesign.genmodel import TwoPointPrior, make_synthetic
-from edgesign.graph import SignedDigraph
+from edgesign.graph import SignedDigraph, sample_split
 from edgesign.online import adversary_generate, run_online
 
 
@@ -54,3 +58,60 @@ class TestOnlineCommand:
                          "--seed", "1", "-o", str(tmp_path / "out.json")])
         assert code == cli.EXIT_ARGUMENT == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_zero_trials_is_an_argument_error(self, graph_path, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code = cli.main(["online", str(graph_path), "--trials", "0", "--seed", "1",
+                         "-o", str(out)])
+        assert code == cli.EXIT_ARGUMENT
+        assert not out.exists()
+        assert "--trials" in capsys.readouterr().err
+
+
+def read_predictions(path):
+    with open(path, encoding="utf-8") as f:
+        rows = [line.rstrip("\n").split(",") for line in f.readlines()[1:]]
+    return np.array([float(r[2]) for r in rows]), np.array([int(r[3]) for r in rows])
+
+
+class TestUnregModel:
+    def test_predict_on_another_split_scores_that_split(self, graph_path, tmp_path):
+        model_path, pred_path = tmp_path / "unreg.json", tmp_path / "pred.csv"
+        assert cli.main(["train", str(graph_path), "--method", "unreg", "--fraction", "0.3",
+                         "--seed", "1", "-o", str(model_path)]) == 0
+        # same test-set size, different edges
+        assert cli.main(["predict", str(graph_path), str(model_path), "--fraction", "0.3",
+                         "--seed", "2", "-o", str(pred_path)]) == 0
+        g = SignedDigraph.load(graph_path)
+        fitted = unreg_solve(g, sample_split(g, 0.3, 1))
+        model = load_model(model_path)
+        assert isinstance(model, UnregModel)
+        assert np.array_equal(model.p, fitted.p) and np.array_equal(model.q, fitted.q)
+        test = sample_split(g, 0.3, 2).test_indices()
+        expected = fitted.p[g.src[test]] + fitted.q[g.dst[test]] - 1.0
+        scores, labels = read_predictions(pred_path)
+        assert np.array_equal(scores, expected)
+        assert np.array_equal(labels, np.where(expected >= model.threshold, 1, -1))
+
+    def test_file_with_y_soft_round_trips(self, graph_path, tmp_path):
+        g = SignedDigraph.load(graph_path)
+        split = sample_split(g, 0.3, 1)
+        result = unreg_solve(g, split)
+        pred = unreg_predict(result, g, split)
+        old = tmp_path / "old.json"
+        with open(old, "w", encoding="utf-8") as f:
+            json.dump({"format": "edgesign-unreg", "version": 1,
+                       "p": result.p.tolist(), "q": result.q.tolist(),
+                       "y_soft": result.y_soft.tolist(), "threshold": pred.threshold}, f)
+        model = load_model(old)
+        assert isinstance(model, UnregModel) and model.threshold == pred.threshold
+        again = model.predict_split(g, split)
+        assert np.array_equal(again.scores, pred.scores)
+        assert np.array_equal(again.labels, pred.labels)
+        new = tmp_path / "new.json"
+        save_model(model, new)
+        with open(new, encoding="utf-8") as f:
+            assert "y_soft" not in json.load(f)
+        reloaded = load_model(new)
+        assert np.array_equal(reloaded.p, model.p) and np.array_equal(reloaded.q, model.q)
+        assert reloaded.threshold == model.threshold

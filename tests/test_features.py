@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from edgesign.batch import unreg_objective
 from edgesign.errors import ConvergenceError
 from edgesign.features import (minimize_edge_quadratic, psi2, psi_g, regularity_report,
                                troll_trust)
 from edgesign.graph import SignedDigraph, load_edge_list
 
-from conftest import random_graph
-from oracles import grid_minimum
+from conftest import make_split, random_graph
+from oracles import batch_mismatch, grid_minimum
 
 
 class TestTrollTrust:
@@ -69,10 +70,18 @@ class TestPsi2:
         g = load_edge_list("a\tb\t1\na\tc\t-1\n")
 
         def objective(x):
-            pa, qb, qc = x
+            pa, qb, qc = x.T
             return (1.0 - (pa + qb) / 2) ** 2 + (0.0 - (pa + qc) / 2) ** 2
 
-        best, _ = grid_minimum(objective, [(0, 1)] * 3, 0.01)
+        every_edge_trains = make_split([True, True])
+
+        def fit_value(x):
+            return unreg_objective(g, every_edge_trains, np.array([x[0], 0.5, 0.5]),
+                                   np.array([0.5, x[1], x[2]]), np.zeros(0))
+
+        bounds = [(0, 1)] * 3
+        assert batch_mismatch(fit_value, objective, bounds, 0.01) <= 1e-12
+        best, _ = grid_minimum(objective, bounds, 0.01)
         value = psi2(g)
         assert abs(value - best) <= 1e-4
         assert abs(value - 0.125) <= 1e-9

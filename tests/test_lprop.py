@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from edgesign.batch import (LpModel, LpOptions, UnregOptions, lp_gradient,
+from edgesign.batch import (LpModel, LpOptions, UnregOptions, UnregResult, lp_gradient,
                             lp_objective, lp_predict, lp_run, tune_threshold,
                             unreg_objective, unreg_predict, unreg_solve)
 from edgesign.errors import ConvergenceError
 from edgesign.graph import SignedDigraph, load_edge_list, sample_split
 
 from conftest import make_split, random_graph
-from oracles import finite_difference, grid_minimum, lp_reference_minimize, refine_minimum
+from oracles import (batch_mismatch, finite_difference, grid_minimum, lp_objective_batch,
+                     lp_reference_minimize, unreg_box_lsq_minimum,
+                     unreg_objective_batch)
 
 
 def lp_run_partial(g, split, opt):
@@ -17,6 +19,22 @@ def lp_run_partial(g, split, opt):
         return lp_run(g, split, opt)
     except ConvergenceError as err:
         return err.state
+
+
+def joint_projected_gradient(g, split, result):
+    """Box-projected gradient infinity norm of the unregularized objective in
+    (p, q, test y) at ``result``."""
+    test = split.test_indices()
+    y = g.labels.astype(np.float64)
+    y[test] = result.y_soft
+    p, q, ys = result.p, result.q, result.y_soft
+    half = 0.5 * (p[g.src] + q[g.dst]) - (1.0 + y) / 2.0
+    gp = np.bincount(g.src, weights=half, minlength=g.node_count)
+    gq = np.bincount(g.dst, weights=half, minlength=g.node_count)
+    gy = -half[test]
+    return max(np.abs(p - np.clip(p - gp, 0.0, 1.0)).max(),
+               np.abs(q - np.clip(q - gq, 0.0, 1.0)).max(),
+               np.abs(ys - np.clip(ys - gy, -1.0, 1.0)).max(initial=0.0))
 
 
 def random_case(n, m, seed, fraction):
@@ -129,7 +147,14 @@ class TestLpRun:
             return lp_objective(g, split, np.array([x[0], 0.5]),
                                 np.array([0.5, x[1]]), np.zeros(0))
 
-        best_val, best_point = grid_minimum(fun, [(-1, 1), (-1, 1)], 0.001)
+        def fun_batch(x):
+            half = np.full(len(x), 0.5)
+            return lp_objective_batch(g, split, np.column_stack([x[:, 0], half]),
+                                      np.column_stack([half, x[:, 1]]), np.zeros((len(x), 0)))
+
+        bounds = [(-1, 1), (-1, 1)]
+        assert batch_mismatch(fun, fun_batch, bounds, 0.001) <= 1e-12
+        best_val, best_point = grid_minimum(fun_batch, bounds, 0.001)
         state = lp_run(g, split, LpOptions(tol=1e-12))
         assert abs(state.p[0] - best_point[0]) <= 5e-4
         assert abs(state.q[1] - best_point[1]) <= 5e-4
@@ -216,7 +241,14 @@ class TestUnreg:
             return unreg_objective(g, split, np.array([x[0], 0.5]),
                                    np.array([0.5, x[1]]), np.zeros(0))
 
-        best_val, _ = grid_minimum(fun, [(0, 1), (0, 1)], 0.001)
+        def fun_batch(x):
+            half = np.full(len(x), 0.5)
+            return unreg_objective_batch(g, split, np.column_stack([x[:, 0], half]),
+                                         np.column_stack([half, x[:, 1]]), np.zeros((len(x), 0)))
+
+        bounds = [(0, 1), (0, 1)]
+        assert batch_mismatch(fun, fun_batch, bounds, 0.001) <= 1e-12
+        best_val, _ = grid_minimum(fun_batch, bounds, 0.001)
         result = unreg_solve(g, split)
         assert result.objective <= best_val + 1e-9
 
@@ -229,11 +261,48 @@ class TestUnreg:
             return unreg_objective(g, split, np.array([x[0], 0.5, 0.5]),
                                    np.array([0.5, x[1], x[2]]), x[3:])
 
-        coarse_val, coarse_pt = grid_minimum(
-            fun, [(0, 1), (0, 1), (0, 1), (-1, 1)], 0.1)
-        fine_val, _ = refine_minimum(fun, coarse_pt, 0.1, 0.01)
+        def fun_batch(x):
+            half = np.full(len(x), 0.5)
+            return unreg_objective_batch(g, split, np.column_stack([x[:, 0], half, half]),
+                                         np.column_stack([half, x[:, 1], x[:, 2]]), x[:, 3:])
+
+        bounds = [(0, 1), (0, 1), (0, 1), (-1, 1)]
+        assert batch_mismatch(fun, fun_batch, bounds, 0.1) <= 1e-12
+        coarse_val, coarse_pt = grid_minimum(fun_batch, bounds, 0.1)
+        fine_bounds = [(x - 0.1, x + 0.1) for x in coarse_pt]
+        assert batch_mismatch(fun, fun_batch, fine_bounds, 0.01) <= 1e-12
+        fine_val, _ = grid_minimum(fun_batch, fine_bounds, 0.01)
         result = unreg_solve(g, split)
         assert result.objective <= fine_val + 1e-9
+
+    @pytest.mark.parametrize("n, m, seed, fraction", [
+        (12, 40, 31, 0.3), (15, 60, 32, 0.5), (20, 50, 33, 0.2), (25, 120, 34, 0.1),
+        (30, 150, 35, 0.4)])
+    def test_matches_box_lsq_oracle(self, n, m, seed, fraction):
+        g, split = random_case(n, m, seed, fraction)
+        tol = 1e-10
+        result = unreg_solve(g, split, UnregOptions(tol=tol))
+        assert abs(result.objective - unreg_box_lsq_minimum(g, split)) <= 1e-9
+        test, train = split.test_indices(), split.training_indices()
+        assert np.array_equal(result.y_soft,
+                              result.p[g.src[test]] + result.q[g.dst[test]] - 1.0)
+        assert abs(result.objective - unreg_objective(g, split, result.p, result.q,
+                                                      result.y_soft)) <= 1e-12
+        assert joint_projected_gradient(g, split, result) <= tol
+        no_out = np.bincount(g.src[train], minlength=n) == 0
+        no_in = np.bincount(g.dst[train], minlength=n) == 0
+        assert no_out.any() and no_in.any()
+        assert np.all(result.p[no_out] == 0.5) and np.all(result.q[no_in] == 0.5)
+
+    def test_budget_exhaustion_carries_result(self):
+        g, split = random_case(20, 80, 36, 0.4)
+        with pytest.raises(ConvergenceError) as err:
+            unreg_solve(g, split, UnregOptions(tol=1e-14, max_iter=2))
+        state = err.value.state
+        assert isinstance(state, UnregResult)
+        assert state.iterations == 2 and state.pg_norm > 1e-14
+        test = split.test_indices()
+        assert np.array_equal(state.y_soft, state.p[g.src[test]] + state.q[g.dst[test]] - 1.0)
 
     def test_stationarity(self):
         g = random_graph(12, 40, seed=15)
