@@ -17,7 +17,7 @@ training scores (:func:`tune_threshold`). The global tie rule is sgn(0) = +1.
 
 from __future__ import annotations
 
-import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +27,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import ConvergenceError, DataError, DegenerateFitError
 from .features import box_fit_edges, troll_trust
 from .genmodel import sign_with_tie
+from .graph import check_container, read_json, write_json
 
 
 # ---------------------------------------------------------------------------
@@ -75,22 +76,59 @@ class Prediction:
     method: str
 
     def to_csv(self, path_or_file, node_ids=None):
-        """Write `src,dst,score,label` rows (full-precision scores)."""
+        """Write `src,dst,score,label` rows (full-precision scores).
+
+        Endpoints are written as ``node_ids`` entries when given, else as
+        compact ids. An id holding a comma, a double quote or a line break is
+        quoted as in RFC 4180, so the ``csv`` module reads it back intact.
+        """
+        if node_ids is None:
+            src, dst = self.src.tolist(), self.dst.tolist()
+        else:
+            names = list(map(_csv_field, map(str, node_ids)))
+            src = list(map(names.__getitem__, self.src.tolist()))
+            dst = list(map(names.__getitem__, self.dst.tolist()))
+        rows = [f"{u},{v},{s!r},{y}\n" for u, v, s, y in
+                zip(src, dst, self.scores.tolist(), self.labels.tolist())]
         own = not hasattr(path_or_file, "write")
-        f = open(path_or_file, "w", encoding="utf-8") if own else path_or_file
+        f = open(path_or_file, "w", encoding="utf-8", newline="") if own else path_or_file
         try:
             f.write("src,dst,score,label\n")
-            for u, v, s, y in zip(self.src, self.dst, self.scores, self.labels):
-                su = node_ids[u] if node_ids is not None else int(u)
-                sv = node_ids[v] if node_ids is not None else int(v)
-                f.write(f"{su},{sv},{float(s)!r},{int(y)}\n")
+            f.write("".join(rows))
         finally:
             if own:
                 f.close()
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(token):
+    """``token`` as one CSV field: quoted, inner quotes doubled, when it needs it."""
+    if _NEEDS_QUOTES.search(token) is None:
+        return token
+    return '"' + token.replace('"', '""') + '"'
+
+
 def _threshold_labels(scores, threshold):
     return sign_with_tie(np.asarray(scores) - threshold).astype(np.int8)
+
+
+def _check_node_count(per_node, g):
+    if per_node.size != g.node_count:
+        raise DataError(f"model was fitted on a graph of {per_node.size} nodes, "
+                        f"this graph has {g.node_count}")
+
+
+def _node_arrays(d, keys):
+    """The container's per-node arrays as float64, checked to be 1-D and of one length."""
+    try:
+        arrays = [np.asarray(d[k], dtype=np.float64) for k in keys]
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{d['format']} container: per-node arrays must be number lists") from exc
+    if any(a.ndim != 1 or a.size != arrays[0].size for a in arrays):
+        raise DataError(f"{d['format']} container: per-node arrays differ in length")
+    return arrays
 
 
 def _prediction_for(g, split, scores, threshold, method):
@@ -118,6 +156,9 @@ class BlcModel:
     def score(self, src, dst):
         return (1.0 - self.tr[src]) + (1.0 - self.un[dst]) - 0.5 - self.tau
 
+    def predict_split(self, g, split):
+        return blc_predict_split(self, g, split)
+
     def to_json_dict(self):
         return {
             "format": "edgesign-blc", "version": 1,
@@ -129,11 +170,10 @@ class BlcModel:
 
     @classmethod
     def from_json_dict(cls, d):
-        if d.get("format") != "edgesign-blc" or d.get("version") != 1:
-            raise DataError("not a recognized blc model container")
-        return cls(np.asarray(d["tr"]), np.asarray(d["un"]),
-                   np.asarray(d["tr_defined"], dtype=bool),
-                   np.asarray(d["un_defined"], dtype=bool), float(d["tau"]))
+        check_container(d, "edgesign-blc", keys=("tr", "un", "tr_defined", "un_defined", "tau"))
+        tr, un, tr_defined, un_defined = _node_arrays(
+            d, ("tr", "un", "tr_defined", "un_defined"))
+        return cls(tr, un, tr_defined != 0, un_defined != 0, float(d["tau"]))
 
 
 def blc_fit(g, split):
@@ -157,6 +197,7 @@ def blc_predict(model, edge):
 
 def blc_predict_split(model, g, split):
     """Predictions for every test edge of the split."""
+    _check_node_count(model.tr, g)
     test = split.test_indices()
     scores = model.score(g.src[test], g.dst[test])
     return _prediction_for(g, split, scores, 0.0, "blc")
@@ -188,6 +229,9 @@ class LogRegModel:
     def score(self, src, dst):
         return self.w0 + self.w1 * (1.0 - self.tr[src]) + self.w2 * (1.0 - self.un[dst])
 
+    def predict_split(self, g, split):
+        return logreg_predict_split(self, g, split)
+
     def to_json_dict(self):
         return {
             "format": "edgesign-logreg", "version": 1,
@@ -198,10 +242,10 @@ class LogRegModel:
 
     @classmethod
     def from_json_dict(cls, d):
-        if d.get("format") != "edgesign-logreg" or d.get("version") != 1:
-            raise DataError("not a recognized logreg model container")
+        check_container(d, "edgesign-logreg", keys=("w0", "w1", "w2", "threshold", "tr", "un"))
+        tr, un = _node_arrays(d, ("tr", "un"))
         return cls(float(d["w0"]), float(d["w1"]), float(d["w2"]),
-                   float(d["threshold"]), np.asarray(d["tr"]), np.asarray(d["un"]))
+                   float(d["threshold"]), tr, un)
 
 
 def _nll(z, y01):
@@ -275,6 +319,7 @@ def logreg_fit(g, split, tol=1e-8, max_iter=200):
 
 
 def logreg_predict_split(model, g, split):
+    _check_node_count(model.tr, g)
     test = split.test_indices()
     scores = model.score(g.src[test], g.dst[test])
     return _prediction_for(g, split, scores, model.threshold, "logreg")
@@ -561,11 +606,11 @@ class LpModel:
 
     @classmethod
     def from_json_dict(cls, d):
-        if d.get("format") != "edgesign-lprop" or d.get("version") != 1:
-            raise DataError("not a recognized lprop model container")
-        return cls(np.asarray(d["p"]), np.asarray(d["q"]), float(d["threshold"]))
+        check_container(d, "edgesign-lprop", keys=("p", "q", "threshold"))
+        return cls(*_node_arrays(d, ("p", "q")), float(d["threshold"]))
 
     def predict_split(self, g, split):
+        _check_node_count(self.p, g)
         test = split.test_indices()
         scores = 0.5 * (self.p[g.src[test]] + self.q[g.dst[test]])
         return _prediction_for(g, split, scores, self.threshold, "lprop")
@@ -656,11 +701,11 @@ class UnregModel:
     def from_json_dict(cls, d):
         # files written before this class also carry y_soft, in the order of
         # the training split's test edges; p_i+q_j−1 replaces it
-        if d.get("format") != "edgesign-unreg" or d.get("version") != 1:
-            raise DataError("not a recognized unreg model container")
-        return cls(np.asarray(d["p"]), np.asarray(d["q"]), float(d["threshold"]))
+        check_container(d, "edgesign-unreg", keys=("p", "q", "threshold"))
+        return cls(*_node_arrays(d, ("p", "q")), float(d["threshold"]))
 
     def predict_split(self, g, split):
+        _check_node_count(self.p, g)
         test = split.test_indices()
         scores = self.p[g.src[test]] + self.q[g.dst[test]] - 1.0
         return _prediction_for(g, split, scores, self.threshold, "unreg")
@@ -670,18 +715,19 @@ class UnregModel:
 # Model persistence helpers shared by the CLI
 
 
+#: Model class of each container format tag.
+MODEL_FORMATS = {"edgesign-blc": BlcModel, "edgesign-logreg": LogRegModel,
+                 "edgesign-lprop": LpModel, "edgesign-unreg": UnregModel}
+
+
 def save_model(model, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(model.to_json_dict(), f, separators=(",", ":"))
+    write_json(model.to_json_dict(), path)
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as f:
-        d = json.load(f)
-    fmt = d.get("format")
-    for cls in (BlcModel, LogRegModel, LpModel, UnregModel):
-        try:
-            return cls.from_json_dict(d)
-        except DataError:
-            continue
-    raise DataError(f"unrecognized model container format {fmt!r}")
+    """The fitted model stored at ``path``, read by the class its format names."""
+    d = read_json(path)
+    cls = MODEL_FORMATS.get(d.get("format"))
+    if cls is None:
+        raise DataError(f"unrecognized model container format {d.get('format')!r}")
+    return cls.from_json_dict(d)

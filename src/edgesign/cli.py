@@ -8,9 +8,11 @@ online. Every randomized command requires an explicit --seed. Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .errors import ConvergenceError, DataError, EdgeListParseError, EdgeSignErr
 from .features import regularity_report
 from .genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior,
                        make_synthetic)
-from .graph import EdgeSplit, SignedDigraph, load_edge_list, sample_split
+from .graph import SIGN_TOKENS, EdgeSplit, SignedDigraph, load_edge_list, sample_split
 from .metrics import accuracy, confusion, mcc
 
 DATA_DIR_ENV = "EDGESIGN_DATA_DIR"
@@ -48,11 +50,13 @@ def _write_json(payload, path):
 
 
 def _load_graph(path):
+    """A graph container when the file starts with ``{``, else an edge list."""
     path = _resolve(path)
-    try:
+    with open(path, "rb") as f:
+        head = f.read(256).lstrip()
+    if head.startswith(b"{"):
         return SignedDigraph.load(path)
-    except (json.JSONDecodeError, UnicodeDecodeError, DataError):
-        return load_edge_list(path)
+    return load_edge_list(path)
 
 
 def cmd_ingest(args):
@@ -131,37 +135,65 @@ def cmd_predict(args):
     g = _load_graph(args.graph)
     split = _get_split(g, args)
     model = batch.load_model(args.model)
-    if isinstance(model, batch.BlcModel):
-        pred = batch.blc_predict_split(model, g, split)
-    elif isinstance(model, batch.LogRegModel):
-        pred = batch.logreg_predict_split(model, g, split)
-    else:
-        pred = model.predict_split(g, split)
+    pred = model.predict_split(g, split)
     pred.to_csv(args.output, node_ids=g.node_ids)
     print(f"predictions\t{args.output}")
     return 0
+
+
+def _read_predictions(path):
+    """(src ids, dst ids, labels) columns of a ``src,dst,score,label`` file."""
+    src, dst, tokens = [], [], []
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            if next(reader, None) != ["src", "dst", "score", "label"]:
+                raise DataError("prediction file lacks the src,dst,score,label header")
+            for row in reader:
+                if len(row) != 4:
+                    raise DataError(f"prediction file line {reader.line_num}: "
+                                    f"expected 4 fields, got {len(row)}")
+                src.append(row[0])
+                dst.append(row[1])
+                tokens.append(row[3])
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"prediction file is not CSV text ({exc})") from exc
+    labels = np.fromiter(map(SIGN_TOKENS.get, tokens, repeat(0)), np.int8, len(tokens))
+    bad = np.flatnonzero(labels == 0)
+    if bad.size:
+        raise DataError(f"prediction file row {bad[0] + 1}: bad label {tokens[bad[0]]!r}")
+    return src, dst, labels
 
 
 def cmd_eval(args):
     g = _load_graph(args.graph)
     split = _get_split(g, args)
     test = split.test_indices()
-    by_pair = {}
-    with open(args.predictions, "r", encoding="utf-8") as f:
-        header = f.readline()
-        if not header.startswith("src,dst,score,label"):
-            raise DataError("prediction file lacks the src,dst,score,label header")
-        for line in f:
-            u, v, _score, label = line.rstrip("\n").split(",")
-            by_pair[(u, v)] = int(label)
-    try:
-        pred_labels = [by_pair[(g.node_ids[g.src[e]], g.node_ids[g.dst[e]])]
-                       for e in test]
-    except KeyError as exc:
-        raise DataError(f"prediction file does not cover test edge {exc}") from exc
-    if len(by_pair) != test.size:
+    src, dst, labels = _read_predictions(args.predictions)
+    n = g.node_count
+    index = dict(zip(g.node_ids, range(n)))
+    u = np.fromiter(map(index.get, src, repeat(-1)), np.int64, len(src))
+    v = np.fromiter(map(index.get, dst, repeat(-1)), np.int64, len(dst))
+    # rows naming a node the graph lacks get key -1 and cover no test edge
+    have = np.where((u >= 0) & (v >= 0), u * np.int64(n) + v, -1)
+    order = np.argsort(have, kind="stable")
+    have = have[order]
+    repeated = np.flatnonzero((have[1:] == have[:-1]) & (have[1:] >= 0))
+    if repeated.size:
+        k = order[repeated[0] + 1]
+        raise DataError(f"prediction file lists edge {(src[k], dst[k])!r} twice")
+    want = g.src[test] * np.int64(n) + g.dst[test]
+    # a sentinel above every key keeps each position inside the array
+    padded = np.append(have, np.iinfo(np.int64).max)
+    pos = np.searchsorted(padded, want)
+    missing = np.flatnonzero(padded[pos] != want)
+    if missing.size:
+        e = test[missing[0]]
+        pair = (g.node_ids[g.src[e]], g.node_ids[g.dst[e]])
+        raise DataError(f"prediction file does not cover test edge {pair!r}")
+    if have.size != test.size:
         raise DataError("prediction file covers a different edge set than the split")
-    c = confusion(np.asarray(pred_labels), g.labels[test])
+    c = confusion(labels[order[pos]], g.labels[test])
     payload = {"tp": c.tp, "tn": c.tn, "fp": c.fp, "fn": c.fn,
                "mcc": mcc(c), "accuracy": accuracy(c)}
     if args.output:

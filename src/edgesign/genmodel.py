@@ -8,13 +8,12 @@ sgn(p_i + q_j − 1), with sgn(0) = +1 throughout the package.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .graph import SignedDigraph
+from .graph import SignedDigraph, read_json, write_json
 
 
 def sign_with_tie(x):
@@ -153,13 +152,11 @@ class GenParams:
                    np.asarray(d["q"], dtype=np.float64), prior, d["seed"])
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json_dict(), f, separators=(",", ":"))
+        write_json(self.to_json_dict(), path)
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_json_dict(json.load(f))
+        return cls.from_json_dict(read_json(path))
 
 
 def sample_params(n, prior, seed):

@@ -12,6 +12,52 @@ from fractions import Fraction
 import numpy as np
 
 from edgesign.batch import lp_gradient, lp_objective
+from edgesign.errors import EdgeListParseError
+
+
+def load_edge_list_reference(text, delimiter=None):
+    """Record-by-record reading of an edge list under ``load_edge_list``'s rules.
+
+    Returns ``(node_ids, edges, (self_loops, duplicates, conflicts))`` with
+    ``edges`` the kept ``(u, v, sign)`` triples in first-seen order, or
+    raises EdgeListParseError at the first malformed record.
+    """
+    ids = {}
+    pair_sign = {}  # (u, v) -> sign, or None once a conflicting sign was seen
+    order = []
+    self_loops = duplicates = conflicts = 0
+
+    def intern(token):
+        return ids.setdefault(token, len(ids))
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(delimiter)
+        if len(parts) != 3:
+            raise EdgeListParseError(lineno, f"expected 3 fields, got {len(parts)}")
+        sign = {"1": 1, "+1": 1, "-1": -1}.get(parts[2])
+        if sign is None:
+            raise EdgeListParseError(lineno, f"bad sign token {parts[2]!r}")
+        u = intern(parts[0])
+        v = intern(parts[1])
+        if u == v:
+            self_loops += 1
+            continue
+        prev = pair_sign.get((u, v), 0)
+        if prev == 0:
+            pair_sign[(u, v)] = sign
+            order.append((u, v))
+        elif prev is None:
+            pass  # already conflicting, stays dropped
+        elif prev == sign:
+            duplicates += 1
+        else:
+            pair_sign[(u, v)] = None
+            conflicts += 1
+    edges = [(u, v, pair_sign[(u, v)]) for u, v in order if pair_sign[(u, v)] is not None]
+    return list(ids), edges, (self_loops, duplicates, conflicts)
 
 
 def brute_force_threshold_mistakes(scores, labels):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -5,10 +6,12 @@ import pytest
 import numpy as np
 
 from edgesign import cli
-from edgesign.batch import (UnregModel, load_model, save_model, unreg_predict,
-                            unreg_solve)
+from edgesign.batch import (Prediction, UnregModel, blc_fit, blc_predict_split, load_model,
+                            save_model, unreg_predict, unreg_solve)
+from edgesign.errors import DataError
 from edgesign.genmodel import TwoPointPrior, make_synthetic
 from edgesign.graph import SignedDigraph, sample_split
+from edgesign.metrics import confusion, mcc
 from edgesign.online import adversary_generate, run_online
 
 
@@ -115,3 +118,135 @@ class TestUnregModel:
         reloaded = load_model(new)
         assert np.array_equal(reloaded.p, model.p) and np.array_equal(reloaded.q, model.q)
         assert reloaded.threshold == model.threshold
+
+
+def run_cli(*argv):
+    return cli.main([str(a) for a in argv])
+
+
+class TestPredictChecksTheModel:
+    @pytest.mark.parametrize("method", ["blc", "logreg", "lprop", "unreg"])
+    @pytest.mark.parametrize("other_nodes", [200, 60])
+    def test_model_for_another_node_count_is_a_data_error(self, graph_path, tmp_path, capsys,
+                                                         method, other_nodes):
+        model = tmp_path / f"{method}.json"
+        assert run_cli("train", graph_path, "--method", method, "--fraction", "0.3",
+                       "--seed", "1", "-o", model) == 0
+        other = tmp_path / "other.json"
+        make_synthetic(other_nodes, TwoPointPrior(0.1, 0.9), 6, seed=4)[0].save(other)
+        out = tmp_path / "pred.csv"
+        capsys.readouterr()
+        code = run_cli("predict", other, model, "--fraction", "0.3", "--seed", "1", "-o", out)
+        assert code == cli.EXIT_DATA == 3
+        assert "80 nodes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_files_are_dispatched_on_format(self, graph_path, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert run_cli("train", graph_path, "--method", "lprop", "--fraction", "0.3",
+                       "--seed", "1", "-o", model) == 0
+        d = json.loads(model.read_text())
+        cases = {"edgesign-tree": {**d, "format": "edgesign-tree"},
+                 "version 2": {**d, "version": 2},
+                 "lacks q": {k: v for k, v in d.items() if k != "q"},
+                 "differ in length": {**d, "q": d["q"][:-1]},
+                 "number lists": {**d, "p": ["x"] * len(d["p"])}}
+        for expected, payload in cases.items():
+            model.write_text(json.dumps(payload))
+            with pytest.raises(DataError, match=expected):
+                load_model(model)
+            assert run_cli("predict", graph_path, model, "--fraction", "0.3", "--seed", "1",
+                           "-o", tmp_path / "p.csv") == cli.EXIT_DATA
+        model.write_text("[]")
+        with pytest.raises(DataError, match="not a JSON container"):
+            load_model(model)
+
+
+class TestGraphFiles:
+    def test_truncated_container_reports_its_own_error(self, graph_path, capsys):
+        text = graph_path.read_text()
+        graph_path.write_text(text[: len(text) // 2])
+        capsys.readouterr()
+        assert run_cli("split", graph_path, "--fraction", "0.3", "--seed", "1",
+                       "-o", graph_path.parent / "s.json") == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "not a JSON container" in err and "fields" not in err
+
+    def test_edge_list_is_still_read_as_text(self, tmp_path, capsys):
+        path = tmp_path / "g.tsv"
+        path.write_text("  # header\na\tb\t1\nb\tc\t-1\nc\ta\t1\n")
+        assert run_cli("split", path, "--fraction", "0.5", "--seed", "1",
+                       "-o", tmp_path / "s.json") == 0
+        assert "training_edges\t2" in capsys.readouterr().out
+
+    def test_split_with_bad_indices_is_a_data_error(self, graph_path, tmp_path):
+        m = SignedDigraph.load(graph_path).edge_count
+        split = tmp_path / "s.json"
+        split.write_text(json.dumps({"format": "edgesign-split", "version": 1, "edge_count": m,
+                                     "fraction": 0.3, "seed": 1, "training_edges": [0, m]}))
+        assert run_cli("train", graph_path, "--method", "blc", "--split", split,
+                       "-o", tmp_path / "m.json") == cli.EXIT_DATA
+
+
+# ids with separators, quotes, spaces and non-ASCII characters
+ODD_IDS = ["a,b", 'q"x', '"', ",", "ü", "日本", "x y", "plain", '""', "'s"]
+
+
+@pytest.fixture
+def odd_graph_path(tmp_path):
+    g, _ = make_synthetic(len(ODD_IDS), TwoPointPrior(0.1, 0.9), 6, seed=3)
+    text = "".join(f"{ODD_IDS[u]}\t{ODD_IDS[v]}\t{y}\n"
+                   for u, v, y in zip(g.src.tolist(), g.dst.tolist(), g.labels.tolist()))
+    edges = tmp_path / "odd.tsv"
+    edges.write_text(text, encoding="utf-8")
+    path = tmp_path / "odd.json"
+    assert run_cli("ingest", edges, path, "--delimiter", "\t") == 0
+    return path
+
+
+class TestPredictionFiles:
+    def test_odd_ids_round_trip_through_predict_and_eval(self, odd_graph_path, tmp_path):
+        g = SignedDigraph.load(odd_graph_path)
+        assert sorted(g.node_ids) == sorted(ODD_IDS)
+        common = ["--fraction", "0.3", "--seed", "2"]
+        model, pred, result = tmp_path / "m.json", tmp_path / "p.csv", tmp_path / "e.json"
+        assert run_cli("train", odd_graph_path, "--method", "blc", *common, "-o", model) == 0
+        assert run_cli("predict", odd_graph_path, model, *common, "-o", pred) == 0
+        split = sample_split(g, 0.3, 2)
+        test = split.test_indices()
+        with open(pred, encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        assert [(r[0], r[1]) for r in rows] == [(g.node_ids[g.src[e]], g.node_ids[g.dst[e]])
+                                                for e in test]
+        assert run_cli("eval", odd_graph_path, pred, *common, "-o", result) == 0
+        expected = blc_predict_split(blc_fit(g, split), g, split)
+        c = confusion(expected.labels, g.labels[test])
+        assert json.loads(result.read_text())["mcc"] == mcc(c)
+
+    def test_plain_ids_are_written_unquoted(self, tmp_path):
+        pred = Prediction(np.arange(2), np.array([0, 1]), np.array([1, 0]),
+                          np.array([0.1, -2.5e-7]), np.array([1, -1], dtype=np.int8), 0.0, "blc")
+        path = tmp_path / "p.csv"
+        pred.to_csv(path, node_ids=["n0", "n1"])
+        assert path.read_bytes() == b"src,dst,score,label\nn0,n1,0.1,1\nn1,n0,-2.5e-07,-1\n"
+        pred.to_csv(path)
+        assert path.read_bytes() == b"src,dst,score,label\n0,1,0.1,1\n1,0,-2.5e-07,-1\n"
+
+    def test_malformed_prediction_files_are_data_errors(self, graph_path, tmp_path, capsys):
+        common = ["--fraction", "0.3", "--seed", "1"]
+        model, pred = tmp_path / "m.json", tmp_path / "p.csv"
+        assert run_cli("train", graph_path, "--method", "blc", *common, "-o", model) == 0
+        assert run_cli("predict", graph_path, model, *common, "-o", pred) == 0
+        header, *rows = pred.read_text().splitlines(keepends=True)
+        assert run_cli("eval", graph_path, pred, *common) == 0
+        cases = {"does not cover test edge": [header, *rows[1:]],
+                 "twice": [header, *rows, rows[0]],
+                 "different edge set": [header, *rows, "nobody,0,0.5,1\n"],
+                 "bad label": [header, rows[0].rsplit(",", 1)[0] + ",2\n", *rows[1:]],
+                 "expected 4 fields": [header, "0,1,1\n", *rows],
+                 "header": [*rows]}
+        for expected, lines in cases.items():
+            pred.write_text("".join(lines))
+            capsys.readouterr()
+            assert run_cli("eval", graph_path, pred, *common) == cli.EXIT_DATA, expected
+            assert expected in capsys.readouterr().err

@@ -1,14 +1,57 @@
+import base64
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesign.errors import DataError, EdgeListParseError
 from edgesign.graph import (EdgeSplit, SignedDigraph, degree_stats, load_edge_list,
-                            sample_split, write_edge_list)
+                            sample_split, sorted_unique, write_edge_list)
 
 from conftest import random_graph
+from oracles import load_edge_list_reference
+
+TOKENS = ["a", "b", "c", "d", "é", "1", "-1", "#h", "x y"]
+SIGNS = ["1", "+1", "-1"]
+BAD_SIGNS = ["2", "+", "--1", "1.0"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text with comments, blank lines, mixed separators,
+    self-loops, duplicates and conflicts, plus its delimiter; about half
+    the texts also hold malformed records."""
+    delimiter = draw(st.sampled_from([None, None, ",", "\t", "::"]))
+    separators = [" ", "\t", "  ", " \t "] if delimiter is None else [delimiter]
+    malformed = draw(st.booleans())
+    # with whitespace fields, "x y" is two fields: keep it for malformed texts
+    tokens = TOKENS if malformed or delimiter is not None else TOKENS[:-1]
+    kinds = ["record"] * 6 + ["blank", "comment"]
+    if malformed:
+        kinds += ["short", "long", "bad sign"]
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["# note", "  #indented", "#"])))
+        else:
+            fields = [draw(st.sampled_from(tokens)) for _ in range(2)]
+            fields.append(draw(st.sampled_from(BAD_SIGNS if kind == "bad sign" else SIGNS)))
+            if kind == "short":
+                fields.pop(draw(st.integers(0, 2)))
+            elif kind == "long":
+                fields.append(draw(st.sampled_from(tokens)))
+            text = fields[0]
+            for field in fields[1:]:
+                text += draw(st.sampled_from(separators)) + field
+            lines.append(draw(st.sampled_from(["", " ", "\t"])) + text
+                         + draw(st.sampled_from(["", " "])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), delimiter
 
 
 class TestLoadEdgeList:
@@ -51,6 +94,42 @@ class TestLoadEdgeList:
         again = load_edge_list(path)
         assert again == hand_graph
 
+    @settings(max_examples=300, deadline=None)
+    @given(edge_list_texts())
+    def test_matches_record_by_record_reference(self, case):
+        text, delimiter = case
+        try:
+            node_ids, edges, counts = load_edge_list_reference(text, delimiter)
+        except EdgeListParseError as expected:
+            with pytest.raises(EdgeListParseError) as err:
+                load_edge_list(io.StringIO(text), delimiter=delimiter)
+            assert err.value.line_number == expected.line_number
+            assert str(err.value) == str(expected)
+            return
+        g = load_edge_list(io.StringIO(text), delimiter=delimiter)
+        assert g.node_ids == node_ids and g.node_count == len(node_ids)
+        assert list(zip(g.src.tolist(), g.dst.tolist(), g.labels.tolist())) == edges
+        report = g.load_report
+        assert (report.self_loops_dropped, report.duplicates_merged,
+                report.conflicts_dropped) == counts
+
+    def test_cleaning_counts_on_a_busy_pair(self):
+        # pair (a, b): +, +, -, +, - ; pair (b, c): -, -, - ; one self-loop
+        text = "a b 1\na b +1\nb c -1\na b -1\nc c 1\nb c -1\na b 1\nb c -1\na b -1\n"
+        g = load_edge_list(text)
+        assert (g.load_report.self_loops_dropped, g.load_report.duplicates_merged,
+                g.load_report.conflicts_dropped) == (1, 3, 1)
+        assert g.node_ids == ["a", "b", "c"]
+        assert g.edge_count == 1 and (g.src[0], g.dst[0], g.labels[0]) == (1, 2, -1)
+
+    def test_first_error_wins(self):
+        with pytest.raises(EdgeListParseError) as err:
+            load_edge_list("a b 1\n# c\na b x\na b\n")
+        assert err.value.line_number == 3 and "bad sign token 'x'" in str(err.value)
+        with pytest.raises(EdgeListParseError) as err:
+            load_edge_list("a b 1\n\na b c 1\na b x\n")
+        assert err.value.line_number == 3 and "expected 3 fields, got 4" in str(err.value)
+
     def test_json_container_roundtrip(self, tmp_path, hand_graph):
         path = tmp_path / "g.json"
         hand_graph.save(path)
@@ -58,7 +137,106 @@ class TestLoadEdgeList:
         assert again == hand_graph
         payload = json.loads(path.read_text())
         assert payload["format"] == "edgesign-graph"
-        assert payload["version"] == 1
+        assert payload["version"] == 2
+
+    def test_version_1_container_still_loads(self, tmp_path):
+        g = random_graph(30, 100, seed=12)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "format": "edgesign-graph", "version": 1, "node_count": g.node_count,
+            "src": g.src.tolist(), "dst": g.dst.tolist(), "labels": g.labels.tolist(),
+            "node_ids": g.node_ids}))
+        again = SignedDigraph.load(path)
+        assert again == g
+        assert again.src.dtype == np.int64 and again.labels.dtype == np.int8
+
+
+def _v2_payload(g):
+    return json.loads(json.dumps(g.to_json_dict()))
+
+
+def _packed(values, tag):
+    return {"dtype": tag, "data": base64.b64encode(np.asarray(values, dtype=tag).tobytes()).decode()}
+
+
+class TestGraphContainerChecks:
+    """Every malformed version-2 container is a DataError on load."""
+
+    def corrupt_cases(self, g):
+        n, m = g.node_count, g.edge_count
+        src = g.src.copy()
+        dst = g.dst.copy()
+        labels = g.labels.copy()
+        loop = dst.copy()
+        loop[3] = src[3]
+        dup_src, dup_dst = src.copy(), dst.copy()
+        dup_src[1], dup_dst[1] = src[0], dst[0]
+        zero = labels.copy()
+        zero[2] = 0
+        return {
+            "wrong dtype tag": {"src": _packed(src, "<i8")},
+            "short array": {"dst": _packed(dst[:-1], "<i4")},
+            "long array": {"labels": _packed(np.append(labels, 1), "<i1")},
+            "bad base64": {"src": {"dtype": "<i4", "data": "!!!!"}},
+            "non-ascii base64": {"src": {"dtype": "<i4", "data": "é"}},
+            "not packed": {"src": src.tolist()},
+            "out of range": {"dst": _packed(np.where(np.arange(m) == 0, n, dst), "<i4")},
+            "negative id": {"src": _packed(np.where(np.arange(m) == 0, -1, src), "<i4")},
+            "self-loop": {"dst": _packed(loop, "<i4")},
+            "duplicate pair": {"src": _packed(dup_src, "<i4"), "dst": _packed(dup_dst, "<i4")},
+            "zero label": {"labels": _packed(zero, "<i1")},
+            "edge_count mismatch": {"edge_count": m + 1},
+            "negative edge_count": {"edge_count": -1},
+            "missing edge_count": {"edge_count": None},
+            "node_count not a count": {"node_count": "12"},
+            "node_ids too short": {"node_ids": g.node_ids[:-1]},
+            "repeated node id": {"node_ids": [g.node_ids[0]] * n},
+            "non-string node id": {"node_ids": list(range(n))},
+            "missing labels": {"labels": None},
+            "unknown version": {"version": 3},
+            "other format": {"format": "edgesign-split"},
+        }
+
+    def test_each_corruption_is_a_data_error(self, tmp_path):
+        g = random_graph(12, 40, seed=6)
+        assert SignedDigraph.from_json_dict(_v2_payload(g)) == g
+        for name, change in self.corrupt_cases(g).items():
+            payload = _v2_payload(g)
+            payload.update(change)
+            payload = {k: v for k, v in payload.items() if v is not None}
+            path = tmp_path / "g.json"
+            path.write_text(json.dumps(payload))
+            with pytest.raises(DataError):
+                SignedDigraph.load(path)
+                pytest.fail(name)
+
+    def test_node_count_beyond_int32_is_refused_on_save(self):
+        g = SignedDigraph(2, [0], [1], [1])
+        g.node_count = 2 ** 31
+        with pytest.raises(DataError):
+            g.to_json_dict()
+
+    def test_version_1_values_are_validated(self):
+        g = random_graph(12, 40, seed=6)
+        base = {"format": "edgesign-graph", "version": 1, "node_count": 12,
+                "src": g.src.tolist(), "dst": g.dst.tolist(), "labels": g.labels.tolist(),
+                "node_ids": g.node_ids}
+        for change in ({"labels": [2] + g.labels.tolist()[1:]},
+                       {"labels": [257] + g.labels.tolist()[1:]},
+                       {"src": [0.5] + g.src.tolist()[1:]},
+                       {"dst": [[1]] + g.dst.tolist()[1:]},
+                       {"src": g.src.tolist()[:-1]}):
+            with pytest.raises(DataError):
+                SignedDigraph.from_json_dict({**base, **change})
+
+    def test_truncated_or_non_object_file(self, tmp_path, hand_graph):
+        path = tmp_path / "g.json"
+        hand_graph.save(path)
+        text = path.read_text()
+        for broken in (text[: len(text) // 2], "[1, 2]", "\xff"):
+            path.write_text(broken, encoding="latin-1")
+            with pytest.raises(DataError):
+                SignedDigraph.load(path)
 
 
 class TestSignedDigraph:
@@ -78,6 +256,23 @@ class TestSignedDigraph:
     def test_immutable(self, hand_graph):
         with pytest.raises(ValueError):
             hand_graph.labels[0] = -1
+        for name in ("src", "dst", "out_indptr", "out_edges", "in_indptr", "in_edges"):
+            with pytest.raises(ValueError):
+                getattr(hand_graph, name)[0] = 1
+
+    def test_csr_built_on_first_use(self):
+        g = random_graph(30, 120, seed=5)
+        assert "out_edges" not in vars(g) and "in_indptr" not in vars(g)
+        assert g.out_edges is g.out_edges
+        order = np.argsort(g.dst, kind="stable")
+        assert np.array_equal(g.in_edges, order)
+        assert np.array_equal(np.diff(g.in_indptr), np.bincount(g.dst, minlength=30))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sorted_unique_matches_np_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(-50, 50, size=rng.integers(0, 300))
+        assert np.array_equal(sorted_unique(keys), np.unique(keys))
 
 
 class TestDegreeStats:
@@ -150,6 +345,21 @@ class TestSampleSplit:
             counts += sample_split(g, 0.5, seed=seed).training_mask
         sigma = np.sqrt(trials * 0.25)
         assert np.all(np.abs(counts - trials / 2) <= 3 * sigma)
+
+    def test_split_container_rejects_bad_indices(self, tmp_path):
+        base = {"format": "edgesign-split", "version": 1, "edge_count": 10,
+                "fraction": 0.3, "seed": 1, "training_edges": [0, 4, 9]}
+        assert EdgeSplit.from_json_dict(base).training_indices().tolist() == [0, 4, 9]
+        for change in ({"training_edges": [0, 4, 10]}, {"training_edges": [-1, 4]},
+                       {"training_edges": [4, 0, 4]}, {"edge_count": -1},
+                       {"edge_count": 2.5}, {"training_edges": [0.5]},
+                       {"training_edges": "0,4"}, {"version": 2}):
+            with pytest.raises(DataError):
+                EdgeSplit.from_json_dict({**base, **change})
+        path = tmp_path / "split.json"
+        path.write_text('{"format": "edgesign-split", "version": 1, "edge_c')
+        with pytest.raises(DataError):
+            EdgeSplit.load(path)
 
     def test_split_container_roundtrip(self, tmp_path):
         g = random_graph(20, 60, seed=4)
