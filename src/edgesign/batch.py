@@ -6,7 +6,8 @@ Four methods share the same (graph, split) interface:
   sgn((1−tr̂(i)) + (1−ûn(j)) − 1/2 − τ̂) with τ̂ the training positive rate.
 * ``logreg_*`` — two-feature logistic model on (1−tr̂(i), 1−ûn(j)).
 * ``lp_*`` — label propagation on the weighted edge-to-node transform,
-  run directly on the original adjacency via its closed-form updates.
+  solved as a degree-pulled fit of the training edges on the original
+  adjacency.
 * ``unreg_*`` — the unregularized quadratic over p, q ∈ [0,1] and soft test
   labels y ∈ [−1,1], solved as a box least-squares fit of the training edges
   that scores each test edge by p_i+q_j−1.
@@ -21,8 +22,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, DataError, DegenerateFitError
 from .features import box_fit_edges, troll_trust
@@ -359,58 +358,18 @@ def solve_linearized_ml(g, split):
 
     For every node with training out-degree d̂_out(ℓ) > 0:
     d̂_out(ℓ)·p_ℓ + Σ q_j = 2·d̂_out⁺(ℓ) over training out-edges, and
-    symmetrically for q. The system is the stationarity condition of the
-    quadratic training loss, hence always consistent; the minimum-norm
-    least-squares solution is returned, with 1/2 for nodes the training set
-    never touches.
+    symmetrically for q. These are the stationarity conditions of the
+    training-edge fit Σ ((1+y)/2 − (p_i+q_j)/2)², so the system is always
+    consistent; it is singular (p + c, q − c on a component solves it too),
+    and :func:`features.box_fit_edges` with no box and no pull returns *a*
+    solution, to a gradient infinity norm of 1e-10, not the minimum-norm
+    one. Nodes the training set never touches keep 1/2.
     """
     train = split.training_indices()
-    src, dst, y = g.src[train], g.dst[train], g.labels[train]
-    n = g.node_count
-    d_out = np.bincount(src, minlength=n)
-    d_in = np.bincount(dst, minlength=n)
-    p_nodes = np.flatnonzero(d_out)
-    q_nodes = np.flatnonzero(d_in)
-    pcol = np.full(n, -1)
-    qcol = np.full(n, -1)
-    pcol[p_nodes] = np.arange(p_nodes.size)
-    qcol[q_nodes] = p_nodes.size + np.arange(q_nodes.size)
-    nv = p_nodes.size + q_nodes.size
-    A = np.zeros((nv, nv))
-    b = np.zeros(nv)
-    pos = (y == 1).astype(np.float64)
-    # p-equations occupy the first block of rows, q-equations the rest
-    A[pcol[p_nodes], pcol[p_nodes]] = d_out[p_nodes]
-    np.add.at(A, (pcol[src], qcol[dst]), 1.0)
-    np.add.at(b, pcol[src], 2.0 * pos)
-    A[qcol[q_nodes], qcol[q_nodes]] = d_in[q_nodes]
-    np.add.at(A, (qcol[dst], pcol[src]), 1.0)
-    np.add.at(b, qcol[dst], 2.0 * pos)
-    x = np.linalg.lstsq(A, b, rcond=None)[0]
-    p = np.full(n, 0.5)
-    q = np.full(n, 0.5)
-    p[p_nodes] = x[pcol[p_nodes]]
-    q[q_nodes] = x[qcol[q_nodes]]
-    return p, q
-
-
-def quadratic_training_loss(p, q, g, split):
-    """Σ over training edges of ((1+y)/2 − (p_i+q_j)/2)²."""
-    train = split.training_indices()
-    t = (1.0 + g.labels[train]) / 2.0
-    r = t - 0.5 * (np.asarray(p)[g.src[train]] + np.asarray(q)[g.dst[train]])
-    return float(r @ r)
-
-
-def quadratic_training_grad(p, q, g, split):
-    """Gradient of :func:`quadratic_training_loss` w.r.t. (p, q)."""
-    train = split.training_indices()
-    src, dst = g.src[train], g.dst[train]
-    t = (1.0 + g.labels[train]) / 2.0
-    half = 0.5 * (np.asarray(p)[src] + np.asarray(q)[dst]) - t
-    n = g.node_count
-    return (np.bincount(src, weights=half, minlength=n),
-            np.bincount(dst, weights=half, minlength=n))
+    fit = box_fit_edges(g.node_count, g.src[train], g.dst[train],
+                        (1.0 + g.labels[train]) / 2.0, box=False, tol=1e-10,
+                        max_iter=100000)
+    return fit.p, fit.q
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +378,8 @@ def quadratic_training_grad(p, q, g, split):
 
 @dataclass
 class LpOptions:
+    """``tol`` bounds the gradient infinity norm of :func:`lp_objective`."""
+
     tol: float = 1e-8
     max_sweeps: int = 1000
     track_objective: bool = False
@@ -430,8 +391,9 @@ class LpState:
 
     ``y_soft`` holds the soft test-edge values in the same units as the
     training scores (p_i+q_j)/2, ordered like ``split.test_indices()``.
-    With ``track_objective`` the per-sweep objective values (a nonincreasing
-    sequence) are kept in ``objective_trace``.
+    ``residual`` is the gradient infinity norm of :func:`lp_objective` at
+    (p, q, y_soft). With ``track_objective`` the per-sweep objective values
+    (a nonincreasing sequence) are kept in ``objective_trace``.
     """
 
     p: np.ndarray
@@ -486,101 +448,54 @@ def lp_gradient(g, split, p, q, y_soft):
     return gp, gq, gt
 
 
-def _untrained_component_masks(g, split):
-    """Boolean masks (per node p-side, per node q-side, per edge) of the
-    transform components that contain no training edge.
-
-    Components are taken over the 2|V| circle copies; each original edge
-    links its source's out-copy to its destination's in-copy. With no pinned
-    square, a component's part of the objective is a pure pull toward zero,
-    so its unique minimizer is identically zero; callers start those
-    variables there, where every sweep leaves them exactly.
-    """
-    n = g.node_count
-    adj = sp.coo_matrix(
-        (np.ones(g.edge_count), (g.src, n + g.dst)), shape=(2 * n, 2 * n))
-    _, comp = connected_components(adj, directed=False)
-    trained = np.zeros(comp.max() + 1, dtype=bool)
-    train = split.training_indices()
-    trained[comp[g.src[train]]] = True
-    edge_untrained = ~trained[comp[g.src]]
-    return ~trained[comp[:n]], ~trained[comp[n:]], edge_untrained
-
-
 def lp_run(g, split, opt=None):
-    """Iterate the propagation updates to their joint fixed point.
+    """Minimize :func:`lp_objective` by exact block sweeps over (p, q).
 
-    Each sweep updates the three blocks in turn (block Gauss–Seidel):
-    p_i ← (Σ_out 2t − Σ_out q_j) / (3 d_out(i)) from the current q and t,
-    then q_j ← (Σ_in 2t − Σ_in p_i) / (3 d_in(j)) from the new p,
-    then t_e ← (p_i + q_j)/2 on test edges from the new p and q,
-    with t pinned to (1+y)/2 on training edges, until the largest coordinate
-    change in a sweep drops to ``opt.tol``. Each block update is the exact
-    minimizer of :func:`lp_objective` with the other two blocks held fixed,
-    so no step can raise it and the per-sweep objective value is
-    nonincreasing; with ``opt.track_objective`` it is recorded after every
-    sweep. Nodes with zero out-degree (resp. in-degree) keep their initial p
-    (resp. q) of 1/2; components never touched by a training edge start at
-    their exact minimizer (zero).
+    Every test value t_e is free and has no box, so at the optimum
+    t_e = (p_i+q_j)/2 and its square drops out. What is left is the
+    training-edge fit plus the pull (1/2)Σ_i [d_out(i)p_i² + d_in(i)q_i²],
+    degrees counted over all edges, which :func:`features.box_fit_edges`
+    solves with no box: p_i ← (2Σ_tr t − Σ_tr q_j) / (d_tr,out(i) + 2d_out(i))
+    over training out-edges, then q_j from the new p symmetrically. Each
+    step is the exact minimizer with the other block held fixed, so the
+    per-sweep objective is nonincreasing; with ``opt.track_objective`` it is
+    recorded after every sweep. The sweeps stop when the gradient infinity
+    norm of :func:`lp_objective` drops to ``opt.tol``; ``residual`` reports
+    that norm (its q and y_soft parts vanish after every sweep, up to
+    rounding). A node with edges but no training out-edge (in-edge) gets
+    p = 0 (q = 0) in the first sweep; one with zero out-degree (in-degree)
+    keeps p (q) at 1/2. ``y_soft`` holds (p_i+q_j)/2 on the test edges.
 
     Raises ConvergenceError carrying the last state if ``opt.max_sweeps``
     is exhausted.
     """
     opt = opt or LpOptions()
-    n, m = g.node_count, g.edge_count
-    p = np.full(n, 0.5)
-    q = np.full(n, 0.5)
-    if m == 0:
-        return LpState(p=p, q=q, y_soft=np.zeros(0), residual=0.0,
-                       iterations=0, objective=0.0)
-    src, dst = g.src, g.dst
-    test = split.test_indices()
-    d_out = np.bincount(src, minlength=n).astype(np.float64)
-    d_in = np.bincount(dst, minlength=n).astype(np.float64)
-    has_out = d_out > 0
-    has_in = d_in > 0
-    t = _lp_targets(g, split)
-    p_untrained, q_untrained, edge_untrained = _untrained_component_masks(g, split)
-    p[p_untrained & has_out] = 0.0
-    q[q_untrained & has_in] = 0.0
-    t[test[edge_untrained[test]]] = 0.0
-    denom_p = 3.0 * np.where(has_out, d_out, 1.0)
-    denom_q = 3.0 * np.where(has_in, d_in, 1.0)
+    n = g.node_count
+    train, test = split.training_indices(), split.test_indices()
+    test_src, test_dst = g.src[test], g.dst[test]
     trace = []
-    residual = np.inf
-    sweeps = 0
-    for sweeps in range(1, opt.max_sweeps + 1):
-        p_new = np.where(
-            has_out,
-            (2.0 * np.bincount(src, weights=t, minlength=n)
-             - np.bincount(src, weights=q[dst], minlength=n)) / denom_p,
-            p)
-        q_new = np.where(
-            has_in,
-            (2.0 * np.bincount(dst, weights=t, minlength=n)
-             - np.bincount(dst, weights=p_new[src], minlength=n)) / denom_q,
-            q)
-        t_new = t.copy()
-        t_new[test] = 0.5 * (p_new[src[test]] + q_new[dst[test]])
-        residual = max(
-            np.abs(p_new - p).max(initial=0.0),
-            np.abs(q_new - q).max(initial=0.0),
-            np.abs(t_new - t).max(initial=0.0),
-        )
-        p, q, t = p_new, q_new, t_new
-        if opt.track_objective:
-            trace.append(lp_objective(g, split, p, q, t[test]))
-        if residual <= opt.tol:
-            break
-    state = LpState(p=p, q=q, y_soft=t[test], residual=float(residual),
-                    iterations=sweeps,
-                    objective=lp_objective(g, split, p, q, t[test]),
-                    objective_trace=trace)
-    if residual > opt.tol:
-        raise ConvergenceError(
-            f"label propagation residual {residual:.3g} > tol {opt.tol:.3g} "
-            f"after {opt.max_sweeps} sweeps", state=state)
-    return state
+
+    def y_soft(p, q):
+        return 0.5 * (p[test_src] + q[test_dst])
+
+    def record(p, q):
+        trace.append(lp_objective(g, split, p, q, y_soft(p, q)))
+
+    def state(fit):
+        t = y_soft(fit.p, fit.q)
+        return LpState(p=fit.p, q=fit.q, y_soft=t, residual=fit.pg_norm,
+                       iterations=fit.iterations,
+                       objective=lp_objective(g, split, fit.p, fit.q, t),
+                       objective_trace=trace)
+
+    pull = (np.bincount(g.src, minlength=n), np.bincount(g.dst, minlength=n))
+    try:
+        fit = box_fit_edges(n, g.src[train], g.dst[train], (1.0 + g.labels[train]) / 2.0,
+                            pull=pull, box=False, tol=opt.tol, max_iter=opt.max_sweeps,
+                            callback=record if opt.track_objective else None)
+    except ConvergenceError as err:
+        raise ConvergenceError(str(err), state=state(err.state)) from err
+    return state(fit)
 
 
 def lp_predict(state, g, split):
@@ -670,7 +585,7 @@ def unreg_solve(g, split, opt=None):
     try:
         fit = box_fit_edges(g.node_count, g.src[train], g.dst[train],
                             (1.0 + g.labels[train]) / 2.0, tol=opt.tol,
-                            max_iter=opt.max_iter, keep_trace=False)
+                            max_iter=opt.max_iter)
     except ConvergenceError as err:
         raise ConvergenceError(str(err), state=result(err.state)) from err
     return result(fit)

@@ -19,9 +19,10 @@ import numpy as np
 from . import batch, harness, online
 from .errors import ConvergenceError, DataError, EdgeListParseError, EdgeSignError
 from .features import regularity_report
-from .genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior,
-                       make_synthetic)
-from .graph import SIGN_TOKENS, EdgeSplit, SignedDigraph, load_edge_list, sample_split
+from .genmodel import (BetaPrior, TwoPointPrior, UniformPrior, make_synthetic,
+                       prior_from_json_dict)
+from .graph import (SIGN_TOKENS, EdgeSplit, check_keys, load_edge_list, load_graph,
+                    read_json, sample_split, write_json)
 from .metrics import accuracy, confusion, mcc
 
 DATA_DIR_ENV = "EDGESIGN_DATA_DIR"
@@ -43,22 +44,6 @@ def _resolve(path):
     return path
 
 
-def _write_json(payload, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _load_graph(path):
-    """A graph container when the file starts with ``{``, else an edge list."""
-    path = _resolve(path)
-    with open(path, "rb") as f:
-        head = f.read(256).lstrip()
-    if head.startswith(b"{"):
-        return SignedDigraph.load(path)
-    return load_edge_list(path)
-
-
 def cmd_ingest(args):
     g = load_edge_list(_resolve(args.input), delimiter=args.delimiter)
     g.save(args.output)
@@ -73,20 +58,20 @@ def cmd_ingest(args):
 
 
 def cmd_stats(args):
-    g = _load_graph(args.graph)
+    g = load_graph(_resolve(args.graph))
     report = regularity_report(g, tol=args.tol, max_iter=args.max_iter,
                                include_psi2=not args.no_psi2)
     payload = report.to_json_dict()
     payload.update({"node_count": g.node_count, "edge_count": g.edge_count,
                     "positive_fraction": g.positive_fraction})
     if args.output:
-        _write_json(payload, args.output)
+        write_json(payload, args.output)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_split(args):
-    g = _load_graph(args.graph)
+    g = load_graph(_resolve(args.graph))
     split = sample_split(g, args.fraction, args.seed)
     split.save(args.output)
     print(f"training_edges\t{split.n_training}")
@@ -106,7 +91,7 @@ def _get_split(g, args):
 
 
 def cmd_train(args):
-    g = _load_graph(args.graph)
+    g = load_graph(_resolve(args.graph))
     split = _get_split(g, args)
     if args.method == "blc":
         model = batch.blc_fit(g, split)
@@ -132,7 +117,7 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    g = _load_graph(args.graph)
+    g = load_graph(_resolve(args.graph))
     split = _get_split(g, args)
     model = batch.load_model(args.model)
     pred = model.predict_split(g, split)
@@ -166,7 +151,7 @@ def _read_predictions(path):
 
 
 def cmd_eval(args):
-    g = _load_graph(args.graph)
+    g = load_graph(_resolve(args.graph))
     split = _get_split(g, args)
     test = split.test_indices()
     src, dst, labels = _read_predictions(args.predictions)
@@ -197,7 +182,7 @@ def cmd_eval(args):
     payload = {"tp": c.tp, "tn": c.tn, "fp": c.fp, "fn": c.fn,
                "mcc": mcc(c), "accuracy": accuracy(c)}
     if args.output:
-        _write_json(payload, args.output)
+        write_json(payload, args.output)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -228,16 +213,16 @@ def cmd_synth(args):
 
 
 def cmd_sweep(args):
-    with open(args.spec, "r", encoding="utf-8") as f:
-        d = json.load(f)
+    d = read_json(args.spec)
     if "synthetic" in d:
         s = d["synthetic"]
-        from .genmodel import prior_from_json_dict
+        check_keys(s, "sweep spec's synthetic entry", ("node_count", "prior"))
         source = harness.SyntheticSpec(
             node_count=s["node_count"], prior=prior_from_json_dict(s["prior"]),
             mean_out_degree=s.get("mean_out_degree", 10),
             topology=s.get("topology", "fixed"), seed=s.get("seed", 0))
     else:
+        check_keys(d, "sweep spec", ("dataset",))
         source = _resolve(d["dataset"])
     spec = harness.ExperimentSpec(
         source=source, methods=tuple(d.get("methods", ["blc", "logreg", "lprop"])),
@@ -245,7 +230,7 @@ def cmd_sweep(args):
         repetitions=d.get("repetitions", 12), base_seed=d.get("base_seed", 0),
         include_psi2=d.get("include_psi2", True))
     report = harness.run_experiment(spec, threads=args.threads)
-    _write_json(report.to_json_dict(), args.output)
+    write_json(report.to_json_dict(), args.output)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as f:
             f.write(report.to_csv())
@@ -259,7 +244,7 @@ def cmd_sweep(args):
 def cmd_online(args):
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    g = _load_graph(args.graph)
+    g = load_graph(_resolve(args.graph))
     reports = []
     for trial in range(args.trials):
         seed = args.seed + trial
@@ -276,7 +261,7 @@ def cmd_online(args):
         "mean_expected_mistakes": float(np.mean([r.expected_mistakes for r in reports])),
         "mean_realized_mistakes": float(np.mean([r.realized_mistakes for r in reports])),
     }
-    _write_json(payload, args.output)
+    write_json(payload, args.output)
     print(f"mean_expected_mistakes\t{payload['mean_expected_mistakes']!r}")
     print(f"mean_realized_mistakes\t{payload['mean_realized_mistakes']!r}")
     return 0

@@ -74,91 +74,100 @@ def psi_g_for_labels(g, labels):
 
 @dataclass
 class BoxLsResult:
-    """Solution of the box-constrained edge quadratic fit."""
+    """Solution of the edge-quadratic fit."""
 
     value: float
     p: np.ndarray
     q: np.ndarray
     iterations: int
     pg_norm: float
-    trace: list
 
 
-def _edge_quadratic_value(targets, src, dst, p, q):
-    r = targets - 0.5 * (p[src] + q[dst])
-    return float(r @ r)
+def box_fit_edges(n, src, dst, targets, pull=None, box=True, tol=1e-8, max_iter=10000,
+                  callback=None):
+    """Minimize Σ_e (t_e − (p_i+q_j)/2)² + ½Σ_i [w_out(i)p_i² + w_in(i)q_i²] over p, q.
 
+    ``src``, ``dst`` and ``targets`` list the fitted edges e = (i, j);
+    ``pull`` is the pair (w_out, w_in) of nonnegative per-node weights, zero
+    when omitted. With ``box`` every p_i and q_i is held in [0, 1], else they
+    are free. Alternating exact block minimization: given q, every p_i has
+    the closed-form optimum (2Σ_out t − Σ_out q_j) / (d_out(i) + 2w_out(i)),
+    clipped to [0, 1] with ``box``, and symmetrically for q given the new p.
+    No block step can raise the objective, so its per-sweep value is
+    nonincreasing; ``callback(p, q)``, when given, sees every sweep's
+    iterate. A node with neither a fitted out-edge nor an out-pull keeps p
+    at its start value 1/2, and likewise for q.
 
-def _edge_quadratic_pg_norm(targets, src, dst, p, q, n):
-    # residual convention: grad_p[i] = sum over out-edges of ((p_i+q_j)/2 - t)
-    half = 0.5 * (p[src] + q[dst]) - targets
-    gp = np.bincount(src, weights=half, minlength=n)
-    gq = np.bincount(dst, weights=half, minlength=n)
-    pg_p = p - np.clip(p - gp, 0.0, 1.0)
-    pg_q = q - np.clip(q - gq, 0.0, 1.0)
-    return max(np.abs(pg_p).max(initial=0.0), np.abs(pg_q).max(initial=0.0))
-
-
-def box_fit_edges(n, src, dst, targets, tol=1e-8, max_iter=10000, keep_trace=True):
-    """Minimize Σ_e (t_e − (p_i+q_j)/2)² over p, q ∈ [0,1]^n for edges e = (i, j).
-
-    ``src``, ``dst`` and ``targets`` list the fitted edges. Alternating exact
-    block minimization: given q, every p_i has the closed-form constrained optimum
-    clip(mean_j(2t_ij − q_j), 0, 1), and symmetrically for q given p. Each
-    block update can only decrease the objective, so the per-sweep value
-    trace is monotone. Nodes with no fitted out-edge (in-edge) keep p (q) at
-    its start value 1/2. Stops when the projected-gradient infinity norm
-    drops to ``tol``.
-
-    Raises ConvergenceError carrying the last iterate as a :class:`BoxLsResult`
-    (``state``) and its value (``best_value``) if ``max_iter`` sweeps are
-    exhausted.
+    After its own step the q block is stationary, so the (projected)
+    gradient infinity norm of the p block is the stationarity measure; it
+    comes from the Σ_out q_j that the next p step needs anyway. Stops when
+    it drops to ``tol``. Raises ConvergenceError carrying the last iterate
+    as a :class:`BoxLsResult` (``state``) and its value (``best_value``) if
+    ``max_iter`` sweeps are exhausted.
     """
-    d_out = np.bincount(src, minlength=n).astype(np.float64)
-    d_in = np.bincount(dst, minlength=n).astype(np.float64)
-    has_out = d_out > 0
-    has_in = d_in > 0
+    # denominators of the block steps: fitted degree plus twice the pull
+    den_p = np.bincount(src, minlength=n).astype(np.float64)
+    den_q = np.bincount(dst, minlength=n).astype(np.float64)
+    if pull is not None:
+        den_p += 2.0 * pull[0]
+        den_q += 2.0 * pull[1]
+    has_out = den_p > 0
+    has_in = den_q > 0
     p = np.full(n, 0.5)
     q = np.full(n, 0.5)
-    trace = []
-    if len(src) == 0:
-        return BoxLsResult(0.0, p, q, 0, 0.0, trace)
+
+    def value():
+        r = targets - 0.5 * (p[src] + q[dst])
+        if pull is None:
+            return float(r @ r)
+        return float(r @ r + 0.5 * (pull[0] @ (p * p) + pull[1] @ (q * q)))
+
+    if not (has_out.any() or has_in.any()):
+        return BoxLsResult(value(), p, q, 0, 0.0)
     sum_out_t = np.bincount(src, weights=targets, minlength=n)
     sum_in_t = np.bincount(dst, weights=targets, minlength=n)
+    sum_out_q = np.bincount(src, weights=q[dst], minlength=n)
     pg = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        num_p = 2.0 * sum_out_t - np.bincount(src, weights=q[dst], minlength=n)
-        np.clip(np.divide(num_p, d_out, out=num_p, where=has_out), 0.0, 1.0, out=num_p)
+        num_p = 2.0 * sum_out_t - sum_out_q
+        np.divide(num_p, den_p, out=num_p, where=has_out)
+        if box:
+            np.clip(num_p, 0.0, 1.0, out=num_p)
         p = np.where(has_out, num_p, p)
         num_q = 2.0 * sum_in_t - np.bincount(dst, weights=p[src], minlength=n)
-        np.clip(np.divide(num_q, d_in, out=num_q, where=has_in), 0.0, 1.0, out=num_q)
+        np.divide(num_q, den_q, out=num_q, where=has_in)
+        if box:
+            np.clip(num_q, 0.0, 1.0, out=num_q)
         q = np.where(has_in, num_q, q)
-        if keep_trace:
-            trace.append(_edge_quadratic_value(targets, src, dst, p, q))
-        pg = _edge_quadratic_pg_norm(targets, src, dst, p, q, n)
+        sum_out_q = np.bincount(src, weights=q[dst], minlength=n)
+        grad_p = 0.5 * (den_p * p + sum_out_q) - sum_out_t
+        if box:
+            grad_p = p - np.clip(p - grad_p, 0.0, 1.0)
+        pg = np.abs(grad_p).max()
+        if callback is not None:
+            callback(p, q)
         if pg <= tol:
-            return BoxLsResult(_edge_quadratic_value(targets, src, dst, p, q),
-                               p, q, it, float(pg), trace)
-    value = _edge_quadratic_value(targets, src, dst, p, q)
+            return BoxLsResult(value(), p, q, it, float(pg))
+    best = value()
     raise ConvergenceError(
-        f"box-constrained fit not stationary after {max_iter} sweeps (pg={pg:.3g})",
-        state=BoxLsResult(value, p, q, it, float(pg), trace), best_value=value)
+        f"edge-quadratic fit not stationary after {max_iter} sweeps (gradient {pg:.3g})",
+        state=BoxLsResult(best, p, q, it, float(pg)), best_value=best)
 
 
-def minimize_edge_quadratic(g, tol=1e-8, max_iter=10000, keep_trace=True):
+def minimize_edge_quadratic(g, tol=1e-8, max_iter=10000, callback=None):
     """Minimize Σ_E ((1+y)/2 − (p_i+q_j)/2)² over p, q ∈ [0,1]^|V|.
 
     :func:`box_fit_edges` on every edge of g with its label target.
     """
     targets = (1.0 + g.labels.astype(np.float64)) / 2.0
     return box_fit_edges(g.node_count, g.src, g.dst, targets, tol=tol,
-                         max_iter=max_iter, keep_trace=keep_trace)
+                         max_iter=max_iter, callback=callback)
 
 
 def psi2(g, tol=1e-8, max_iter=10000):
     """Quadratic regularity: min over (p,q) ∈ [0,1]² of the full-graph fit."""
-    return minimize_edge_quadratic(g, tol=tol, max_iter=max_iter, keep_trace=False).value
+    return minimize_edge_quadratic(g, tol=tol, max_iter=max_iter).value
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .graph import SignedDigraph, read_json, write_json
+from .graph import SignedDigraph, check_container, check_keys, read_json, write_json
 
 
 def sign_with_tie(x):
@@ -109,12 +109,15 @@ class TwoPointPrior:
 
 
 def prior_from_json_dict(d):
-    kind = d.get("kind")
+    check_keys(d, "prior", ("kind",))
+    kind = d["kind"]
     if kind == "uniform":
         return UniformPrior()
     if kind == "beta":
+        check_keys(d, "beta prior", ("a_p", "b_p", "a_q", "b_q"))
         return BetaPrior(d["a_p"], d["b_p"], d["a_q"], d["b_q"])
     if kind == "two-point":
+        check_keys(d, "two-point prior", ("lo", "hi", "weight"))
         return TwoPointPrior(d["lo"], d["hi"], d["weight"],
                              d.get("q_lo"), d.get("q_hi"), d.get("q_weight"))
     raise DataError(f"unknown prior kind {kind!r}")
@@ -145,8 +148,7 @@ class GenParams:
 
     @classmethod
     def from_json_dict(cls, d):
-        if d.get("format") != "edgesign-genparams" or d.get("version") != 1:
-            raise DataError("not a recognized parameter container")
+        check_container(d, "edgesign-genparams", keys=("p", "q", "prior", "seed"))
         prior = prior_from_json_dict(d["prior"]) if d["prior"] is not None else None
         return cls(np.asarray(d["p"], dtype=np.float64),
                    np.asarray(d["q"], dtype=np.float64), prior, d["seed"])

@@ -79,10 +79,17 @@ def check_container(d, fmt, versions=(1,), keys=()):
     version = d.get("version")
     if version not in versions:
         raise DataError(f"unsupported {fmt} container version {version!r}")
+    check_keys(d, f"{fmt} container", keys)
+    return version
+
+
+def check_keys(d, what, keys):
+    """Raise DataError unless ``d`` is a JSON object holding every key in ``keys``."""
+    if not isinstance(d, dict):
+        raise DataError(f"{what} is not a JSON object")
     missing = [k for k in keys if k not in d]
     if missing:
-        raise DataError(f"{fmt} container lacks {', '.join(missing)}")
-    return version
+        raise DataError(f"{what} lacks {', '.join(missing)}")
 
 
 def _is_count(value):
@@ -396,6 +403,15 @@ def load_edge_list(source, delimiter=None):
     g = SignedDigraph(n, u[kept], v[kept], signs[kept], node_ids=node_ids, validate=False)
     g.load_report = report
     return g
+
+
+def load_graph(path):
+    """A graph container when the file starts with ``{``, else an edge list."""
+    with open(path, "rb") as f:
+        head = f.read(256).lstrip()
+    if head.startswith(b"{"):
+        return SignedDigraph.load(path)
+    return load_edge_list(path)
 
 
 def write_edge_list(g, path_or_file):

@@ -22,7 +22,7 @@ from . import batch
 from .errors import DataError
 from .features import regularity_report
 from .genmodel import bayes_scores, make_synthetic, sign_with_tie
-from .graph import SignedDigraph, sample_split
+from .graph import SignedDigraph, load_graph, sample_split
 from .metrics import accuracy, confusion, mcc
 
 DEFAULT_FRACTIONS = (0.05, 0.10, 0.15, 0.20, 0.25)
@@ -194,7 +194,7 @@ def load_source(source):
         return g, params
     if isinstance(source, SignedDigraph):
         return source, None
-    return SignedDigraph.load(source), None
+    return load_graph(source), None
 
 
 def run_experiment(spec, threads=1):

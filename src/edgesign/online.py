@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ProtocolError
 from .features import psi_g_for_labels
+from .graph import check_container
 
 LN2 = math.log(2.0)
 
@@ -193,6 +194,10 @@ class OnlineState:
 
     @classmethod
     def from_json_dict(cls, d):
+        check_container(d, "edgesign-online-state", keys=(
+            "node_count", "out_loss_plus", "out_loss_minus", "in_loss_plus", "in_loss_minus",
+            "meta_loss_out", "meta_loss_in", "expected_mistakes", "realized_mistakes",
+            "edges_seen", "revealed"))
         state = cls(d["node_count"])
         for name in ("out_loss_plus", "out_loss_minus", "in_loss_plus", "in_loss_minus"):
             getattr(state, name)[:] = d[name]

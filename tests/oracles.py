@@ -115,6 +115,25 @@ def lp_reference_minimize(g, split, iters=400000, check_every=200, tol=1e-11):
     return p, q, t
 
 
+def quadratic_training_loss(p, q, g, split):
+    """Σ over training edges of ((1+y)/2 − (p_i+q_j)/2)²."""
+    train = split.training_indices()
+    t = (1.0 + g.labels[train]) / 2.0
+    r = t - 0.5 * (np.asarray(p)[g.src[train]] + np.asarray(q)[g.dst[train]])
+    return float(r @ r)
+
+
+def quadratic_training_grad(p, q, g, split):
+    """Gradient of :func:`quadratic_training_loss` w.r.t. (p, q)."""
+    train = split.training_indices()
+    src, dst = g.src[train], g.dst[train]
+    t = (1.0 + g.labels[train]) / 2.0
+    half = 0.5 * (np.asarray(p)[src] + np.asarray(q)[dst]) - t
+    n = g.node_count
+    return (np.bincount(src, weights=half, minlength=n),
+            np.bincount(dst, weights=half, minlength=n))
+
+
 def grid_axes(bounds, step):
     return [np.arange(lo, hi + 0.5 * step, step) for lo, hi in bounds]
 

@@ -3,16 +3,17 @@ import pytest
 
 from edgesign.batch import (BlcModel, LogRegModel, blc_fit, blc_predict,
                             blc_predict_split, load_model, logreg_fit,
-                            logreg_predict_split, ml_gradient, quadratic_training_grad,
-                            quadratic_training_loss, save_model, solve_linearized_ml,
-                            tune_threshold)
+                            logreg_predict_split, ml_gradient, save_model,
+                            solve_linearized_ml, tune_threshold)
 from edgesign.errors import ConvergenceError, DegenerateFitError
+from edgesign.features import box_fit_edges
 from edgesign.genmodel import TwoPointPrior, UniformPrior, bayes_scores, make_synthetic, sign_with_tie
 from edgesign.graph import SignedDigraph, load_edge_list, sample_split
 from edgesign.metrics import confusion
 
 from conftest import make_split, random_graph
-from oracles import brute_force_threshold_mistakes, finite_difference
+from oracles import (brute_force_threshold_mistakes, finite_difference,
+                     quadratic_training_grad, quadratic_training_loss)
 
 
 class TestTuneThreshold:
@@ -238,6 +239,21 @@ class TestLinearizedMl:
             p, q = solve_linearized_ml(g, split)
             gp, gq = quadratic_training_grad(p, q, g, split)
             assert max(np.abs(gp).max(), np.abs(gq).max()) <= 1e-8
+
+    @pytest.mark.parametrize("n, m, seed, fraction, split_seed",
+                             [(5, 12, s, 0.7, s + 10) for s in range(8)] + [(10, 40, 20, 0.5, 21)])
+    def test_unboxed_unpulled_kernel_is_stationary(self, n, m, seed, fraction, split_seed):
+        g = random_graph(n, m, seed=seed)
+        split = sample_split(g, fraction, seed=split_seed)
+        train = split.training_indices()
+        fit = box_fit_edges(n, g.src[train], g.dst[train], (1.0 + g.labels[train]) / 2.0,
+                            box=False, tol=1e-10)
+        gp, gq = quadratic_training_grad(fit.p, fit.q, g, split)
+        assert max(np.abs(gp).max(), np.abs(gq).max()) <= 1e-8
+        assert fit.value == pytest.approx(quadratic_training_loss(fit.p, fit.q, g, split),
+                                          rel=1e-12, abs=1e-15)
+        untouched = (np.bincount(g.src[train], minlength=n) == 0)
+        assert np.all(fit.p[untouched] == 0.5)
 
     def test_stationary_value_not_above_init(self):
         g = random_graph(10, 40, seed=20)

@@ -9,8 +9,9 @@ from edgesign import cli
 from edgesign.batch import (Prediction, UnregModel, blc_fit, blc_predict_split, load_model,
                             save_model, unreg_predict, unreg_solve)
 from edgesign.errors import DataError
-from edgesign.genmodel import TwoPointPrior, make_synthetic
-from edgesign.graph import SignedDigraph, sample_split
+from edgesign.genmodel import GenParams, TwoPointPrior, make_synthetic, prior_from_json_dict
+from edgesign.graph import SignedDigraph, read_json, sample_split, write_edge_list
+from edgesign.online import OnlineState
 from edgesign.metrics import confusion, mcc
 from edgesign.online import adversary_generate, run_online
 
@@ -186,6 +187,40 @@ class TestGraphFiles:
                                      "fraction": 0.3, "seed": 1, "training_edges": [0, m]}))
         assert run_cli("train", graph_path, "--method", "blc", "--split", split,
                        "-o", tmp_path / "m.json") == cli.EXIT_DATA
+
+    def test_sweep_reads_an_edge_list_dataset(self, graph_path, tmp_path):
+        g = SignedDigraph.load(graph_path)
+        dataset, spec, out = tmp_path / "tiny.tsv", tmp_path / "spec.json", tmp_path / "rep.json"
+        write_edge_list(g, dataset)
+        spec.write_text(json.dumps({"dataset": str(dataset), "methods": ["blc", "lprop"],
+                                    "fractions": [0.5], "repetitions": 1}))
+        assert run_cli("sweep", spec, "-o", out) == 0
+        report = read_json(out)
+        assert (report["node_count"], report["edge_count"]) == (g.node_count, g.edge_count)
+
+
+def sweep_spec(path):
+    return cli.cmd_sweep(cli.build_parser().parse_args(["sweep", str(path), "-o", "unused"]))
+
+
+@pytest.mark.parametrize("payload, reader", [
+    ({"format": "edgesign-genparams", "version": 1, "p": [0.5]}, GenParams.load),
+    ({"node_count": 3}, lambda path: OnlineState.from_json_dict(read_json(path))),
+    ({"format": "edgesign-online-state", "version": 1, "node_count": 3},
+     lambda path: OnlineState.from_json_dict(read_json(path))),
+    ({"kind": "two-point", "lo": 0.1}, lambda path: prior_from_json_dict(read_json(path))),
+    ({"synthetic": {"node_count": 10}}, sweep_spec),
+    ({"synthetic": {"node_count": 10, "prior": {"kind": "beta"}}}, sweep_spec),
+    ({"methods": ["blc"]}, sweep_spec),
+], ids=["genparams", "online-untagged", "online-lacks-losses", "prior", "sweep-no-prior",
+        "sweep-beta-no-shapes", "sweep-no-source"])
+def test_damaged_parameter_state_and_spec_files_are_data_errors(tmp_path, payload, reader):
+    path = tmp_path / "damaged.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError):
+        reader(path)
+    if reader is sweep_spec:
+        assert run_cli("sweep", path, "-o", tmp_path / "rep.json") == cli.EXIT_DATA
 
 
 # ids with separators, quotes, spaces and non-ASCII characters

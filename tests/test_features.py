@@ -94,8 +94,15 @@ class TestPsi2:
 
     def test_monotone_descent_trace(self):
         g = random_graph(20, 90, seed=3)
-        result = minimize_edge_quadratic(g)
-        trace = np.asarray(result.trace)
+        t = (1.0 + g.labels) / 2.0
+        trace = []
+
+        def record(p, q):
+            trace.append(float(np.sum((t - 0.5 * (p[g.src] + q[g.dst])) ** 2)))
+
+        result = minimize_edge_quadratic(g, callback=record)
+        assert len(trace) == result.iterations
+        assert trace[-1] == pytest.approx(result.value, rel=1e-12)
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_majority_construction_upper_bound(self):

@@ -169,6 +169,34 @@ class TestLpRun:
         p, q, t = lp_reference_minimize(g, split)
         assert abs(p[2]) <= 1e-6 and abs(q[3]) <= 1e-6 and abs(t[0]) <= 1e-6
 
+    def test_empty_training_set_settles_at_zero(self):
+        g = load_edge_list("a\tb\t1\nb\tc\t-1\n")
+        state = lp_run(g, make_split([False, False]))
+        assert state.iterations == 1
+        assert state.p.tolist() == [0.0, 0.0, 0.5] and state.q.tolist() == [0.5, 0.0, 0.0]
+        assert state.y_soft.tolist() == [0.0, 0.0] and state.objective == 0.0
+
+    def test_untrained_side_in_trained_component_is_exactly_zero(self):
+        # one trained component: b's only out-edge and both of c's in-edges
+        # are test edges
+        g = load_edge_list("a\tb\t1\nb\tc\t-1\nc\ta\t1\na\tc\t-1\nc\td\t1\n")
+        split = make_split([True, False, True, False, True])
+        state = lp_run(g, split)
+        b, c = 1, 2
+        assert state.p[b] == 0.0 and state.q[c] == 0.0
+        assert state.p[0] != 0.0 and state.q[b] != 0.0
+        assert state.p[3] == 0.5  # d has no out-edge
+        p, q, _ = lp_reference_minimize(g, split)
+        assert abs(p[b]) <= 1e-6 and abs(q[c]) <= 1e-6
+
+    def test_residual_is_the_gradient_norm(self):
+        g, split = random_case(30, 120, seed=25, fraction=0.3)
+        state = lp_run(g, split, LpOptions(tol=1e-9))
+        gp, gq, gt = lp_gradient(g, split, state.p, state.q, state.y_soft)
+        norm = max(np.abs(gp).max(), np.abs(gq).max(), np.abs(gt).max(initial=0.0))
+        assert state.residual <= 1e-9
+        assert abs(norm - state.residual) <= 1e-14
+
     def test_max_sweeps_error_carries_state(self):
         g = random_graph(20, 80, seed=11)
         split = sample_split(g, 0.3, seed=12)

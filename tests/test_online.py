@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesign import online
-from edgesign.errors import ProtocolError
+from edgesign.errors import DataError, ProtocolError
 from edgesign.genmodel import TwoPointPrior, make_synthetic
 from edgesign.graph import SignedDigraph
 from edgesign.online import (AdversarySequence, OnlineState, adversary_expected_mistakes,
@@ -216,6 +216,13 @@ class TestStatePersistence:
         json.dumps(state.to_json_dict())
         state.update(edge, -1)
         assert json.loads(json.dumps(state.to_json_dict()))["revealed"] == [[0, 2]]
+
+    def test_missing_key_is_a_data_error(self):
+        d = OnlineState(3).to_json_dict()
+        for key in set(d) - {"format", "version", "pending"}:
+            damaged = {k: v for k, v in d.items() if k != key}
+            with pytest.raises(DataError, match=key):
+                OnlineState.from_json_dict(damaged)
 
     def test_reads_files_without_pending_key(self):
         state = OnlineState(4)

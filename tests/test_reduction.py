@@ -3,8 +3,9 @@ import io
 import numpy as np
 import pytest
 
+from edgesign.batch import lp_objective
 from edgesign.errors import DataError
-from edgesign.graph import load_edge_list
+from edgesign.graph import load_edge_list, sample_split
 from edgesign.reduction import cutsize, to_gprime, to_gsecond, write_weighted_edge_list
 
 from conftest import random_graph
@@ -74,6 +75,28 @@ class TestToGSecond:
         keep = gs.w == 2.0
         assert np.array_equal(gs.u[keep], gp.u)
         assert np.array_equal(gs.v[keep], gp.v)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lp_objective_is_the_gsecond_energy_plus_degree_pull(seed):
+    # label propagation on G'': f = [q | p | t] over in-copies, out-copies and
+    # squares; the +2 path edges and the -1 shortcut of edge (i, j) give
+    # 2(p_i - t)^2 + 2(t - q_j)^2 - (p_i - q_j)^2 = 4(t - (p_i + q_j)/2)^2
+    rng = np.random.default_rng(seed)
+    g = random_graph(int(rng.integers(5, 40)), int(rng.integers(10, 150)), seed=seed)
+    split = sample_split(g, 0.3, seed=seed + 1)
+    n = g.node_count
+    p, q = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    y_soft = rng.uniform(-1.0, 1.0, split.test_indices().size)
+    t = (1.0 + g.labels) / 2.0
+    t[split.test_indices()] = y_soft
+    f = np.concatenate([q, p, t])
+    gs = to_gsecond(g)
+    energy = 0.25 * float(gs.w @ (f[gs.u] - f[gs.v]) ** 2)
+    pull = 0.5 * float(np.bincount(g.src, minlength=n) @ p ** 2
+                       + np.bincount(g.dst, minlength=n) @ q ** 2)
+    value = lp_objective(g, split, p, q, y_soft)
+    assert abs(value - (energy + pull)) <= 1e-12 * value
 
 
 class TestCutsize:
