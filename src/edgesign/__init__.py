@@ -18,9 +18,8 @@ from .features import RegularityReport, TrollTrust, psi2, psi_g, regularity_repo
 from .reduction import GPrime, GSecond, cutsize, to_gprime, to_gsecond
 from .genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior, bayes_predict,
                        eq1_rates, make_synthetic, sample_labels, sample_params)
-from .batch import (BlcModel, LogRegModel, LpOptions, LpState, Prediction, UnregModel,
-                    UnregOptions,
-                    blc_fit, blc_predict, blc_predict_split, logreg_fit,
+from .batch import (METHODS, BlcModel, LogRegModel, LpModel, LpOptions, LpState, Prediction,
+                    UnregModel, UnregOptions, blc_fit, blc_predict_split, logreg_fit,
                     logreg_predict_split, lp_predict, lp_run, ml_gradient,
                     tune_threshold, unreg_predict, unreg_solve)
 from .online import (AdversarySequence, OnlineReport, OnlineState,

@@ -1,19 +1,23 @@
 """Batch predictors for edge signs given a training subset of labeled edges.
 
-Four methods share the same (graph, split) interface:
+:data:`METHODS` is the method table: name → model class. A class has a
+classmethod ``fit(g, split, tol, max_iter)`` returning the fitted model, an
+edge ``score(src, dst)``, a ``threshold`` fixed at fit time,
+``predict_split(g, split)`` and a JSON form tagged ``FORMAT``. Every model
+predicts a test edge as sgn(score − threshold), with sgn(0) = +1.
 
-* ``blc_*`` — thresholded trollness/trustworthiness rule
-  sgn((1−tr̂(i)) + (1−ûn(j)) − 1/2 − τ̂) with τ̂ the training positive rate.
-* ``logreg_*`` — two-feature logistic model on (1−tr̂(i), 1−ûn(j)).
-* ``lp_*`` — label propagation on the weighted edge-to-node transform,
-  solved as a degree-pulled fit of the training edges on the original
-  adjacency.
-* ``unreg_*`` — the unregularized quadratic over p, q ∈ [0,1] and soft test
-  labels y ∈ [−1,1], solved as a box least-squares fit of the training edges
-  that scores each test edge by p_i+q_j−1.
+* ``blc`` — sgn((1−tr̂(i)) + (1−ûn(j)) − 1/2 − τ̂), τ̂ the training positive
+  rate; the threshold is 0.
+* ``logreg`` — two-feature logistic model on (1−tr̂(i), 1−ûn(j)).
+* ``lprop`` — label propagation on the weighted edge-to-node transform,
+  solved as a degree-pulled fit of the training edges; scores (p_i+q_j)/2.
+* ``unreg`` — the unregularized quadratic over p, q ∈ [0,1] and soft test
+  labels y ∈ [−1,1], solved as a box least-squares fit of the training
+  edges; scores p_i+q_j−1.
 
-All binarizing thresholds are tuned by empirical risk minimization over the
-training scores (:func:`tune_threshold`). The global tie rule is sgn(0) = +1.
+logreg, lprop and unreg tune their threshold by empirical risk minimization
+over the training scores (:func:`tune_threshold`). ``tol`` and ``max_iter``
+bound the lprop and unreg solvers; blc and logreg ignore them.
 """
 
 from __future__ import annotations
@@ -109,16 +113,6 @@ def _csv_field(token):
     return '"' + token.replace('"', '""') + '"'
 
 
-def _threshold_labels(scores, threshold):
-    return sign_with_tie(np.asarray(scores) - threshold).astype(np.int8)
-
-
-def _check_node_count(per_node, g):
-    if per_node.size != g.node_count:
-        raise DataError(f"model was fitted on a graph of {per_node.size} nodes, "
-                        f"this graph has {g.node_count}")
-
-
 def _node_arrays(d, keys):
     """The container's per-node arrays as float64, checked to be 1-D and of one length."""
     try:
@@ -130,12 +124,17 @@ def _node_arrays(d, keys):
     return arrays
 
 
-def _prediction_for(g, split, scores, threshold, method):
+def _predict(model, g, split):
+    """The split's test edges scored by ``model`` and thresholded at its cut."""
+    if model.node_count != g.node_count:
+        raise DataError(f"model was fitted on a graph of {model.node_count} nodes, "
+                        f"this graph has {g.node_count}")
     test = split.test_indices()
-    return Prediction(edge_indices=test, src=g.src[test], dst=g.dst[test],
-                      scores=np.asarray(scores, dtype=np.float64),
-                      labels=_threshold_labels(scores, threshold),
-                      threshold=float(threshold), method=method)
+    src, dst = g.src[test], g.dst[test]
+    scores = model.score(src, dst)
+    return Prediction(edge_indices=test, src=src, dst=dst, scores=scores,
+                      labels=sign_with_tie(scores - model.threshold).astype(np.int8),
+                      threshold=float(model.threshold), method=model.method)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +145,20 @@ def _prediction_for(g, split, scores, threshold, method):
 class BlcModel:
     """Training-set trollness/trustworthiness plus the positive-rate offset."""
 
+    method = "blc"
+    FORMAT = "edgesign-blc"
+    threshold = 0.0
+    node_count = property(lambda self: self.tr.size)
+
     tr: np.ndarray
     un: np.ndarray
     tr_defined: np.ndarray
     un_defined: np.ndarray
     tau: float
+
+    @classmethod
+    def fit(cls, g, split, tol=None, max_iter=None):
+        return blc_fit(g, split)
 
     def score(self, src, dst):
         return (1.0 - self.tr[src]) + (1.0 - self.un[dst]) - 0.5 - self.tau
@@ -160,7 +168,7 @@ class BlcModel:
 
     def to_json_dict(self):
         return {
-            "format": "edgesign-blc", "version": 1,
+            "format": self.FORMAT, "version": 1,
             "tr": self.tr.tolist(), "un": self.un.tolist(),
             "tr_defined": self.tr_defined.astype(int).tolist(),
             "un_defined": self.un_defined.astype(int).tolist(),
@@ -169,7 +177,7 @@ class BlcModel:
 
     @classmethod
     def from_json_dict(cls, d):
-        check_container(d, "edgesign-blc", keys=("tr", "un", "tr_defined", "un_defined", "tau"))
+        check_container(d, cls.FORMAT, keys=("tr", "un", "tr_defined", "un_defined", "tau"))
         tr, un, tr_defined, un_defined = _node_arrays(
             d, ("tr", "un", "tr_defined", "un_defined"))
         return cls(tr, un, tr_defined != 0, un_defined != 0, float(d["tau"]))
@@ -187,19 +195,9 @@ def blc_fit(g, split):
                     un_defined=tt.un_defined, tau=tau)
 
 
-def blc_predict(model, edge):
-    """(sign, score) for a single edge (i, j); sgn(0) = +1."""
-    i, j = edge
-    score = float(model.score(i, j))
-    return int(sign_with_tie(score)), score
-
-
 def blc_predict_split(model, g, split):
-    """Predictions for every test edge of the split."""
-    _check_node_count(model.tr, g)
-    test = split.test_indices()
-    scores = model.score(g.src[test], g.dst[test])
-    return _prediction_for(g, split, scores, 0.0, "blc")
+    """Predictions of a :class:`BlcModel` for every test edge of the split."""
+    return _predict(model, g, split)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +207,10 @@ def blc_predict_split(model, g, split):
 @dataclass
 class LogRegModel:
     """Bias + weights on (1−tr̂(i), 1−ûn(j)), with a tuned binarization threshold."""
+
+    method = "logreg"
+    FORMAT = "edgesign-logreg"
+    node_count = property(lambda self: self.tr.size)
 
     w0: float
     w1: float
@@ -225,6 +227,10 @@ class LogRegModel:
     def tau_prime(self):
         return -(0.5 + self.w0 / self.w1)
 
+    @classmethod
+    def fit(cls, g, split, tol=None, max_iter=None):
+        return logreg_fit(g, split)
+
     def score(self, src, dst):
         return self.w0 + self.w1 * (1.0 - self.tr[src]) + self.w2 * (1.0 - self.un[dst])
 
@@ -233,7 +239,7 @@ class LogRegModel:
 
     def to_json_dict(self):
         return {
-            "format": "edgesign-logreg", "version": 1,
+            "format": self.FORMAT, "version": 1,
             "w0": self.w0, "w1": self.w1, "w2": self.w2,
             "threshold": self.threshold,
             "tr": self.tr.tolist(), "un": self.un.tolist(),
@@ -241,7 +247,7 @@ class LogRegModel:
 
     @classmethod
     def from_json_dict(cls, d):
-        check_container(d, "edgesign-logreg", keys=("w0", "w1", "w2", "threshold", "tr", "un"))
+        check_container(d, cls.FORMAT, keys=("w0", "w1", "w2", "threshold", "tr", "un"))
         tr, un = _node_arrays(d, ("tr", "un"))
         return cls(float(d["w0"]), float(d["w1"]), float(d["w2"]),
                    float(d["threshold"]), tr, un)
@@ -277,13 +283,16 @@ def logreg_fit(g, split, tol=1e-8, max_iter=200):
     w = np.zeros(3)
     z = X @ w
     loss = _nll(z, y01)
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(max_iter + 1):
         s = 1.0 / (1.0 + np.exp(-z))
         grad = X.T @ (s - y01) / m
         gnorm = np.abs(grad).max()
         if gnorm <= tol:
             break
+        if it == max_iter:
+            raise ConvergenceError(
+                f"logistic fit not converged after {max_iter} iterations "
+                f"(|grad|={gnorm:.3g}, tol={tol:.3g})")
         weights = s * (1.0 - s)
         hess = (X * weights[:, None]).T @ X / m
         try:
@@ -303,25 +312,16 @@ def logreg_fit(g, split, tol=1e-8, max_iter=200):
             t *= 0.5
         else:
             raise ConvergenceError(
-                f"logistic line search stalled at iteration {it} (|grad|={gnorm:.3g})")
+                f"logistic line search stalled at iteration {it + 1} (|grad|={gnorm:.3g})")
         w, z, loss = w_new, z_new, loss_new
-    else:
-        s = 1.0 / (1.0 + np.exp(-z))
-        gnorm = np.abs(X.T @ (s - y01) / m).max()
-        if gnorm > tol:
-            raise ConvergenceError(
-                f"logistic fit not converged after {max_iter} iterations "
-                f"(|grad|={gnorm:.3g}, tol={tol:.3g})")
     threshold = tune_threshold(z, y)
     return LogRegModel(w0=float(w[0]), w1=float(w[1]), w2=float(w[2]),
                        threshold=threshold, tr=tt.tr, un=tt.un)
 
 
 def logreg_predict_split(model, g, split):
-    _check_node_count(model.tr, g)
-    test = split.test_indices()
-    scores = model.score(g.src[test], g.dst[test])
-    return _prediction_for(g, split, scores, model.threshold, "logreg")
+    """Predictions of a :class:`LogRegModel` for every test edge of the split."""
+    return _predict(model, g, split)
 
 
 # ---------------------------------------------------------------------------
@@ -498,37 +498,58 @@ def lp_run(g, split, opt=None):
     return state(fit)
 
 
-def lp_predict(state, g, split):
-    """Threshold the converged soft values against the tuned training cut."""
-    train = split.training_indices()
-    train_scores = 0.5 * (state.p[g.src[train]] + state.q[g.dst[train]])
-    threshold = tune_threshold(train_scores, g.labels[train])
-    return _prediction_for(g, split, state.y_soft, threshold, "lprop")
-
-
 @dataclass
-class LpModel:
-    """Persistable (p, q, threshold) triple; scores test edges as (p_i+q_j)/2."""
+class _PQModel:
+    """Per-node (p, q) and a tuned threshold: the shape lprop and unreg share."""
 
     p: np.ndarray
     q: np.ndarray
     threshold: float
+    node_count = property(lambda self: self.p.size)
+
+    @classmethod
+    def _tuned(cls, p, q, g, split):
+        """The model on (p, q) with its threshold tuned on the training edges."""
+        model = cls(p, q, 0.0)
+        train = split.training_indices()
+        model.threshold = tune_threshold(model.score(g.src[train], g.dst[train]),
+                                         g.labels[train])
+        return model
 
     def to_json_dict(self):
-        return {"format": "edgesign-lprop", "version": 1,
+        return {"format": self.FORMAT, "version": 1,
                 "p": self.p.tolist(), "q": self.q.tolist(),
                 "threshold": self.threshold}
 
     @classmethod
     def from_json_dict(cls, d):
-        check_container(d, "edgesign-lprop", keys=("p", "q", "threshold"))
+        # older unreg files also carry y_soft, which the score replaces
+        check_container(d, cls.FORMAT, keys=("p", "q", "threshold"))
         return cls(*_node_arrays(d, ("p", "q")), float(d["threshold"]))
 
+
+class LpModel(_PQModel):
+    """Label-propagation (p, q); scores an edge as (p_i+q_j)/2."""
+
+    method = "lprop"
+    FORMAT = "edgesign-lprop"
+
+    @classmethod
+    def fit(cls, g, split, tol=LpOptions.tol, max_iter=LpOptions.max_sweeps):
+        """:func:`lp_run` to ``tol`` in at most ``max_iter`` sweeps, then the cut."""
+        state = lp_run(g, split, LpOptions(tol=tol, max_sweeps=max_iter))
+        return cls._tuned(state.p, state.q, g, split)
+
+    def score(self, src, dst):
+        return 0.5 * (self.p[src] + self.q[dst])
+
     def predict_split(self, g, split):
-        _check_node_count(self.p, g)
-        test = split.test_indices()
-        scores = 0.5 * (self.p[g.src[test]] + self.q[g.dst[test]])
-        return _prediction_for(g, split, scores, self.threshold, "lprop")
+        return lp_predict(self, g, split)
+
+
+def lp_predict(model, g, split):
+    """Predictions of an :class:`LpModel` for every test edge of the split."""
+    return _predict(model, g, split)
 
 
 # ---------------------------------------------------------------------------
@@ -591,48 +612,36 @@ def unreg_solve(g, split, opt=None):
     return result(fit)
 
 
-def unreg_predict(result, g, split):
-    """Threshold solved test y against the cut tuned on training p_i+q_j−1."""
-    train = split.training_indices()
-    train_scores = result.p[g.src[train]] + result.q[g.dst[train]] - 1.0
-    threshold = tune_threshold(train_scores, g.labels[train])
-    return _prediction_for(g, split, result.y_soft, threshold, "unreg")
+class UnregModel(_PQModel):
+    """Unregularized-quadratic (p, q); scores an edge as p_i+q_j−1."""
 
-
-@dataclass
-class UnregModel:
-    """Persistable (p, q, threshold) triple; scores test edges as p_i+q_j−1."""
-
-    p: np.ndarray
-    q: np.ndarray
-    threshold: float
-
-    def to_json_dict(self):
-        return {"format": "edgesign-unreg", "version": 1,
-                "p": self.p.tolist(), "q": self.q.tolist(),
-                "threshold": self.threshold}
+    method = "unreg"
+    FORMAT = "edgesign-unreg"
 
     @classmethod
-    def from_json_dict(cls, d):
-        # files written before this class also carry y_soft, in the order of
-        # the training split's test edges; p_i+q_j−1 replaces it
-        check_container(d, "edgesign-unreg", keys=("p", "q", "threshold"))
-        return cls(*_node_arrays(d, ("p", "q")), float(d["threshold"]))
+    def fit(cls, g, split, tol=1e-6, max_iter=UnregOptions.max_iter):
+        """:func:`unreg_solve` to ``tol`` (the sweep's 1e-6 by default), then the cut."""
+        result = unreg_solve(g, split, UnregOptions(tol=tol, max_iter=max_iter))
+        return cls._tuned(result.p, result.q, g, split)
+
+    def score(self, src, dst):
+        return self.p[src] + self.q[dst] - 1.0
 
     def predict_split(self, g, split):
-        _check_node_count(self.p, g)
-        test = split.test_indices()
-        scores = self.p[g.src[test]] + self.q[g.dst[test]] - 1.0
-        return _prediction_for(g, split, scores, self.threshold, "unreg")
+        return unreg_predict(self, g, split)
+
+
+def unreg_predict(model, g, split):
+    """Predictions of an :class:`UnregModel` for every test edge of the split."""
+    return _predict(model, g, split)
 
 
 # ---------------------------------------------------------------------------
-# Model persistence helpers shared by the CLI
+# The method table and model persistence
 
 
-#: Model class of each container format tag.
-MODEL_FORMATS = {"edgesign-blc": BlcModel, "edgesign-logreg": LogRegModel,
-                 "edgesign-lprop": LpModel, "edgesign-unreg": UnregModel}
+#: Model class of each batch method.
+METHODS = {"blc": BlcModel, "logreg": LogRegModel, "lprop": LpModel, "unreg": UnregModel}
 
 
 def save_model(model, path):
@@ -642,7 +651,7 @@ def save_model(model, path):
 def load_model(path):
     """The fitted model stored at ``path``, read by the class its format names."""
     d = read_json(path)
-    cls = MODEL_FORMATS.get(d.get("format"))
-    if cls is None:
-        raise DataError(f"unrecognized model container format {d.get('format')!r}")
-    return cls.from_json_dict(d)
+    for cls in METHODS.values():
+        if d.get("format") == cls.FORMAT:
+            return cls.from_json_dict(d)
+    raise DataError(f"unrecognized model container format {d.get('format')!r}")

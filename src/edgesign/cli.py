@@ -21,8 +21,8 @@ from .errors import ConvergenceError, DataError, EdgeListParseError, EdgeSignErr
 from .features import regularity_report
 from .genmodel import (BetaPrior, TwoPointPrior, UniformPrior, make_synthetic,
                        prior_from_json_dict)
-from .graph import (SIGN_TOKENS, EdgeSplit, check_keys, load_edge_list, load_graph,
-                    read_json, sample_split, write_json)
+from .graph import (SIGN_TOKENS, EdgeSplit, check_keys, is_count, is_number, load_edge_list,
+                    load_graph, read_json, sample_split, write_json)
 from .metrics import accuracy, confusion, mcc
 
 DATA_DIR_ENV = "EDGESIGN_DATA_DIR"
@@ -93,22 +93,7 @@ def _get_split(g, args):
 def cmd_train(args):
     g = load_graph(_resolve(args.graph))
     split = _get_split(g, args)
-    if args.method == "blc":
-        model = batch.blc_fit(g, split)
-    elif args.method == "logreg":
-        model = batch.logreg_fit(g, split)
-    elif args.method == "lprop":
-        state = batch.lp_run(g, split, batch.LpOptions(tol=args.tol,
-                                                       max_sweeps=args.max_iter))
-        pred = batch.lp_predict(state, g, split)
-        model = batch.LpModel(p=state.p, q=state.q, threshold=pred.threshold)
-    elif args.method == "unreg":
-        result = batch.unreg_solve(g, split, batch.UnregOptions(tol=args.tol,
-                                                                max_iter=args.max_iter))
-        pred = batch.unreg_predict(result, g, split)
-        model = batch.UnregModel(p=result.p, q=result.q, threshold=pred.threshold)
-    else:
-        raise DataError(f"unknown method {args.method!r}")
+    model = batch.METHODS[args.method].fit(g, split, tol=args.tol, max_iter=args.max_iter)
     batch.save_model(model, args.output)
     if args.split_out:
         split.save(args.split_out)
@@ -196,7 +181,6 @@ def _prior_from_args(args):
         if len(args.prior_params) not in (3, 6):
             raise DataError("two-point prior takes lo hi weight [q_lo q_hi q_weight]")
         return TwoPointPrior(*args.prior_params)
-    raise DataError(f"unknown prior {args.prior!r}")
 
 
 def cmd_synth(args):
@@ -212,23 +196,44 @@ def cmd_synth(args):
     return 0
 
 
+def _spec_value(d, key, default, ok=is_count, kind="a non-negative integer"):
+    """``d[key]``, or ``default`` when it is absent; a DataError unless ``ok`` accepts it."""
+    if key in d and not ok(d[key]):
+        raise DataError(f"sweep spec: {key} must be {kind}, got {d[key]!r}")
+    return d.get(key, default)
+
+
+def _is(kind):
+    return lambda value: isinstance(value, kind)
+
+
+def _is_list_of(ok):
+    return lambda value: isinstance(value, list) and all(map(ok, value))
+
+
 def cmd_sweep(args):
     d = read_json(args.spec)
     if "synthetic" in d:
         s = d["synthetic"]
         check_keys(s, "sweep spec's synthetic entry", ("node_count", "prior"))
         source = harness.SyntheticSpec(
-            node_count=s["node_count"], prior=prior_from_json_dict(s["prior"]),
-            mean_out_degree=s.get("mean_out_degree", 10),
-            topology=s.get("topology", "fixed"), seed=s.get("seed", 0))
+            node_count=_spec_value(s, "node_count", None),
+            prior=prior_from_json_dict(s["prior"]),
+            mean_out_degree=_spec_value(s, "mean_out_degree", 10),
+            topology=_spec_value(s, "topology", "fixed", _is(str), "a string"),
+            seed=_spec_value(s, "seed", 0))
     else:
         check_keys(d, "sweep spec", ("dataset",))
-        source = _resolve(d["dataset"])
+        source = _resolve(_spec_value(d, "dataset", None, _is(str), "a path"))
     spec = harness.ExperimentSpec(
-        source=source, methods=tuple(d.get("methods", ["blc", "logreg", "lprop"])),
-        fractions=tuple(d.get("fractions", harness.DEFAULT_FRACTIONS)),
-        repetitions=d.get("repetitions", 12), base_seed=d.get("base_seed", 0),
-        include_psi2=d.get("include_psi2", True))
+        source=source,
+        methods=tuple(_spec_value(d, "methods", ["blc", "logreg", "lprop"],
+                                  _is_list_of(_is(str)), "a list of names")),
+        fractions=tuple(_spec_value(d, "fractions", harness.DEFAULT_FRACTIONS,
+                                    _is_list_of(is_number), "a list of numbers")),
+        repetitions=_spec_value(d, "repetitions", 12),
+        base_seed=_spec_value(d, "base_seed", 0),
+        include_psi2=_spec_value(d, "include_psi2", True, _is(bool), "true or false"))
     report = harness.run_experiment(spec, threads=args.threads)
     write_json(report.to_json_dict(), args.output)
     if args.csv:
@@ -301,7 +306,7 @@ def build_parser():
         p.add_argument("graph")
         if name == "train":
             p.add_argument("--method", required=True,
-                           choices=["blc", "logreg", "lprop", "unreg"])
+                           choices=list(batch.METHODS))
             p.add_argument("-o", "--output", required=True)
             p.add_argument("--split-out", default=None)
             p.add_argument("--tol", type=float, default=1e-8)

@@ -10,8 +10,7 @@ the full labeling).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -182,17 +181,7 @@ class RegularityReport:
     psi2_rate: float
 
     def to_json_dict(self):
-        return {
-            "psi_in": self.psi_in,
-            "psi_out": self.psi_out,
-            "psi_g": self.psi_g,
-            "psi2": self.psi2,
-            "psi_g_rate": self.psi_g_rate,
-            "psi2_rate": self.psi2_rate,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return asdict(self)
 
 
 def regularity_report(g, tol=1e-8, max_iter=10000, include_psi2=True):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .graph import SignedDigraph, check_container, check_keys, read_json, write_json
+from .graph import SignedDigraph, check_container, check_keys, is_number, read_json, write_json
 
 
 def sign_with_tie(x):
@@ -109,18 +109,24 @@ class TwoPointPrior:
 
 
 def prior_from_json_dict(d):
+    """The prior a JSON object describes; a parameter that is not a number is a DataError."""
     check_keys(d, "prior", ("kind",))
     kind = d["kind"]
     if kind == "uniform":
-        return UniformPrior()
-    if kind == "beta":
+        prior = UniformPrior()
+    elif kind == "beta":
         check_keys(d, "beta prior", ("a_p", "b_p", "a_q", "b_q"))
-        return BetaPrior(d["a_p"], d["b_p"], d["a_q"], d["b_q"])
-    if kind == "two-point":
+        prior = BetaPrior(d["a_p"], d["b_p"], d["a_q"], d["b_q"])
+    elif kind == "two-point":
         check_keys(d, "two-point prior", ("lo", "hi", "weight"))
-        return TwoPointPrior(d["lo"], d["hi"], d["weight"],
-                             d.get("q_lo"), d.get("q_hi"), d.get("q_weight"))
-    raise DataError(f"unknown prior kind {kind!r}")
+        prior = TwoPointPrior(d["lo"], d["hi"], d["weight"],
+                              d.get("q_lo"), d.get("q_hi"), d.get("q_weight"))
+    else:
+        raise DataError(f"unknown prior kind {kind!r}")
+    for key, value in prior.to_json_dict().items():
+        if key != "kind" and not is_number(value):
+            raise DataError(f"{kind} prior: {key} must be a number, got {value!r}")
+    return prior
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,12 @@ def check_keys(d, what, keys):
         raise DataError(f"{what} lacks {', '.join(missing)}")
 
 
-def _is_count(value):
+def is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _pack(array, tag):
@@ -269,7 +273,7 @@ class SignedDigraph:
         version = check_container(d, GRAPH_FORMAT, (1, 2),
                                   ("node_count", "src", "dst", "labels", "node_ids"))
         n, node_ids = d["node_count"], d["node_ids"]
-        if not _is_count(n):
+        if not is_count(n):
             raise DataError(f"graph container node_count {n!r} is not a count")
         if (not isinstance(node_ids, list) or not all(isinstance(t, str) for t in node_ids)
                 or len(set(node_ids)) != len(node_ids)):
@@ -278,7 +282,7 @@ class SignedDigraph:
             arrays = [_int_list(d[name], name) for name in _PACKED]
         else:
             m = d.get("edge_count")
-            if not _is_count(m):
+            if not is_count(m):
                 raise DataError(f"graph container edge_count {m!r} is not a count")
             arrays = [_unpack(d[name], tag, m, name) for name, tag in _PACKED.items()]
         return cls(n, *arrays, node_ids=node_ids)
@@ -462,7 +466,7 @@ class EdgeSplit:
         check_container(d, SPLIT_FORMAT, (1,),
                         ("edge_count", "fraction", "seed", "training_edges"))
         m = d["edge_count"]
-        if not _is_count(m):
+        if not is_count(m):
             raise DataError(f"split edge_count {m!r} is not a count")
         train = _int_list(d["training_edges"], "training_edges")
         if train.size and (train.min() < 0 or train.max() >= m):

@@ -9,7 +9,6 @@ failing method run is recorded in its cell without disturbing the rest.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +25,7 @@ from .graph import SignedDigraph, load_graph, sample_split
 from .metrics import accuracy, confusion, mcc
 
 DEFAULT_FRACTIONS = (0.05, 0.10, 0.15, 0.20, 0.25)
-METHODS = ("blc", "logreg", "lprop", "unreg", "bayes-oracle")
+METHODS = (*batch.METHODS, "bayes-oracle")
 
 
 @dataclass
@@ -79,9 +78,7 @@ class Cell:
 
     @property
     def mcc_std(self):
-        if len(self.mcc_values) < 2:
-            return 0.0
-        return float(np.std(self.mcc_values, ddof=1))
+        return float(np.std(self.mcc_values, ddof=1)) if len(self.mcc_values) > 1 else 0.0
 
     @property
     def acc_mean(self):
@@ -109,21 +106,17 @@ class ExperimentReport:
                 return c
         raise KeyError((method, fraction))
 
-    def to_json_dict(self, include_timing=True):
-        cells = []
-        for c in sorted(self.cells, key=lambda c: (c.fraction, c.method)):
-            d = {
-                "method": c.method,
-                "fraction": c.fraction,
-                "mcc_mean": c.mcc_mean,
-                "mcc_std": c.mcc_std,
-                "acc_mean": c.acc_mean,
-                "mcc_values": list(c.mcc_values),
-                "failures": list(c.failures),
-            }
-            if include_timing:
-                d["seconds_mean"] = c.seconds_mean
-            cells.append(d)
+    def to_json_dict(self):
+        cells = [{
+            "method": c.method,
+            "fraction": c.fraction,
+            "mcc_mean": c.mcc_mean,
+            "mcc_std": c.mcc_std,
+            "acc_mean": c.acc_mean,
+            "mcc_values": list(c.mcc_values),
+            "failures": list(c.failures),
+            "seconds_mean": c.seconds_mean,
+        } for c in sorted(self.cells, key=lambda c: (c.fraction, c.method))]
         return {
             "format": "edgesign-report", "version": 1,
             "node_count": self.node_count,
@@ -133,9 +126,6 @@ class ExperimentReport:
             "regularity": self.regularity.to_json_dict() if self.regularity else None,
             "cells": cells,
         }
-
-    def to_json(self, include_timing=True):
-        return json.dumps(self.to_json_dict(include_timing), indent=2, sort_keys=True)
 
     def to_csv(self):
         lines = ["method,fraction,mcc_mean,mcc_std,acc_mean,seconds_mean,failures"]
@@ -160,28 +150,16 @@ class ExperimentReport:
 
 
 def _fit_predict(method, g, split, params):
-    if method == "blc":
-        model = batch.blc_fit(g, split)
-        return batch.blc_predict_split(model, g, split)
-    if method == "logreg":
-        model = batch.logreg_fit(g, split)
-        return batch.logreg_predict_split(model, g, split)
-    if method == "lprop":
-        state = batch.lp_run(g, split)
-        return batch.lp_predict(state, g, split)
-    if method == "unreg":
-        result = batch.unreg_solve(g, split, batch.UnregOptions(tol=1e-6))
-        return batch.unreg_predict(result, g, split)
-    if method == "bayes-oracle":
-        if params is None:
-            raise DataError("bayes-oracle needs generative parameters (synthetic runs only)")
-        test = split.test_indices()
-        scores = bayes_scores(params, g.src[test], g.dst[test])
-        return batch.Prediction(
-            edge_indices=test, src=g.src[test], dst=g.dst[test],
-            scores=scores, labels=sign_with_tie(scores).astype(np.int8),
-            threshold=0.0, method="bayes-oracle")
-    raise ValueError(f"unknown method {method!r}")
+    if method != "bayes-oracle":
+        return batch.METHODS[method].fit(g, split).predict_split(g, split)
+    if params is None:
+        raise DataError("bayes-oracle needs generative parameters (synthetic runs only)")
+    test = split.test_indices()
+    scores = bayes_scores(params, g.src[test], g.dst[test])
+    return batch.Prediction(
+        edge_indices=test, src=g.src[test], dst=g.dst[test],
+        scores=scores, labels=sign_with_tie(scores).astype(np.int8),
+        threshold=0.0, method="bayes-oracle")
 
 
 def load_source(source):

@@ -24,7 +24,6 @@ are in :func:`adversary_expected_mistakes`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -201,11 +200,9 @@ class OnlineState:
         state = cls(d["node_count"])
         for name in ("out_loss_plus", "out_loss_minus", "in_loss_plus", "in_loss_minus"):
             getattr(state, name)[:] = d[name]
-        state.meta_loss_out = d["meta_loss_out"]
-        state.meta_loss_in = d["meta_loss_in"]
-        state.expected_mistakes = d["expected_mistakes"]
-        state.realized_mistakes = d["realized_mistakes"]
-        state.edges_seen = d["edges_seen"]
+        for name in ("meta_loss_out", "meta_loss_in", "expected_mistakes", "realized_mistakes",
+                     "edges_seen"):
+            setattr(state, name, d[name])
         state._revealed = {tuple(e) for e in d["revealed"]}
         # files written before pending predictions were kept lack the key
         state._pending = {(i, j): guess for i, j, guess in d.get("pending", [])}
@@ -253,9 +250,6 @@ class OnlineReport:
 
     def to_json_dict(self):
         return {k: v for k, v in self.__dict__.items() if v is not None}
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def run_online(g, labeling=None, order="random", seed=0):

@@ -110,17 +110,3 @@ def cutsize(gp, node_labels):
         raise DataError("node labels must be +1 or -1")
     return int(np.count_nonzero(labels[gp.u] != labels[gp.v]))
 
-
-def write_weighted_edge_list(reduced, path_or_file):
-    """Export either transform as `u v w` text (weight 1 for the unweighted one)."""
-    weights = getattr(reduced, "w", None)
-    if weights is None:
-        weights = np.ones(reduced.edge_count)
-    own = not hasattr(path_or_file, "write")
-    f = open(path_or_file, "w", encoding="utf-8") if own else path_or_file
-    try:
-        for a, b, wt in zip(reduced.u, reduced.v, weights):
-            f.write(f"{int(a)} {int(b)} {wt:g}\n")
-    finally:
-        if own:
-            f.close()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgesign.batch import (BlcModel, LogRegModel, blc_fit, blc_predict,
+from edgesign.batch import (BlcModel, LogRegModel, blc_fit,
                             blc_predict_split, load_model, logreg_fit,
                             logreg_predict_split, ml_gradient, save_model,
                             solve_linearized_ml, tune_threshold)
@@ -56,7 +56,8 @@ class TestBlc:
         assert model.tr[0] == 0.5
         assert model.un[2] == 1.0
         assert abs(model.tau - 1.0 / 3.0) < 1e-15
-        sign, score = blc_predict(model, (1, 2))
+        score = model.score(1, 2)
+        sign = sign_with_tie(score)
         assert abs(score - (-1.0 / 3.0)) < 1e-15
         assert sign == -1
 
@@ -76,12 +77,14 @@ class TestBlc:
         model = BlcModel(tr=np.array([0.0]), un=np.array([0.0]),
                          tr_defined=np.array([True]), un_defined=np.array([True]),
                          tau=0.5)
-        sign, score = blc_predict(model, (0, 0))
+        score = model.score(0, 0)
+        sign = sign_with_tie(score)
         assert score == 1.0 and sign == 1
         model2 = BlcModel(tr=np.array([1.0]), un=np.array([1.0]),
                           tr_defined=np.array([True]), un_defined=np.array([True]),
                           tau=0.0)
-        sign2, score2 = blc_predict(model2, (0, 0))
+        score2 = model2.score(0, 0)
+        sign2 = sign_with_tie(score2)
         assert score2 == -0.5 and sign2 == -1
 
     def test_empty_training_errors(self, hand_graph):

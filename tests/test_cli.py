@@ -6,8 +6,9 @@ import pytest
 import numpy as np
 
 from edgesign import cli
-from edgesign.batch import (Prediction, UnregModel, blc_fit, blc_predict_split, load_model,
-                            save_model, unreg_predict, unreg_solve)
+from edgesign.batch import (METHODS, Prediction, UnregModel, UnregOptions, blc_fit,
+                            blc_predict_split, load_model, save_model, unreg_predict,
+                            unreg_solve)
 from edgesign.errors import DataError
 from edgesign.genmodel import GenParams, TwoPointPrior, make_synthetic, prior_from_json_dict
 from edgesign.graph import SignedDigraph, read_json, sample_split, write_edge_list
@@ -78,6 +79,23 @@ def read_predictions(path):
     return np.array([float(r[2]) for r in rows]), np.array([int(r[3]) for r in rows])
 
 
+@pytest.mark.parametrize("method", list(METHODS))
+def test_train_and_predict_are_the_method_tables_fit_and_predict(graph_path, tmp_path, method):
+    model_path, pred_path = tmp_path / "model.json", tmp_path / "pred.csv"
+    assert cli.main(["train", str(graph_path), "--method", method, "--fraction", "0.3",
+                     "--seed", "1", "-o", str(model_path)]) == 0
+    assert type(load_model(model_path)) is METHODS[method]
+    assert cli.main(["predict", str(graph_path), str(model_path), "--fraction", "0.3",
+                     "--seed", "2", "-o", str(pred_path)]) == 0
+    g = SignedDigraph.load(graph_path)
+    # the train command's default --tol and --max-iter
+    model = METHODS[method].fit(g, sample_split(g, 0.3, 1), tol=1e-8, max_iter=20000)
+    expected = model.predict_split(g, sample_split(g, 0.3, 2))
+    scores, labels = read_predictions(pred_path)
+    assert np.array_equal(scores, expected.scores)
+    assert np.array_equal(labels, expected.labels)
+
+
 class TestUnregModel:
     def test_predict_on_another_split_scores_that_split(self, graph_path, tmp_path):
         model_path, pred_path = tmp_path / "unreg.json", tmp_path / "pred.csv"
@@ -101,7 +119,7 @@ class TestUnregModel:
         g = SignedDigraph.load(graph_path)
         split = sample_split(g, 0.3, 1)
         result = unreg_solve(g, split)
-        pred = unreg_predict(result, g, split)
+        pred = unreg_predict(UnregModel.fit(g, split, tol=UnregOptions.tol), g, split)
         old = tmp_path / "old.json"
         with open(old, "w", encoding="utf-8") as f:
             json.dump({"format": "edgesign-unreg", "version": 1,
@@ -199,6 +217,17 @@ class TestGraphFiles:
         assert (report["node_count"], report["edge_count"]) == (g.node_count, g.edge_count)
 
 
+TINY_SWEEP = {"synthetic": {"node_count": 20, "mean_out_degree": 4,
+                            "prior": {"kind": "uniform"}},
+              "methods": ["blc"], "fractions": [0.5], "repetitions": 1}
+
+
+def test_the_undamaged_tiny_sweep_spec_runs(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(TINY_SWEEP))
+    assert run_cli("sweep", path, "-o", tmp_path / "rep.json") == 0
+
+
 def sweep_spec(path):
     return cli.cmd_sweep(cli.build_parser().parse_args(["sweep", str(path), "-o", "unused"]))
 
@@ -212,8 +241,23 @@ def sweep_spec(path):
     ({"synthetic": {"node_count": 10}}, sweep_spec),
     ({"synthetic": {"node_count": 10, "prior": {"kind": "beta"}}}, sweep_spec),
     ({"methods": ["blc"]}, sweep_spec),
+    ({**TINY_SWEEP, "repetitions": "3"}, sweep_spec),
+    ({**TINY_SWEEP, "base_seed": "x"}, sweep_spec),
+    ({**TINY_SWEEP, "methods": "blc"}, sweep_spec),
+    ({**TINY_SWEEP, "fractions": ["0.5"]}, sweep_spec),
+    ({**TINY_SWEEP, "include_psi2": "no"}, sweep_spec),
+    ({"synthetic": {**TINY_SWEEP["synthetic"], "seed": -1}}, sweep_spec),
+    ({"synthetic": {**TINY_SWEEP["synthetic"], "node_count": "10"}}, sweep_spec),
+    ({"synthetic": {**TINY_SWEEP["synthetic"], "prior": {"kind": "two-point", "lo": "0.1",
+                                                          "hi": 0.9, "weight": 0.5}}}, sweep_spec),
+    ({"synthetic": {**TINY_SWEEP["synthetic"], "prior": {"kind": "beta", "a_p": 1, "b_p": [1],
+                                                          "a_q": 1, "b_q": 1}}}, sweep_spec),
+    ({"dataset": 5}, sweep_spec),
 ], ids=["genparams", "online-untagged", "online-lacks-losses", "prior", "sweep-no-prior",
-        "sweep-beta-no-shapes", "sweep-no-source"])
+        "sweep-beta-no-shapes", "sweep-no-source", "sweep-repetitions-text",
+        "sweep-base-seed-text", "sweep-methods-text", "sweep-fractions-text",
+        "sweep-psi2-text", "sweep-negative-seed", "sweep-node-count-text",
+        "sweep-two-point-text", "sweep-beta-list", "sweep-dataset-number"])
 def test_damaged_parameter_state_and_spec_files_are_data_errors(tmp_path, payload, reader):
     path = tmp_path / "damaged.json"
     path.write_text(json.dumps(payload))

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from edgesign.harness import paired_t_test
+from edgesign.batch import METHODS
+from edgesign.genmodel import TwoPointPrior, bayes_scores, make_synthetic, sign_with_tie
+from edgesign.graph import sample_split
+from edgesign.harness import ExperimentSpec, SyntheticSpec, paired_t_test, run_experiment
+from edgesign.metrics import confusion, mcc
 
 from oracles import student_t_two_sided_p
 
@@ -36,3 +40,31 @@ def test_zero_variance_differences_are_degenerate():
 def test_paired_t_test_rejects_short_or_unequal_vectors(a, b):
     with pytest.raises(ValueError):
         paired_t_test(a, b)
+
+
+def test_sweep_cells_are_the_method_tables_predictions():
+    spec = ExperimentSpec(source=SyntheticSpec(300, TwoPointPrior(0.1, 0.9), seed=5),
+                          methods=(*METHODS, "bayes-oracle"), fractions=(0.1, 0.3),
+                          repetitions=3, base_seed=11)
+    report = run_experiment(spec)
+    g, params = make_synthetic(300, TwoPointPrior(0.1, 0.9), 10, 5)
+    for cell in report.cells:
+        assert not cell.failures
+        expected = []
+        for rep in range(spec.repetitions):
+            split = sample_split(g, cell.fraction, spec.base_seed ^ rep)
+            test = split.test_indices()
+            if cell.method == "bayes-oracle":
+                labels = sign_with_tie(bayes_scores(params, g.src[test], g.dst[test]))
+            else:
+                labels = METHODS[cell.method].fit(g, split).predict_split(g, split).labels
+            expected.append(mcc(confusion(labels, g.labels[test])))
+        assert cell.mcc_values == expected, cell.method
+
+    def untimed(r):
+        d = r.to_json_dict()
+        for c in d["cells"]:
+            del c["seconds_mean"]
+        return d
+
+    assert untimed(run_experiment(spec, threads=2)) == untimed(report)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from edgesign.batch import (LpModel, LpOptions, UnregOptions, UnregResult, lp_gradient,
-                            lp_objective, lp_predict, lp_run, tune_threshold,
+from edgesign.batch import (LpModel, LpOptions, UnregModel, UnregOptions, UnregResult,
+                            lp_gradient, lp_objective, lp_predict, lp_run, tune_threshold,
                             unreg_objective, unreg_predict, unreg_solve)
 from edgesign.errors import ConvergenceError
 from edgesign.graph import SignedDigraph, load_edge_list, sample_split
@@ -211,15 +211,14 @@ class TestLpPredict:
         g = load_edge_list("a\tb\t1\na\tc\t1\nb\tc\t-1\nc\ta\t1\n")
         split = make_split([True, True, True, False])
         state = lp_run(g, split)
-        pred = lp_predict(state, g, split)
+        pred = lp_predict(LpModel.fit(g, split), g, split)
         assert pred.labels[0] in (-1, 1)
         assert pred.scores[0] == state.y_soft[0]
 
     def test_all_positive_training_predicts_positive(self):
         g = load_edge_list("a\tb\t1\nb\tc\t1\nc\td\t1\nd\ta\t1\na\tc\t1\n")
         split = make_split([True, True, True, True, False])
-        state = lp_run(g, split)
-        pred = lp_predict(state, g, split)
+        pred = lp_predict(LpModel.fit(g, split), g, split)
         assert pred.threshold == float("-inf")
         assert np.all(pred.labels == 1)
 
@@ -227,9 +226,8 @@ class TestLpPredict:
         from edgesign.batch import load_model, save_model
         g = random_graph(15, 60, seed=13)
         split = sample_split(g, 0.4, seed=14)
-        state = lp_run(g, split)
-        pred = lp_predict(state, g, split)
-        model = LpModel(p=state.p, q=state.q, threshold=pred.threshold)
+        model = LpModel.fit(g, split)
+        pred = lp_predict(model, g, split)
         path = tmp_path / "lp.json"
         save_model(model, path)
         again = load_model(path)
@@ -342,6 +340,6 @@ class TestUnreg:
         g = random_graph(12, 50, seed=17)
         split = sample_split(g, 0.5, seed=18)
         result = unreg_solve(g, split)
-        pred = unreg_predict(result, g, split)
+        pred = unreg_predict(UnregModel.fit(g, split, tol=UnregOptions.tol), g, split)
         assert np.array_equal(pred.scores, result.y_soft)
         assert set(np.unique(pred.labels)) <= {-1, 1}

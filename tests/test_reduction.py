@@ -1,12 +1,10 @@
-import io
-
 import numpy as np
 import pytest
 
 from edgesign.batch import lp_objective
 from edgesign.errors import DataError
 from edgesign.graph import load_edge_list, sample_split
-from edgesign.reduction import cutsize, to_gprime, to_gsecond, write_weighted_edge_list
+from edgesign.reduction import cutsize, to_gprime, to_gsecond
 
 from conftest import random_graph
 
@@ -133,11 +131,3 @@ class TestCutsize:
         with pytest.raises(DataError):
             cutsize(gp, np.zeros(gp.node_count))
 
-
-def test_weighted_export(tmp_path, hand_graph):
-    gs = to_gsecond(hand_graph)
-    out = io.StringIO()
-    write_weighted_edge_list(gs, out)
-    lines = out.getvalue().strip().splitlines()
-    assert len(lines) == 12
-    assert all(len(line.split()) == 3 for line in lines)
