@@ -4,7 +4,6 @@ Library layout:
 
 * :mod:`edgesign.graph` — signed digraph container, ingestion, splits
 * :mod:`edgesign.features` — trollness/trustworthiness, regularity measures
-* :mod:`edgesign.reduction` — edge-to-node transforms and cutsize
 * :mod:`edgesign.genmodel` — generative label model, priors, oracle rule
 * :mod:`edgesign.batch` — batch predictors (blc, logreg, lprop, unreg)
 * :mod:`edgesign.online` — sequential predictor and lower-bound adversary
@@ -15,9 +14,8 @@ Library layout:
 
 from .graph import EdgeSplit, NodeStats, SignedDigraph, degree_stats, load_edge_list, sample_split
 from .features import RegularityReport, TrollTrust, psi2, psi_g, regularity_report, troll_trust
-from .reduction import GPrime, GSecond, cutsize, to_gprime, to_gsecond
-from .genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior, bayes_predict,
-                       eq1_rates, make_synthetic, sample_labels, sample_params)
+from .genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior, eq1_rates,
+                       make_synthetic, sample_labels, sample_params)
 from .batch import (METHODS, BlcModel, LogRegModel, LpModel, LpOptions, LpState, Prediction,
                     UnregModel, UnregOptions, blc_fit, blc_predict_split, logreg_fit,
                     logreg_predict_split, lp_predict, lp_run, ml_gradient,

@@ -184,12 +184,12 @@ class BlcModel:
 
 
 def blc_fit(g, split):
-    """Estimate tr̂, ûn on the training edges (default 1/2 where unseen) and
+    """Estimate tr̂, ûn on the training edges (1/2 where unseen) and
     τ̂ as the fraction of positive training edges."""
     train = split.training_indices()
     if train.size == 0:
         raise DegenerateFitError("cannot fit on an empty training set")
-    tt = troll_trust(g, split.training_mask, default=0.5)
+    tt = troll_trust(g, split.training_mask)
     tau = float(np.count_nonzero(g.labels[train] == 1) / train.size)
     return BlcModel(tr=tt.tr, un=tt.un, tr_defined=tt.tr_defined,
                     un_defined=tt.un_defined, tau=tau)
@@ -272,7 +272,7 @@ def logreg_fit(g, split, tol=1e-8, max_iter=200):
     y = g.labels[train]
     if np.all(y == 1) or np.all(y == -1):
         raise DegenerateFitError("training labels are single-class")
-    tt = troll_trust(g, split.training_mask, default=0.5)
+    tt = troll_trust(g, split.training_mask)
     X = np.column_stack([
         np.ones(train.size),
         1.0 - tt.tr[g.src[train]],

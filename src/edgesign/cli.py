@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 from itertools import repeat
 
 import numpy as np
@@ -19,8 +20,7 @@ import numpy as np
 from . import batch, harness, online
 from .errors import ConvergenceError, DataError, EdgeListParseError, EdgeSignError
 from .features import regularity_report
-from .genmodel import (BetaPrior, TwoPointPrior, UniformPrior, make_synthetic,
-                       prior_from_json_dict)
+from .genmodel import PRIORS, make_synthetic, prior_from_json_dict
 from .graph import (SIGN_TOKENS, EdgeSplit, check_keys, is_count, is_number, load_edge_list,
                     load_graph, read_json, sample_split, write_json)
 from .metrics import accuracy, confusion, mcc
@@ -173,14 +173,14 @@ def cmd_eval(args):
 
 
 def _prior_from_args(args):
-    if args.prior == "uniform":
-        return UniformPrior()
-    if args.prior == "beta":
-        return BetaPrior(*args.prior_params)
-    if args.prior == "two-point":
-        if len(args.prior_params) not in (3, 6):
-            raise DataError("two-point prior takes lo hi weight [q_lo q_hi q_weight]")
-        return TwoPointPrior(*args.prior_params)
+    """The ``--prior-params`` values in field order: all of the kind's, or its required ones."""
+    cls = PRIORS[args.prior]
+    names = [f.name for f in fields(cls)]
+    counts = sorted({len(cls.required), len(names)})
+    if len(args.prior_params) not in counts:
+        raise DataError(f"{args.prior} prior takes {' or '.join(map(str, counts))} "
+                        f"parameters ({' '.join(names) or 'none'}), got {len(args.prior_params)}")
+    return prior_from_json_dict({"kind": args.prior, **dict(zip(names, args.prior_params))})
 
 
 def cmd_synth(args):
@@ -196,13 +196,6 @@ def cmd_synth(args):
     return 0
 
 
-def _spec_value(d, key, default, ok=is_count, kind="a non-negative integer"):
-    """``d[key]``, or ``default`` when it is absent; a DataError unless ``ok`` accepts it."""
-    if key in d and not ok(d[key]):
-        raise DataError(f"sweep spec: {key} must be {kind}, got {d[key]!r}")
-    return d.get(key, default)
-
-
 def _is(kind):
     return lambda value: isinstance(value, kind)
 
@@ -211,29 +204,40 @@ def _is_list_of(ok):
     return lambda value: isinstance(value, list) and all(map(ok, value))
 
 
+_COUNT = (is_count, "a non-negative integer")
+
+#: Check and description of each sweep-spec key a spec dataclass holds; a key
+#: the spec leaves out takes the dataclass default.
+SYNTHETIC_KEYS = {"node_count": _COUNT, "mean_out_degree": _COUNT,
+                  "topology": (_is(str), "a string"), "seed": _COUNT}
+EXPERIMENT_KEYS = {"methods": (_is_list_of(_is(str)), "a list of names"),
+                   "fractions": (_is_list_of(is_number), "a list of numbers"),
+                   "repetitions": _COUNT, "base_seed": _COUNT,
+                   "include_psi2": (_is(bool), "true or false")}
+
+
+def _spec_values(d, checks):
+    """The keys of ``d`` that ``checks`` names, lists as tuples; a DataError on a bad value."""
+    values = {}
+    for key, (ok, kind) in checks.items():
+        if key in d:
+            if not ok(d[key]):
+                raise DataError(f"sweep spec: {key} must be {kind}, got {d[key]!r}")
+            values[key] = tuple(d[key]) if isinstance(d[key], list) else d[key]
+    return values
+
+
 def cmd_sweep(args):
     d = read_json(args.spec)
     if "synthetic" in d:
         s = d["synthetic"]
         check_keys(s, "sweep spec's synthetic entry", ("node_count", "prior"))
-        source = harness.SyntheticSpec(
-            node_count=_spec_value(s, "node_count", None),
-            prior=prior_from_json_dict(s["prior"]),
-            mean_out_degree=_spec_value(s, "mean_out_degree", 10),
-            topology=_spec_value(s, "topology", "fixed", _is(str), "a string"),
-            seed=_spec_value(s, "seed", 0))
+        source = harness.SyntheticSpec(prior=prior_from_json_dict(s["prior"]),
+                                       **_spec_values(s, SYNTHETIC_KEYS))
     else:
         check_keys(d, "sweep spec", ("dataset",))
-        source = _resolve(_spec_value(d, "dataset", None, _is(str), "a path"))
-    spec = harness.ExperimentSpec(
-        source=source,
-        methods=tuple(_spec_value(d, "methods", ["blc", "logreg", "lprop"],
-                                  _is_list_of(_is(str)), "a list of names")),
-        fractions=tuple(_spec_value(d, "fractions", harness.DEFAULT_FRACTIONS,
-                                    _is_list_of(is_number), "a list of numbers")),
-        repetitions=_spec_value(d, "repetitions", 12),
-        base_seed=_spec_value(d, "base_seed", 0),
-        include_psi2=_spec_value(d, "include_psi2", True, _is(bool), "true or false"))
+        source = _resolve(_spec_values(d, {"dataset": (_is(str), "a path")})["dataset"])
+    spec = harness.ExperimentSpec(source=source, **_spec_values(d, EXPERIMENT_KEYS))
     report = harness.run_experiment(spec, threads=args.threads)
     write_json(report.to_json_dict(), args.output)
     if args.csv:
@@ -335,8 +339,7 @@ def build_parser():
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--topology", choices=["fixed", "er", "ring"], default="fixed")
-    p.add_argument("--prior", choices=["uniform", "beta", "two-point"],
-                   required=True)
+    p.add_argument("--prior", choices=list(PRIORS), required=True)
     p.add_argument("--prior-params", type=float, nargs="*", default=[])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", required=True)

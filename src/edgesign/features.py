@@ -18,34 +18,34 @@ from .errors import ConvergenceError
 from .graph import degree_stats
 
 
+#: tr and un of a node with no masked out- (in-) edge: the uninformed rate 1/2.
+UNSEEN_RATE = 0.5
+
+
 @dataclass
 class TrollTrust:
-    """Per-node trollness/untrustworthiness with measured-vs-default flags."""
+    """Per-node trollness/untrustworthiness with measured-or-unseen flags."""
 
     tr: np.ndarray
     un: np.ndarray
     tr_defined: np.ndarray
     un_defined: np.ndarray
-    default: float
 
 
-def troll_trust(g, mask=None, default=0.5):
+def troll_trust(g, mask=None):
     """Trollness and untrustworthiness over the masked edge set.
 
-    Nodes with no masked outgoing (incoming) edges get ``default`` and a
-    False presence flag.
+    Nodes with no masked outgoing (incoming) edges get :data:`UNSEEN_RATE`
+    and a False presence flag.
     """
-    if not 0.0 <= default <= 1.0:
-        raise ValueError(f"default must lie in [0, 1], got {default}")
     stats = degree_stats(g, mask)
     tr_defined = stats.d_out > 0
     un_defined = stats.d_in > 0
-    tr = np.full(g.node_count, default, dtype=np.float64)
-    un = np.full(g.node_count, default, dtype=np.float64)
+    tr = np.full(g.node_count, UNSEEN_RATE)
+    un = np.full(g.node_count, UNSEEN_RATE)
     np.divide(stats.d_out_minus, stats.d_out, out=tr, where=tr_defined)
     np.divide(stats.d_in_minus, stats.d_in, out=un, where=un_defined)
-    return TrollTrust(tr=tr, un=un, tr_defined=tr_defined, un_defined=un_defined,
-                      default=float(default))
+    return TrollTrust(tr=tr, un=un, tr_defined=tr_defined, un_defined=un_defined)
 
 
 def psi_g(g):
@@ -59,15 +59,9 @@ def psi_g(g):
 
 def psi_g_for_labels(g, labels):
     """Same measures for an alternative labeling of g's topology."""
-    labels = np.asarray(labels)
-    n = g.node_count
-    pos = labels == 1
-    d_out = np.bincount(g.src, minlength=n)
-    d_in = np.bincount(g.dst, minlength=n)
-    d_out_plus = np.bincount(g.src[pos], minlength=n)
-    d_in_plus = np.bincount(g.dst[pos], minlength=n)
-    p_in = int(np.minimum(d_in - d_in_plus, d_in_plus).sum())
-    p_out = int(np.minimum(d_out - d_out_plus, d_out_plus).sum())
+    s = degree_stats(g.with_labels(labels))
+    p_in = int(np.minimum(s.d_in_minus, s.d_in_plus).sum())
+    p_out = int(np.minimum(s.d_out_minus, s.d_out_plus).sum())
     return p_in, p_out, min(p_in, p_out)
 
 

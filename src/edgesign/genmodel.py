@@ -8,7 +8,7 @@ sgn(p_i + q_j − 1), with sgn(0) = +1 throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +30,7 @@ class UniformPrior:
     """p and q independent Uniform(0, 1)."""
 
     kind = "uniform"
+    required = ()
 
     def validate(self):
         pass
@@ -51,6 +52,7 @@ class BetaPrior:
     b_q: float
 
     kind = "beta"
+    required = ("a_p", "b_p", "a_q", "b_q")
 
     def validate(self):
         if min(self.a_p, self.b_p, self.a_q, self.b_q) <= 0:
@@ -81,6 +83,7 @@ class TwoPointPrior:
     q_weight: float = None
 
     kind = "two-point"
+    required = ("lo", "hi", "weight")
 
     def __post_init__(self):
         if self.q_lo is None:
@@ -108,21 +111,20 @@ class TwoPointPrior:
                 "q_lo": self.q_lo, "q_hi": self.q_hi, "q_weight": self.q_weight}
 
 
+#: Prior class of each ``kind``. A prior's parameters are its dataclass fields;
+#: those named in its ``required`` must be given, the others may be omitted.
+PRIORS = {cls.kind: cls for cls in (UniformPrior, BetaPrior, TwoPointPrior)}
+
+
 def prior_from_json_dict(d):
     """The prior a JSON object describes; a parameter that is not a number is a DataError."""
     check_keys(d, "prior", ("kind",))
     kind = d["kind"]
-    if kind == "uniform":
-        prior = UniformPrior()
-    elif kind == "beta":
-        check_keys(d, "beta prior", ("a_p", "b_p", "a_q", "b_q"))
-        prior = BetaPrior(d["a_p"], d["b_p"], d["a_q"], d["b_q"])
-    elif kind == "two-point":
-        check_keys(d, "two-point prior", ("lo", "hi", "weight"))
-        prior = TwoPointPrior(d["lo"], d["hi"], d["weight"],
-                              d.get("q_lo"), d.get("q_hi"), d.get("q_weight"))
-    else:
+    if not isinstance(kind, str) or kind not in PRIORS:
         raise DataError(f"unknown prior kind {kind!r}")
+    cls = PRIORS[kind]
+    check_keys(d, f"{kind} prior", cls.required)
+    prior = cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
     for key, value in prior.to_json_dict().items():
         if key != "kind" and not is_number(value):
             raise DataError(f"{kind} prior: {key} must be a number, got {value!r}")
@@ -193,27 +195,19 @@ def bayes_scores(params, src, dst):
     return params.p[np.asarray(src)] + params.q[np.asarray(dst)] - 1.0
 
 
-def bayes_predict(params, edge):
-    """Minimum-error prediction sgn(p_i + q_j − 1) for one edge, sgn(0) = +1."""
-    i, j = edge
-    return int(sign_with_tie(params.p[i] + params.q[j] - 1.0))
+def eq1_rates(g, params):
+    """Eq. (1): the expected positive-label rate over each node's out- and in-edges.
 
-
-def eq1_rates(g, params, node):
-    """Expected positive-label rates over the node's out- and in-edge sets.
-
-    out rate: (p_i + mean of q over out-neighbors)/2; in rate symmetric.
-    A side with zero degree yields None.
+    Returns float arrays ``(out_rate, in_rate)`` of length |V|:
+    out_rate[i] = (p_i + mean of q over i's out-neighbors)/2, the mean of
+    (p_i+q_j)/2 over i's out-edges, and in_rate symmetrically over in-edges.
+    A side with zero degree is NaN.
     """
-    out_ids = g.out_neighbors(node)
-    in_ids = g.in_neighbors(node)
-    out_rate = None
-    in_rate = None
-    if out_ids.size:
-        out_rate = 0.5 * (params.p[node] + params.q[out_ids].mean())
-    if in_ids.size:
-        in_rate = 0.5 * (params.q[node] + params.p[in_ids].mean())
-    return out_rate, in_rate
+    n = g.node_count
+    eta = 0.5 * (params.p[g.src] + params.q[g.dst])
+    with np.errstate(invalid="ignore"):
+        return (np.bincount(g.src, weights=eta, minlength=n) / np.bincount(g.src, minlength=n),
+                np.bincount(g.dst, weights=eta, minlength=n) / np.bincount(g.dst, minlength=n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Signed directed graphs: ingestion, CSR adjacency, degree statistics, splits.
+"""Signed directed graphs: ingestion, degree statistics, splits.
 
 The central type is :class:`SignedDigraph`, an immutable directed graph whose
-edges carry a ±1 label. Node ids are compacted to ``0..n-1`` at ingestion;
-the original identifiers are kept in ``node_ids`` so graphs can be persisted
-and cross-referenced with their source files.
+edges carry a ±1 label. It is nothing but three edge arrays (``src``,
+``dst``, ``labels``); per-node quantities are ``bincount``s over them.
+Node ids are compacted to ``0..n-1`` at ingestion; the original identifiers
+are kept in ``node_ids`` so graphs can be persisted and cross-referenced
+with their source files.
 
 Graph container, version 2 (what :meth:`SignedDigraph.save` writes), is one
 JSON object::
@@ -27,7 +29,6 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -152,26 +153,15 @@ def _read_only(array):
     return array
 
 
-def _indptr(endpoints, n):
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(endpoints, minlength=n), out=indptr[1:])
-    return _read_only(indptr)
-
-
 class SignedDigraph:
-    """Immutable directed graph with ±1 edge labels and in/out CSR indexes.
+    """Immutable directed graph with ±1 edge labels.
 
     Attributes
     ----------
     node_count : int
-    src, dst : int64 arrays of length |E|
-    labels : int8 array of ±1, one per edge
-    out_indptr, out_edges : CSR over edge ids grouped by source node
-    in_indptr, in_edges : CSR over edge ids grouped by destination node
+    src, dst : read-only int64 arrays of length |E|
+    labels : read-only int8 array of ±1, one per edge
     node_ids : list of original node identifiers (index = compact id)
-
-    The CSR indexes are built on first use and cached; all arrays are
-    read-only.
     """
 
     def __init__(self, node_count, src, dst, labels, node_ids=None, validate=True):
@@ -200,22 +190,6 @@ class SignedDigraph:
         if len(self.node_ids) != node_count:
             raise DataError("node_ids length must equal node_count")
 
-    @cached_property
-    def out_indptr(self):
-        return _indptr(self.src, self.node_count)
-
-    @cached_property
-    def out_edges(self):
-        return _read_only(np.argsort(self.src, kind="stable").astype(np.int64, copy=False))
-
-    @cached_property
-    def in_indptr(self):
-        return _indptr(self.dst, self.node_count)
-
-    @cached_property
-    def in_edges(self):
-        return _read_only(np.argsort(self.dst, kind="stable").astype(np.int64, copy=False))
-
     @property
     def edge_count(self):
         return self.src.size
@@ -225,18 +199,6 @@ class SignedDigraph:
         if self.edge_count == 0:
             return float("nan")
         return float(np.count_nonzero(self.labels == 1) / self.edge_count)
-
-    def out_edge_ids(self, i):
-        return self.out_edges[self.out_indptr[i]:self.out_indptr[i + 1]]
-
-    def in_edge_ids(self, i):
-        return self.in_edges[self.in_indptr[i]:self.in_indptr[i + 1]]
-
-    def out_neighbors(self, i):
-        return self.dst[self.out_edge_ids(i)]
-
-    def in_neighbors(self, i):
-        return self.src[self.in_edge_ids(i)]
 
     def with_labels(self, labels):
         """Same topology, different labeling."""

@@ -2,17 +2,18 @@
 
 Everything here deliberately avoids the solver code paths under test:
 brute-force enumeration, dense grids, finite differences, plain projected
-gradient descent, scipy's bounded-variable least squares, and exact-rational
-dynamic programming.
+gradient descent, scipy's bounded-variable least squares, exact-rational
+dynamic programming, and the paper's edge-to-node graph transforms.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from edgesign.batch import lp_gradient, lp_objective
-from edgesign.errors import EdgeListParseError
+from edgesign.errors import DataError, EdgeListParseError
 
 
 def load_edge_list_reference(text, delimiter=None):
@@ -132,6 +133,79 @@ def quadratic_training_grad(p, q, g, split):
     n = g.node_count
     return (np.bincount(src, weights=half, minlength=n),
             np.bincount(dst, weights=half, minlength=n))
+
+
+@dataclass
+class EdgeNodeTransform:
+    """The edge-to-node transform G' (``w`` None) or its weighted variant G''.
+
+    Each original node i becomes two circle copies (i_in, i_out) and each
+    directed edge (i, j) a square node carrying the edge's label. G' connects
+    i_out — square — j_in; G'' gives those two path edges weight +2 and adds
+    the shortcut i_out — j_in at weight −1. Node order is [all i_in][all
+    i_out][all squares in edge order].
+    """
+
+    original_node_count: int
+    original_edge_count: int
+    u: np.ndarray
+    v: np.ndarray
+    square_labels: np.ndarray
+    w: np.ndarray = None
+
+    @property
+    def node_count(self):
+        return 2 * self.original_node_count + self.original_edge_count
+
+    @property
+    def edge_count(self):
+        return self.u.size
+
+    def in_copy(self, i):
+        return i
+
+    def out_copy(self, i):
+        return self.original_node_count + i
+
+    def square(self, k):
+        return 2 * self.original_node_count + k
+
+
+def _path_edges(g):
+    n, m = g.node_count, g.edge_count
+    squares = 2 * n + np.arange(m, dtype=np.int64)
+    u = np.concatenate([n + g.src, squares])        # (i_out, e) then (e, j_in)
+    v = np.concatenate([squares, g.dst])
+    return u, v
+
+
+def to_gprime(g):
+    """G': 2|V|+|E| nodes, 2|E| edges; square node k carries the label of edge k."""
+    u, v = _path_edges(g)
+    return EdgeNodeTransform(g.node_count, g.edge_count, u, v, g.labels.copy())
+
+
+def to_gsecond(g):
+    """G'': the 2|E| path edges at +2 plus |E| shortcuts at −1; its +2 part is G'."""
+    n, m = g.node_count, g.edge_count
+    pu, pv = _path_edges(g)
+    u = np.concatenate([pu, n + g.src])
+    v = np.concatenate([pv, g.dst])
+    w = np.concatenate([np.full(2 * m, 2.0), np.full(m, -1.0)])
+    return EdgeNodeTransform(n, m, u, v, g.labels.copy(), w)
+
+
+def cutsize(gp, node_labels):
+    """Number of transform edges whose endpoint labels disagree.
+
+    Requires every node (circles included) to carry a ±1 label.
+    """
+    labels = np.asarray(node_labels)
+    if labels.shape != (gp.node_count,):
+        raise DataError(f"need one label per node ({gp.node_count}), got {labels.size}")
+    if not np.all(np.abs(labels) == 1):
+        raise DataError("node labels must be +1 or -1")
+    return int(np.count_nonzero(labels[gp.u] != labels[gp.v]))
 
 
 def grid_axes(bounds, step):

@@ -147,7 +147,7 @@ class TestLogReg:
         model = logreg_fit(g, split, tol=1e-10)
         # recompute the mean-likelihood gradient at the returned weights
         from edgesign.features import troll_trust
-        tt = troll_trust(g, split.training_mask, default=0.5)
+        tt = troll_trust(g, split.training_mask)
         train = split.training_indices()
         X = np.column_stack([np.ones(train.size),
                              1.0 - tt.tr[g.src[train]],

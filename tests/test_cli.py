@@ -10,7 +10,8 @@ from edgesign.batch import (METHODS, Prediction, UnregModel, UnregOptions, blc_f
                             blc_predict_split, load_model, save_model, unreg_predict,
                             unreg_solve)
 from edgesign.errors import DataError
-from edgesign.genmodel import GenParams, TwoPointPrior, make_synthetic, prior_from_json_dict
+from edgesign.genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior, make_synthetic,
+                               prior_from_json_dict)
 from edgesign.graph import SignedDigraph, read_json, sample_split, write_edge_list
 from edgesign.online import OnlineState
 from edgesign.metrics import confusion, mcc
@@ -265,6 +266,38 @@ def test_damaged_parameter_state_and_spec_files_are_data_errors(tmp_path, payloa
         reader(path)
     if reader is sweep_spec:
         assert run_cli("sweep", path, "-o", tmp_path / "rep.json") == cli.EXIT_DATA
+
+
+def run_synth(tmp_path, kind, *values):
+    return run_cli("synth", "--nodes", 20, "--degree", 3, "--prior", kind, "--prior-params",
+                   *values, "--seed", 1, "-o", tmp_path / "g.json",
+                   "--params-out", tmp_path / "params.json")
+
+
+@pytest.mark.parametrize("kind, values, prior", [
+    ("uniform", (), UniformPrior()),
+    ("beta", (1, 2, 3, 4), BetaPrior(1.0, 2.0, 3.0, 4.0)),
+    ("two-point", (0.1, 0.9, 0.3), TwoPointPrior(0.1, 0.9, 0.3)),
+    ("two-point", (0.1, 0.9, 0.3, 0.2, 0.6, 0.7), TwoPointPrior(0.1, 0.9, 0.3, 0.2, 0.6, 0.7)),
+])
+def test_synth_prior_params_fill_the_priors_fields_in_order(tmp_path, kind, values, prior):
+    assert run_synth(tmp_path, kind, *values) == 0
+    assert GenParams.load(tmp_path / "params.json").prior == prior
+
+
+@pytest.mark.parametrize("kind, values, code", [
+    ("beta", (1, 2), cli.EXIT_DATA),
+    ("beta", (1, 2, 3, 4, 5), cli.EXIT_DATA),
+    ("uniform", (0.3,), cli.EXIT_DATA),
+    ("two-point", (0.1, 0.9), cli.EXIT_DATA),
+    ("two-point", (0.1, 0.9, 0.5, 0.2), cli.EXIT_DATA),
+    ("beta", (-1, 2, 3, 4), cli.EXIT_ARGUMENT),
+    ("two-point", (0.9, 0.1, 0.5), cli.EXIT_ARGUMENT),
+])
+def test_synth_rejects_bad_prior_params(tmp_path, capsys, kind, values, code):
+    assert run_synth(tmp_path, kind, *values) == code
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "g.json").exists()
 
 
 # ids with separators, quotes, spaces and non-ASCII characters

@@ -5,6 +5,7 @@ from edgesign.batch import unreg_objective
 from edgesign.errors import ConvergenceError
 from edgesign.features import (minimize_edge_quadratic, psi2, psi_g, regularity_report,
                                troll_trust)
+from edgesign.genmodel import TwoPointPrior, UniformPrior, eq1_rates, make_synthetic, sample_labels
 from edgesign.graph import SignedDigraph, load_edge_list
 
 from conftest import make_split, random_graph
@@ -31,13 +32,30 @@ class TestTrollTrust:
         tt = troll_trust(g)
         assert np.all(tt.tr[tt.tr_defined] == 0.0)
 
-    def test_custom_default(self, hand_graph):
-        tt = troll_trust(hand_graph, default=0.25)
-        assert tt.un[0] == 0.25
+    @pytest.mark.parametrize("prior", [UniformPrior(), TwoPointPrior(0.1, 0.9)],
+                             ids=["uniform", "two-point"])
+    def test_expected_trust_is_the_eq1_rate_of_every_node(self, prior):
+        # E[1 - tr(i)] is the out rate of Eq. (1) and E[1 - un(j)] the in rate:
+        # each is a mean of d independent +1 indicators with rates eta_e
+        g, params = make_synthetic(200, prior, 8, seed=11)
+        rounds = 400
+        trust = np.zeros(g.node_count)
+        trusted = np.zeros(g.node_count)
+        for seed in range(rounds):
+            tt = troll_trust(g.with_labels(sample_labels(g, params, seed=seed)))
+            trust += 1.0 - tt.tr
+            trusted += 1.0 - tt.un
+        eta = 0.5 * (params.p[g.src] + params.q[g.dst])
+        n = g.node_count
+        for ends, mean, rate in ((g.src, trust / rounds, eq1_rates(g, params)[0]),
+                                 (g.dst, trusted / rounds, eq1_rates(g, params)[1])):
+            d = np.bincount(ends, minlength=n)
+            seen = d > 0
+            assert np.array_equal(seen, ~np.isnan(rate))
+            var = np.bincount(ends, weights=eta * (1.0 - eta), minlength=n)[seen] / (
+                d[seen] ** 2 * rounds)
+            assert np.all(np.abs(mean[seen] - rate[seen]) <= 5.0 * np.sqrt(var))
 
-    def test_default_range_checked(self, hand_graph):
-        with pytest.raises(ValueError):
-            troll_trust(hand_graph, default=1.5)
 
 
 class TestPsiG:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edgesign.genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior,
-                               bayes_predict, bayes_scores, eq1_rates, make_synthetic,
+                               bayes_scores, eq1_rates, make_synthetic,
                                sample_labels, sample_params, sample_topology,
                                sign_with_tie)
 from edgesign.graph import SignedDigraph
@@ -76,13 +76,14 @@ class TestSampleLabels:
         g = random_graph(12, 60, seed=3)
         params = sample_params(12, UniformPrior(), seed=4)
         node = int(g.src[0])
-        d = g.out_neighbors(node).size
+        outs = np.flatnonzero(g.src == node)
+        d = outs.size
         rounds = 3000
         hits = 0
         for seed in range(rounds):
             labels = sample_labels(g, params, seed=seed)
-            hits += np.count_nonzero(labels[g.out_edge_ids(node)] == 1)
-        out_rate, _ = eq1_rates(g, params, node)
+            hits += np.count_nonzero(labels[outs] == 1)
+        out_rate = eq1_rates(g, params)[0][node]
         sigma = np.sqrt(out_rate * (1 - out_rate) / (rounds * d))
         assert abs(hits / (rounds * d) - out_rate) <= max(3 * sigma, 1e-3)
 
@@ -90,12 +91,12 @@ class TestSampleLabels:
 class TestBayesPredict:
     def test_simple_values(self):
         params = GenParams(np.array([0.9, 0.2]), np.array([0.3, 0.2]), None, 0)
-        assert bayes_predict(params, (0, 0)) == 1      # eta = 0.6
-        assert bayes_predict(params, (1, 1)) == -1     # eta = 0.2
+        assert np.array_equal(sign_with_tie(bayes_scores(params, [0, 1], [0, 1])),
+                              [1, -1])  # eta = 0.6, 0.2
 
     def test_tie_rule(self):
         params = GenParams(np.array([0.4]), np.array([0.6]), None, 0)
-        assert bayes_predict(params, (0, 0)) == 1
+        assert sign_with_tie(bayes_scores(params, [0], [0])).tolist() == [1]
 
     def test_monotone_reparameterization_keeps_sign(self):
         rng = np.random.default_rng(5)
@@ -133,33 +134,39 @@ class TestEq1Rates:
     def test_single_neighbor(self):
         g = SignedDigraph(2, [0], [1], [1])
         params = GenParams(np.array([0.4, 0.0]), np.array([0.0, 0.8]), None, 0)
-        out_rate, in_rate = eq1_rates(g, params, 0)
-        assert abs(out_rate - 0.6) < 1e-15
-        assert in_rate is None
+        out_rate, in_rate = eq1_rates(g, params)
+        assert abs(out_rate[0] - 0.6) < 1e-15
+        assert np.isnan(in_rate[0])
 
     def test_constant_params(self):
         g = random_graph(10, 40, seed=8)
         params = GenParams(np.full(10, 0.3), np.full(10, 0.3), None, 0)
+        out_rates, in_rates = eq1_rates(g, params)
         for node in range(10):
-            out_rate, in_rate = eq1_rates(g, params, node)
-            if out_rate is not None:
+            out_rate, in_rate = out_rates[node], in_rates[node]
+            if not np.isnan(out_rate):
                 assert abs(out_rate - 0.3) < 1e-15
-            if in_rate is not None:
+            if not np.isnan(in_rate):
                 assert abs(in_rate - 0.3) < 1e-15
 
     def test_matches_brute_force_average(self):
         g = random_graph(9, 30, seed=9)
         params = sample_params(9, UniformPrior(), seed=10)
+        out_rates, in_rates = eq1_rates(g, params)
         for node in range(9):
-            out_rate, in_rate = eq1_rates(g, params, node)
-            outs = g.out_edge_ids(node)
+            out_rate, in_rate = out_rates[node], in_rates[node]
+            outs = np.flatnonzero(g.src == node)
             if outs.size:
                 probs = 0.5 * (params.p[g.src[outs]] + params.q[g.dst[outs]])
                 assert abs(out_rate - probs.mean()) < 1e-12
-            ins = g.in_edge_ids(node)
+            else:
+                assert np.isnan(out_rate)
+            ins = np.flatnonzero(g.dst == node)
             if ins.size:
                 probs = 0.5 * (params.p[g.src[ins]] + params.q[g.dst[ins]])
                 assert abs(in_rate - probs.mean()) < 1e-12
+            else:
+                assert np.isnan(in_rate)
 
 
 class TestTopology:

@@ -246,27 +246,12 @@ class TestSignedDigraph:
         with pytest.raises(DataError):
             SignedDigraph(2, [0], [0], [1])
 
-    def test_adjacency_enumerates_every_edge_once(self):
-        g = random_graph(30, 120, seed=5)
-        seen = np.concatenate([g.out_edge_ids(i) for i in range(g.node_count)])
-        assert sorted(seen.tolist()) == list(range(g.edge_count))
-        seen_in = np.concatenate([g.in_edge_ids(i) for i in range(g.node_count)])
-        assert sorted(seen_in.tolist()) == list(range(g.edge_count))
-
     def test_immutable(self, hand_graph):
         with pytest.raises(ValueError):
             hand_graph.labels[0] = -1
-        for name in ("src", "dst", "out_indptr", "out_edges", "in_indptr", "in_edges"):
+        for name in ("src", "dst"):
             with pytest.raises(ValueError):
                 getattr(hand_graph, name)[0] = 1
-
-    def test_csr_built_on_first_use(self):
-        g = random_graph(30, 120, seed=5)
-        assert "out_edges" not in vars(g) and "in_indptr" not in vars(g)
-        assert g.out_edges is g.out_edges
-        order = np.argsort(g.dst, kind="stable")
-        assert np.array_equal(g.in_edges, order)
-        assert np.array_equal(np.diff(g.in_indptr), np.bincount(g.dst, minlength=30))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sorted_unique_matches_np_unique(self, seed):

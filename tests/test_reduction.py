@@ -4,9 +4,9 @@ import pytest
 from edgesign.batch import lp_objective
 from edgesign.errors import DataError
 from edgesign.graph import load_edge_list, sample_split
-from edgesign.reduction import cutsize, to_gprime, to_gsecond
 
 from conftest import random_graph
+from oracles import cutsize, to_gprime, to_gsecond
 
 
 class TestToGPrime:
