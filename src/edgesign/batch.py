@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -79,28 +80,53 @@ class Prediction:
     method: str
 
     def to_csv(self, path_or_file, node_ids=None):
-        """Write `src,dst,score,label` rows (full-precision scores).
+        """Write `src,dst,score,label` rows.
 
         Endpoints are written as ``node_ids`` entries when given, else as
         compact ids. An id holding a comma, a double quote or a line break is
         quoted as in RFC 4180, so the ``csv`` module reads it back intact.
+        A score is written as its shortest round-trip ``repr``, so it reads
+        back as the same float64.
+
+        The file is built column by column. blc and logreg scores are
+        functions of two per-node rates, so they take few distinct values;
+        ``repr`` runs once per distinct float64 bit pattern (which keeps
+        ``-0.0`` apart from ``0.0``), and every row is index lookups and one
+        join.
         """
         if node_ids is None:
-            src, dst = self.src.tolist(), self.dst.tolist()
-        else:
-            names = list(map(_csv_field, map(str, node_ids)))
-            src = list(map(names.__getitem__, self.src.tolist()))
-            dst = list(map(names.__getitem__, self.dst.tolist()))
-        rows = [f"{u},{v},{s!r},{y}\n" for u, v, s, y in
-                zip(src, dst, self.scores.tolist(), self.labels.tolist())]
+            node_ids = range(max(self.src.max(initial=-1), self.dst.max(initial=-1)) + 1)
+        names = list(map(_csv_field, map(str, node_ids)))
+        scores = np.ascontiguousarray(self.scores, dtype=np.float64)
+        columns = (list(map(names.__getitem__, self.src.tolist())),
+                   list(map(names.__getitem__, self.dst.tolist())),
+                   _text_column(scores, scores.view(np.int64), repr),
+                   _text_column(self.labels, self.labels, str))
+        rows = map(",".join, zip(*columns))
+        text = "\n".join(chain(("src,dst,score,label",), rows, ("",)))
         own = not hasattr(path_or_file, "write")
         f = open(path_or_file, "w", encoding="utf-8", newline="") if own else path_or_file
         try:
-            f.write("src,dst,score,label\n")
-            f.write("".join(rows))
+            f.write(text)
         finally:
             if own:
                 f.close()
+
+
+def _text_column(values, keys, fmt):
+    """``fmt(x)`` for each ``x`` of ``values.tolist()``, called once per distinct key.
+
+    Rows with equal ``keys`` (an integer array) share one text; the keys are
+    grouped by a sort and an adjacent-difference mask.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(keys.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    texts = list(map(fmt, values[order[first]].tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')

@@ -114,18 +114,21 @@ def cmd_predict(args):
 def _read_predictions(path):
     """(src ids, dst ids, labels) columns of a ``src,dst,score,label`` file."""
     src, dst, tokens = [], [], []
+    add_src, add_dst, add_token = src.append, dst.append, tokens.append
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         try:
             if next(reader, None) != ["src", "dst", "score", "label"]:
                 raise DataError("prediction file lacks the src,dst,score,label header")
             for row in reader:
-                if len(row) != 4:
+                try:
+                    u, v, _, token = row
+                except ValueError:
                     raise DataError(f"prediction file line {reader.line_num}: "
-                                    f"expected 4 fields, got {len(row)}")
-                src.append(row[0])
-                dst.append(row[1])
-                tokens.append(row[3])
+                                    f"expected 4 fields, got {len(row)}") from None
+                add_src(u)
+                add_dst(v)
+                add_token(token)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise DataError(f"prediction file is not CSV text ({exc})") from exc
     labels = np.fromiter(map(SIGN_TOKENS.get, tokens, repeat(0)), np.int8, len(tokens))

@@ -381,14 +381,25 @@ def load_graph(path):
 
 
 def write_edge_list(g, path_or_file):
-    """Serialize back to the tab-separated edge-list text format."""
+    """Write ``src<TAB>dst<TAB>sign`` lines, one per edge, in edge order.
+
+    The file reads back with ``load_edge_list(path, delimiter="\\t")``. A
+    node id that reader cannot return intact raises :class:`DataError`: an
+    empty id, one starting with ``#``, one holding a tab or any character
+    ``str.splitlines`` breaks on, and one with whitespace at either end.
+    """
+    names = list(map(str, g.node_ids))
+    for name in names:
+        if (name.splitlines() != [name] or name != name.strip()
+                or name.startswith("#") or "\t" in name):
+            raise DataError(f"node id {name!r} cannot be written to a tab-separated edge list")
+    rows = map("\t".join, zip(map(names.__getitem__, g.src.tolist()),
+                               map(names.__getitem__, g.dst.tolist()),
+                               map(("-1", "1").__getitem__, (g.labels > 0).tolist())))
     own = not hasattr(path_or_file, "write")
     f = open(path_or_file, "w", encoding="utf-8") if own else path_or_file
     try:
-        for k in range(g.edge_count):
-            u = g.node_ids[g.src[k]]
-            v = g.node_ids[g.dst[k]]
-            f.write(f"{u}\t{v}\t{int(g.labels[k])}\n")
+        f.write("\n".join(chain(rows, ("",))))
     finally:
         if own:
             f.close()

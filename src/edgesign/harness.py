@@ -51,6 +51,13 @@ class ExperimentSpec:
     include_psi2: bool = True
 
     def validate(self):
+        for name in ("methods", "fractions"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"repeated {name}: {repeated}")
         for f in self.fractions:
             if not 0.0 < f < 1.0:
                 raise ValueError(f"fractions must lie strictly in (0,1), got {f}")

@@ -1,9 +1,10 @@
 """Independent oracles used by the tests.
 
 Everything here deliberately avoids the solver code paths under test:
-brute-force enumeration, dense grids, finite differences, plain projected
-gradient descent, scipy's bounded-variable least squares, exact-rational
-dynamic programming, and the paper's edge-to-node graph transforms.
+record-by-record readers and writers, brute-force enumeration, dense
+grids, finite differences, plain projected gradient descent, scipy's
+bounded-variable least squares, exact-rational dynamic programming, and
+the paper's edge-to-node graph transforms.
 """
 
 import math
@@ -59,6 +60,28 @@ def load_edge_list_reference(text, delimiter=None):
             conflicts += 1
     edges = [(u, v, pair_sign[(u, v)]) for u, v in order if pair_sign[(u, v)] is not None]
     return list(ids), edges, (self_loops, duplicates, conflicts)
+
+
+def prediction_csv_reference(pred, node_ids=None):
+    """The text ``Prediction.to_csv`` writes, built one f-string per row.
+
+    Each score is its own ``repr``; an id holding a comma, a double quote,
+    a carriage return or a line feed is quoted as in RFC 4180.
+    """
+    def field(token):
+        if any(c in token for c in ',"\r\n'):
+            return '"' + token.replace('"', '""') + '"'
+        return token
+
+    if node_ids is None:
+        src, dst = pred.src.tolist(), pred.dst.tolist()
+    else:
+        names = [field(str(t)) for t in node_ids]
+        src = [names[k] for k in pred.src.tolist()]
+        dst = [names[k] for k in pred.dst.tolist()]
+    rows = [f"{u},{v},{s!r},{y}\n" for u, v, s, y in
+            zip(src, dst, pred.scores.tolist(), pred.labels.tolist())]
+    return "src,dst,score,label\n" + "".join(rows)
 
 
 def brute_force_threshold_mistakes(scores, labels):

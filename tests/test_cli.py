@@ -1,7 +1,11 @@
 import csv
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -16,6 +20,8 @@ from edgesign.graph import SignedDigraph, read_json, sample_split, write_edge_li
 from edgesign.online import OnlineState
 from edgesign.metrics import confusion, mcc
 from edgesign.online import adversary_generate, run_online
+
+from oracles import prediction_csv_reference
 
 
 @pytest.fixture
@@ -229,6 +235,17 @@ def test_the_undamaged_tiny_sweep_spec_runs(tmp_path):
     assert run_cli("sweep", path, "-o", tmp_path / "rep.json") == 0
 
 
+@pytest.mark.parametrize("change", [{"methods": ["blc", "blc"]}, {"methods": []},
+                                    {"fractions": [0.5, 0.5]}, {"fractions": []}],
+                         ids=["repeated-method", "no-method", "repeated-fraction", "no-fraction"])
+def test_sweep_with_repeated_or_empty_lists_is_an_argument_error(tmp_path, capsys, change):
+    path, report = tmp_path / "spec.json", tmp_path / "rep.json"
+    path.write_text(json.dumps({**TINY_SWEEP, **change}))
+    assert run_cli("sweep", path, "-o", report) == cli.EXIT_ARGUMENT
+    assert capsys.readouterr().err.startswith("error:")
+    assert not report.exists()
+
+
 def sweep_spec(path):
     return cli.cmd_sweep(cli.build_parser().parse_args(["sweep", str(path), "-o", "unused"]))
 
@@ -302,6 +319,7 @@ def test_synth_rejects_bad_prior_params(tmp_path, capsys, kind, values, code):
 
 # ids with separators, quotes, spaces and non-ASCII characters
 ODD_IDS = ["a,b", 'q"x', '"', ",", "ü", "日本", "x y", "plain", '""', "'s"]
+ID_CHARACTERS = sorted(set("".join(ODD_IDS)) | set("\r\n\t#"))
 
 
 @pytest.fixture
@@ -314,6 +332,25 @@ def odd_graph_path(tmp_path):
     path = tmp_path / "odd.json"
     assert run_cli("ingest", edges, path, "--delimiter", "\t") == 0
     return path
+
+
+# repeated scores, both zeros, subnormals, infinities and extremes
+SCORE_POOL = [0.0, -0.0, 0.1, -2.5e-07, 1 / 3, 0.5, -0.75, 5e-324, -2.5e-320, math.inf,
+              -math.inf, 1e300, -1e300, math.nan]
+
+
+@st.composite
+def predictions(draw):
+    """A Prediction over at most 20 nodes, with odd ids or none."""
+    node_ids = draw(st.none() | st.lists(st.text(st.sampled_from(ID_CHARACTERS), max_size=4),
+                                         min_size=20, max_size=20))
+    m = draw(st.integers(0, 30))
+    ends = st.lists(st.integers(0, 19), min_size=m, max_size=m)
+    src, dst = np.array(draw(ends), dtype=np.int64), np.array(draw(ends), dtype=np.int64)
+    scores = np.array(draw(st.lists(st.sampled_from(SCORE_POOL), min_size=m, max_size=m)))
+    labels = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m)),
+                      dtype=np.int8)
+    return Prediction(np.arange(m), src, dst, scores, labels, 0.0, "blc"), node_ids
 
 
 class TestPredictionFiles:
@@ -343,6 +380,23 @@ class TestPredictionFiles:
         assert path.read_bytes() == b"src,dst,score,label\nn0,n1,0.1,1\nn1,n0,-2.5e-07,-1\n"
         pred.to_csv(path)
         assert path.read_bytes() == b"src,dst,score,label\n0,1,0.1,1\n1,0,-2.5e-07,-1\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(predictions())
+    def test_writer_matches_the_per_row_reference_and_reads_back(self, tmp_path_factory, case):
+        pred, node_ids = case
+        path = tmp_path_factory.mktemp("pred") / "p.csv"
+        pred.to_csv(path, node_ids=node_ids)
+        expected = prediction_csv_reference(pred, node_ids).encode("utf-8")
+        assert path.read_bytes() == expected
+        names = [str(k) for k in range(20)] if node_ids is None else node_ids
+        src, dst, labels = cli._read_predictions(path)
+        assert src == [names[k] for k in pred.src.tolist()]
+        assert dst == [names[k] for k in pred.dst.tolist()]
+        assert labels.tolist() == pred.labels.tolist()
+        buffer = io.StringIO(newline="")
+        pred.to_csv(buffer, node_ids=node_ids)
+        assert buffer.getvalue().encode("utf-8") == expected
 
     def test_malformed_prediction_files_are_data_errors(self, graph_path, tmp_path, capsys):
         common = ["--fraction", "0.3", "--seed", "1"]

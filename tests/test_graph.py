@@ -54,6 +54,15 @@ def edge_list_texts(draw):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), delimiter
 
 
+def graph_over(ids):
+    """A graph on ``ids`` whose edges name the nodes in index order (a path
+    plus a closing edge), so an edge-list reader interns them in that order."""
+    n = len(ids)
+    edges = [(k, k + 1) for k in range(n - 1)] + ([(n - 1, 0)] if n > 2 else [])
+    src, dst = np.array(edges).T
+    return SignedDigraph(n, src, dst, [(-1) ** k for k in range(len(edges))], node_ids=ids)
+
+
 class TestLoadEdgeList:
     def test_merge_and_self_loop(self):
         g = load_edge_list("a\tb\t+1\na\tb\t+1\na\ta\t-1\n")
@@ -93,6 +102,31 @@ class TestLoadEdgeList:
         write_edge_list(hand_graph, path)
         again = load_edge_list(path)
         assert again == hand_graph
+
+    def test_odd_legal_ids_round_trip_through_a_tab_separated_file(self, tmp_path):
+        g = graph_over(["a,b", 'q"x', '"', "x y", "ü", "日本", "a#", "'s", "-1", "é\u00a0é"])
+        path = tmp_path / "g.tsv"
+        write_edge_list(g, path)
+        assert load_edge_list(path, delimiter="\t") == g
+
+    @pytest.mark.parametrize("bad", ["", "#a", "a\tb", "a\nb", "a\rb", "a\x0bb", "a\x85b",
+                                     "a\u2028b", " a", "a ", "a\u00a0", "\u3000a"])
+    def test_ids_the_reader_would_change_are_refused(self, tmp_path, bad):
+        path = tmp_path / "g.tsv"
+        with pytest.raises(DataError, match="cannot be written"):
+            write_edge_list(graph_over(["b", bad, "c"]), path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(st.sampled_from(["a", "#", " ", "\t", "\n", "\x85", "ü", ",", '"',
+                                             "\u00a0"]), max_size=3),
+                    min_size=2, max_size=6, unique=True))
+    def test_written_edge_lists_read_back_or_are_refused(self, ids):
+        g, out = graph_over(ids), io.StringIO()
+        try:
+            write_edge_list(g, out)
+        except DataError:
+            return
+        assert load_edge_list(io.StringIO(out.getvalue()), delimiter="\t") == g
 
     @settings(max_examples=300, deadline=None)
     @given(edge_list_texts())

@@ -42,6 +42,23 @@ def test_paired_t_test_rejects_short_or_unequal_vectors(a, b):
         paired_t_test(a, b)
 
 
+@pytest.mark.parametrize("methods, fractions, message", [
+    (("blc", "blc"), (0.5,), "repeated methods"),
+    (("blc", "lprop", "blc"), (0.1, 0.5), "repeated methods"),
+    (("blc",), (0.5, 0.5), "repeated fractions"),
+    ((), (0.5,), "methods must not be empty"),
+    (("blc",), (), "fractions must not be empty"),
+    ((), (), "methods must not be empty"),
+])
+def test_spec_rejects_repeated_or_empty_methods_and_fractions(methods, fractions, message):
+    spec = ExperimentSpec(source=SyntheticSpec(20, TwoPointPrior(0.1, 0.9), seed=5),
+                          methods=methods, fractions=fractions, repetitions=1)
+    with pytest.raises(ValueError, match=message):
+        spec.validate()
+    with pytest.raises(ValueError, match=message):
+        run_experiment(spec)
+
+
 def test_sweep_cells_are_the_method_tables_predictions():
     spec = ExperimentSpec(source=SyntheticSpec(300, TwoPointPrior(0.1, 0.9), seed=5),
                           methods=(*METHODS, "bayes-oracle"), fractions=(0.1, 0.3),
