@@ -3,8 +3,9 @@
 :data:`METHODS` is the method table: name → model class. A class has a
 classmethod ``fit(g, split, tol, max_iter)`` returning the fitted model, an
 edge ``score(src, dst)``, a ``threshold`` fixed at fit time,
-``predict_split(g, split)`` and a JSON form tagged ``FORMAT``. Every model
-predicts a test edge as sgn(score − threshold), with sgn(0) = +1.
+``predict_split(g, split)`` and a JSON container tagged ``FORMAT``, which
+:class:`_FittedModel` writes and reads from the class's dataclass fields.
+Every model predicts a test edge as sgn(score − threshold), with sgn(0) = +1.
 
 * ``blc`` — sgn((1−tr̂(i)) + (1−ûn(j)) − 1/2 − τ̂), τ̂ the training positive
   rate; the threshold is 0.
@@ -23,7 +24,7 @@ bound the lprop and unreg solvers; blc and logreg ignore them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import ConvergenceError, DataError, DegenerateFitError
 from .features import box_fit_edges, troll_trust
 from .genmodel import sign_with_tie
-from .graph import check_container, read_json, write_json
+from .graph import _node_arrays, check_container, is_number, read_json, write_json
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +140,33 @@ def _csv_field(token):
     return '"' + token.replace('"', '""') + '"'
 
 
-def _node_arrays(d, keys):
-    """The container's per-node arrays as float64, checked to be 1-D and of one length."""
-    try:
-        arrays = [np.asarray(d[k], dtype=np.float64) for k in keys]
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{d['format']} container: per-node arrays must be number lists") from exc
-    if any(a.ndim != 1 or a.size != arrays[0].size for a in arrays):
-        raise DataError(f"{d['format']} container: per-node arrays differ in length")
-    return arrays
+class _FittedModel:
+    """A model dataclass's container: ``{"format": FORMAT, "version": 1}``, then its fields.
+
+    A field annotated ``np.ndarray`` is a per-node array (read with
+    :func:`graph._node_arrays`), any other a number (:func:`graph.is_number`).
+    Keys no field names, such as the ``y_soft`` of older unreg files, are ignored.
+    """
+
+    node_count = property(lambda self: next(
+        v.size for v in vars(self).values() if isinstance(v, np.ndarray)))
+
+    def to_json_dict(self):
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {"format": self.FORMAT, "version": 1,
+                **{k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values}}
+
+    @classmethod
+    def from_json_dict(cls, d):
+        check_container(d, cls.FORMAT, keys=[f.name for f in fields(cls)])
+        # annotations are strings here (``from __future__ import annotations``)
+        arrays = [f.name for f in fields(cls) if f.type == "np.ndarray"]
+        numbers = [f.name for f in fields(cls) if f.name not in arrays]
+        for name in numbers:
+            if not is_number(d[name]):
+                raise DataError(f"{cls.FORMAT} container: {name} must be a number, got {d[name]!r}")
+        return cls(**dict(zip(arrays, _node_arrays(d, arrays))),
+                   **{name: float(d[name]) for name in numbers})
 
 
 def _predict(model, g, split):
@@ -168,18 +187,15 @@ def _predict(model, g, split):
 
 
 @dataclass
-class BlcModel:
+class BlcModel(_FittedModel):
     """Training-set trollness/trustworthiness plus the positive-rate offset."""
 
     method = "blc"
     FORMAT = "edgesign-blc"
     threshold = 0.0
-    node_count = property(lambda self: self.tr.size)
 
     tr: np.ndarray
     un: np.ndarray
-    tr_defined: np.ndarray
-    un_defined: np.ndarray
     tau: float
 
     @classmethod
@@ -192,22 +208,6 @@ class BlcModel:
     def predict_split(self, g, split):
         return blc_predict_split(self, g, split)
 
-    def to_json_dict(self):
-        return {
-            "format": self.FORMAT, "version": 1,
-            "tr": self.tr.tolist(), "un": self.un.tolist(),
-            "tr_defined": self.tr_defined.astype(int).tolist(),
-            "un_defined": self.un_defined.astype(int).tolist(),
-            "tau": self.tau,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        check_container(d, cls.FORMAT, keys=("tr", "un", "tr_defined", "un_defined", "tau"))
-        tr, un, tr_defined, un_defined = _node_arrays(
-            d, ("tr", "un", "tr_defined", "un_defined"))
-        return cls(tr, un, tr_defined != 0, un_defined != 0, float(d["tau"]))
-
 
 def blc_fit(g, split):
     """Estimate tr̂, ûn on the training edges (1/2 where unseen) and
@@ -217,8 +217,7 @@ def blc_fit(g, split):
         raise DegenerateFitError("cannot fit on an empty training set")
     tt = troll_trust(g, split.training_mask)
     tau = float(np.count_nonzero(g.labels[train] == 1) / train.size)
-    return BlcModel(tr=tt.tr, un=tt.un, tr_defined=tt.tr_defined,
-                    un_defined=tt.un_defined, tau=tau)
+    return BlcModel(tr=tt.tr, un=tt.un, tau=tau)
 
 
 def blc_predict_split(model, g, split):
@@ -231,27 +230,21 @@ def blc_predict_split(model, g, split):
 
 
 @dataclass
-class LogRegModel:
+class LogRegModel(_FittedModel):
     """Bias + weights on (1−tr̂(i), 1−ûn(j)), with a tuned binarization threshold."""
 
     method = "logreg"
     FORMAT = "edgesign-logreg"
-    node_count = property(lambda self: self.tr.size)
 
     w0: float
     w1: float
     w2: float
     threshold: float
-    tr: np.ndarray = field(repr=False, default=None)
-    un: np.ndarray = field(repr=False, default=None)
+    tr: np.ndarray = field(repr=False)
+    un: np.ndarray = field(repr=False)
 
-    @property
-    def w2_prime(self):
-        return self.w2 / self.w1
-
-    @property
-    def tau_prime(self):
-        return -(0.5 + self.w0 / self.w1)
+    w2_prime = property(lambda self: self.w2 / self.w1)
+    tau_prime = property(lambda self: -(0.5 + self.w0 / self.w1))
 
     @classmethod
     def fit(cls, g, split, tol=None, max_iter=None):
@@ -262,21 +255,6 @@ class LogRegModel:
 
     def predict_split(self, g, split):
         return logreg_predict_split(self, g, split)
-
-    def to_json_dict(self):
-        return {
-            "format": self.FORMAT, "version": 1,
-            "w0": self.w0, "w1": self.w1, "w2": self.w2,
-            "threshold": self.threshold,
-            "tr": self.tr.tolist(), "un": self.un.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        check_container(d, cls.FORMAT, keys=("w0", "w1", "w2", "threshold", "tr", "un"))
-        tr, un = _node_arrays(d, ("tr", "un"))
-        return cls(float(d["w0"]), float(d["w1"]), float(d["w2"]),
-                   float(d["threshold"]), tr, un)
 
 
 def _nll(z, y01):
@@ -525,13 +503,12 @@ def lp_run(g, split, opt=None):
 
 
 @dataclass
-class _PQModel:
+class _PQModel(_FittedModel):
     """Per-node (p, q) and a tuned threshold: the shape lprop and unreg share."""
 
     p: np.ndarray
     q: np.ndarray
     threshold: float
-    node_count = property(lambda self: self.p.size)
 
     @classmethod
     def _tuned(cls, p, q, g, split):
@@ -541,17 +518,6 @@ class _PQModel:
         model.threshold = tune_threshold(model.score(g.src[train], g.dst[train]),
                                          g.labels[train])
         return model
-
-    def to_json_dict(self):
-        return {"format": self.FORMAT, "version": 1,
-                "p": self.p.tolist(), "q": self.q.tolist(),
-                "threshold": self.threshold}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        # older unreg files also carry y_soft, which the score replaces
-        check_container(d, cls.FORMAT, keys=("p", "q", "threshold"))
-        return cls(*_node_arrays(d, ("p", "q")), float(d["threshold"]))
 
 
 class LpModel(_PQModel):
@@ -668,6 +634,7 @@ def unreg_predict(model, g, split):
 
 #: Model class of each batch method.
 METHODS = {"blc": BlcModel, "logreg": LogRegModel, "lprop": LpModel, "unreg": UnregModel}
+_FORMATS = {cls.FORMAT: cls for cls in METHODS.values()}
 
 
 def save_model(model, path):
@@ -677,7 +644,7 @@ def save_model(model, path):
 def load_model(path):
     """The fitted model stored at ``path``, read by the class its format names."""
     d = read_json(path)
-    for cls in METHODS.values():
-        if d.get("format") == cls.FORMAT:
-            return cls.from_json_dict(d)
-    raise DataError(f"unrecognized model container format {d.get('format')!r}")
+    fmt = d.get("format")
+    if not isinstance(fmt, str) or fmt not in _FORMATS:
+        raise DataError(f"unrecognized model container format {fmt!r}")
+    return _FORMATS[fmt].from_json_dict(d)

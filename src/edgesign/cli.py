@@ -2,7 +2,8 @@
 
 Subcommands: ingest, stats, split, train, predict, eval, sweep, synth,
 online. Every randomized command requires an explicit --seed. Exit codes:
-0 success, 2 argument error, 3 data error, 4 convergence error.
+0 success, 2 argument error, 3 data error, 4 convergence error, 141 standard
+output closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ DATA_DIR_ENV = "EDGESIGN_DATA_DIR"
 EXIT_ARGUMENT = 2
 EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _resolve(path):
@@ -365,7 +367,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the rest to /dev/null so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (EdgeListParseError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

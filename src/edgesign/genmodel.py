@@ -13,7 +13,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DataError
-from .graph import SignedDigraph, check_container, check_keys, is_number, read_json, write_json
+from .graph import (JsonContainer, SignedDigraph, _node_arrays, check_container, check_keys,
+                    is_count, is_number)
 
 
 def sign_with_tie(x):
@@ -25,25 +26,29 @@ def sign_with_tie(x):
 # Priors
 
 
+class _Prior:
+    """A prior's JSON form: its ``kind``, then its dataclass fields in order."""
+
+    def validate(self):
+        pass
+
+    def to_json_dict(self):
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+
 @dataclass
-class UniformPrior:
+class UniformPrior(_Prior):
     """p and q independent Uniform(0, 1)."""
 
     kind = "uniform"
     required = ()
 
-    def validate(self):
-        pass
-
     def sample(self, n, rng):
         return rng.random(n), rng.random(n)
 
-    def to_json_dict(self):
-        return {"kind": self.kind}
-
 
 @dataclass
-class BetaPrior:
+class BetaPrior(_Prior):
     """p ~ Beta(a_p, b_p), q ~ Beta(a_q, b_q), all independent."""
 
     a_p: float
@@ -61,13 +66,9 @@ class BetaPrior:
     def sample(self, n, rng):
         return rng.beta(self.a_p, self.b_p, size=n), rng.beta(self.a_q, self.b_q, size=n)
 
-    def to_json_dict(self):
-        return {"kind": self.kind, "a_p": self.a_p, "b_p": self.b_p,
-                "a_q": self.a_q, "b_q": self.b_q}
-
 
 @dataclass
-class TwoPointPrior:
+class TwoPointPrior(_Prior):
     """Polarized prior: p_i = hi with probability weight, else lo.
 
     q draws its own independent coin; by default it shares (lo, hi, weight),
@@ -106,10 +107,6 @@ class TwoPointPrior:
         q = np.where(rng.random(n) < self.q_weight, self.q_hi, self.q_lo)
         return p, q
 
-    def to_json_dict(self):
-        return {"kind": self.kind, "lo": self.lo, "hi": self.hi, "weight": self.weight,
-                "q_lo": self.q_lo, "q_hi": self.q_hi, "q_weight": self.q_weight}
-
 
 #: Prior class of each ``kind``. A prior's parameters are its dataclass fields;
 #: those named in its ``required`` must be given, the others may be omitted.
@@ -136,7 +133,7 @@ def prior_from_json_dict(d):
 
 
 @dataclass
-class GenParams:
+class GenParams(JsonContainer):
     """Per-node latent parameters plus the prior and seed that produced them."""
 
     p: np.ndarray
@@ -145,28 +142,19 @@ class GenParams:
     seed: int
 
     def to_json_dict(self):
-        return {
-            "format": "edgesign-genparams",
-            "version": 1,
-            "p": self.p.tolist(),
-            "q": self.q.tolist(),
-            "prior": self.prior.to_json_dict() if self.prior is not None else None,
-            "seed": self.seed,
-        }
+        return {"format": "edgesign-genparams", "version": 1,
+                "p": self.p.tolist(), "q": self.q.tolist(),
+                "prior": self.prior.to_json_dict() if self.prior is not None else None,
+                "seed": self.seed}
 
     @classmethod
     def from_json_dict(cls, d):
         check_container(d, "edgesign-genparams", keys=("p", "q", "prior", "seed"))
+        p, q = _node_arrays(d, ("p", "q"))
+        if not is_count(d["seed"]):
+            raise DataError(f"edgesign-genparams container: seed {d['seed']!r} is not a count")
         prior = prior_from_json_dict(d["prior"]) if d["prior"] is not None else None
-        return cls(np.asarray(d["p"], dtype=np.float64),
-                   np.asarray(d["q"], dtype=np.float64), prior, d["seed"])
-
-    def save(self, path):
-        write_json(self.to_json_dict(), path)
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_json_dict(read_json(path))
+        return cls(p, q, prior, d["seed"])
 
 
 def sample_params(n, prior, seed):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import base64
 import json
+import sys
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
@@ -93,12 +94,25 @@ def check_keys(d, what, keys):
         raise DataError(f"{what} lacks {', '.join(missing)}")
 
 
+class JsonContainer:
+    """``save`` and ``load`` for a class with ``to_json_dict`` and ``from_json_dict``."""
+
+    def save(self, path):
+        write_json(self.to_json_dict(), path)
+
+    @classmethod
+    def load(cls, path):
+        return cls.from_json_dict(read_json(path))
+
+
 def is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float but NaN, or an int (not a bool) that ``float`` converts without overflow."""
+    return (isinstance(value, float) and not np.isnan(value)
+            or type(value) is int and abs(value) <= sys.float_info.max)
 
 
 def _pack(array, tag):
@@ -132,6 +146,24 @@ def _int_list(value, name):
     return array.astype(np.int64)
 
 
+def _node_arrays(d, keys):
+    """The per-node arrays ``d[k]`` as float64: 1-D lists of numbers (no NaN), all of one length."""
+    arrays = []
+    for k in keys:
+        try:
+            a = np.asarray(d[k])
+        except ValueError:  # ragged nesting
+            a = np.empty(())
+        if a.ndim != 1 or (a.size and (a.dtype.kind not in "iuf" or np.isnan(a).any())):
+            raise DataError(f"{d['format']} container: per-node arrays must be number lists, "
+                            f"{k} is not")
+        arrays.append(a.astype(np.float64, copy=False))
+    if any(a.size != arrays[0].size for a in arrays):
+        raise DataError(f"{d['format']} container: per-node arrays {', '.join(keys)} "
+                        "differ in length")
+    return arrays
+
+
 def sorted_unique(keys):
     """Sorted distinct values of a 1-D array, like ``np.unique(keys)``.
 
@@ -153,7 +185,7 @@ def _read_only(array):
     return array
 
 
-class SignedDigraph:
+class SignedDigraph(JsonContainer):
     """Immutable directed graph with ±1 edge labels.
 
     Attributes
@@ -248,13 +280,6 @@ class SignedDigraph:
                 raise DataError(f"graph container edge_count {m!r} is not a count")
             arrays = [_unpack(d[name], tag, m, name) for name, tag in _PACKED.items()]
         return cls(n, *arrays, node_ids=node_ids)
-
-    def save(self, path):
-        write_json(self.to_json_dict(), path)
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_json_dict(read_json(path))
 
 
 @dataclass
@@ -406,7 +431,7 @@ def write_edge_list(g, path_or_file):
 
 
 @dataclass
-class EdgeSplit:
+class EdgeSplit(JsonContainer):
     """Training/test partition of edge indices, sampled without replacement."""
 
     training_mask: np.ndarray
@@ -438,9 +463,11 @@ class EdgeSplit:
         """Read a split container; training indices must be distinct and in range."""
         check_container(d, SPLIT_FORMAT, (1,),
                         ("edge_count", "fraction", "seed", "training_edges"))
+        for key, ok, kind in (("edge_count", is_count, "count"), ("seed", is_count, "count"),
+                              ("fraction", is_number, "number")):
+            if not ok(d[key]):
+                raise DataError(f"split {key} {d[key]!r} is not a {kind}")
         m = d["edge_count"]
-        if not is_count(m):
-            raise DataError(f"split edge_count {m!r} is not a count")
         train = _int_list(d["training_edges"], "training_edges")
         if train.size and (train.min() < 0 or train.max() >= m):
             raise DataError(f"split training edge index out of range [0, {m})")
@@ -448,14 +475,7 @@ class EdgeSplit:
             raise DataError("split lists a training edge twice")
         mask = np.zeros(m, dtype=bool)
         mask[train] = True
-        return cls(mask, float(d["fraction"]), int(d["seed"]))
-
-    def save(self, path):
-        write_json(self.to_json_dict(), path)
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_json_dict(read_json(path))
+        return cls(mask, float(d["fraction"]), d["seed"])
 
 
 def sample_split(g, fraction, seed):

@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
 
 from . import batch
 from .errors import DataError
@@ -258,6 +257,7 @@ def paired_t_test(a, b):
         return TTestResult(p_value=1.0 if mean == 0.0 else 0.0,
                            t_statistic=float("nan") if mean else 0.0,
                            degenerate=True)
+    import scipy.stats  # slow to import, and only this test needs it
     t = mean / (sd / math.sqrt(d.size))
     p = 2.0 * scipy.stats.t.sf(abs(t), df=d.size - 1)
     return TTestResult(p_value=float(p), t_statistic=float(t), degenerate=False)

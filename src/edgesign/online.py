@@ -30,9 +30,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import DataError, ProtocolError
 from .features import psi_g_for_labels
-from .graph import check_container
+from .graph import _int_list, check_container, is_count, is_number
 
 LN2 = math.log(2.0)
 
@@ -72,6 +72,21 @@ def _prob_first_array(loss_first, loss_second):
     x = eta * (loss_first - loss_second)
     e = np.fromiter(map(math.exp, (-np.abs(x)).tolist()), dtype=np.float64, count=x.size)
     return np.where(x >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+
+
+STATE_FORMAT = "edgesign-online-state"
+_LOSS_COUNTS = ("out_loss_plus", "out_loss_minus", "in_loss_plus", "in_loss_minus")
+#: Check of each scalar tally of a state container: losses are numbers ≥ 0, the rest counts.
+_TALLIES = {**dict.fromkeys(("meta_loss_out", "meta_loss_in", "expected_mistakes"),
+                            lambda x: is_number(x) and x >= 0),
+            "realized_mistakes": is_count, "edges_seen": is_count}
+
+
+def _is_edge_entry(entry, width, n):
+    """``[i, j]`` (width 2) or ``[i, j, guess]`` (width 3): node ids below n, a ±1 guess."""
+    return (isinstance(entry, list) and len(entry) == width
+            and all(is_count(v) and v < n for v in entry[:2])
+            and all(type(v) is int and abs(v) == 1 for v in entry[2:]))
 
 
 class OnlineState:
@@ -175,17 +190,10 @@ class OnlineState:
 
     def to_json_dict(self):
         return {
-            "format": "edgesign-online-state", "version": 1,
+            "format": STATE_FORMAT, "version": 1,
             "node_count": self.node_count,
-            "out_loss_plus": self.out_loss_plus.tolist(),
-            "out_loss_minus": self.out_loss_minus.tolist(),
-            "in_loss_plus": self.in_loss_plus.tolist(),
-            "in_loss_minus": self.in_loss_minus.tolist(),
-            "meta_loss_out": self.meta_loss_out,
-            "meta_loss_in": self.meta_loss_in,
-            "expected_mistakes": self.expected_mistakes,
-            "realized_mistakes": self.realized_mistakes,
-            "edges_seen": self.edges_seen,
+            **{name: getattr(self, name).tolist() for name in _LOSS_COUNTS},
+            **{name: getattr(self, name) for name in _TALLIES},
             "revealed": sorted([[int(i), int(j)] for i, j in self._revealed]),
             "pending": sorted([[int(i), int(j), int(guess)]
                                for (i, j), guess in self._pending.items()]),
@@ -193,19 +201,26 @@ class OnlineState:
 
     @classmethod
     def from_json_dict(cls, d):
-        check_container(d, "edgesign-online-state", keys=(
-            "node_count", "out_loss_plus", "out_loss_minus", "in_loss_plus", "in_loss_minus",
-            "meta_loss_out", "meta_loss_in", "expected_mistakes", "realized_mistakes",
-            "edges_seen", "revealed"))
-        state = cls(d["node_count"])
-        for name in ("out_loss_plus", "out_loss_minus", "in_loss_plus", "in_loss_minus"):
-            getattr(state, name)[:] = d[name]
-        for name in ("meta_loss_out", "meta_loss_in", "expected_mistakes", "realized_mistakes",
-                     "edges_seen"):
+        """Read a state container; a value no state of ``node_count`` nodes holds is a DataError."""
+        check_container(d, STATE_FORMAT, keys=("node_count", *_LOSS_COUNTS, *_TALLIES, "revealed"))
+        for name, ok in (("node_count", is_count), *_TALLIES.items()):
+            if not ok(d[name]):
+                raise DataError(f"{STATE_FORMAT} container: bad {name} {d[name]!r}")
+        n = d["node_count"]
+        state = cls(n)
+        for name in _LOSS_COUNTS:
+            losses = _int_list(d[name], name)
+            if losses.size != n or (n and losses.min() < 0):
+                raise DataError(f"{STATE_FORMAT} container: {name} must hold {n} counts")
+            getattr(state, name)[:] = losses
+        for name in _TALLIES:
             setattr(state, name, d[name])
+        pending = d.get("pending", [])  # files from before pending guesses were kept lack it
+        for name, rows, width in (("revealed", d["revealed"], 2), ("pending", pending, 3)):
+            if not (isinstance(rows, list) and all(_is_edge_entry(e, width, n) for e in rows)):
+                raise DataError(f"{STATE_FORMAT} container: bad {name} entry for {n} nodes")
         state._revealed = {tuple(e) for e in d["revealed"]}
-        # files written before pending predictions were kept lack the key
-        state._pending = {(i, j): guess for i, j, guess in d.get("pending", [])}
+        state._pending = {(i, j): guess for i, j, guess in pending}
         return state
 
 

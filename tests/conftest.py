@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import edgesign
 from edgesign.graph import EdgeSplit, SignedDigraph
 
 
@@ -32,6 +35,14 @@ def random_graph(n, m, seed, neg_rate=0.3):
     src, dst = keys // n, keys % n
     labels = np.where(rng.random(src.size) < neg_rate, -1, 1).astype(np.int8)
     return SignedDigraph(n, src, dst, labels, validate=False)
+
+
+def run_python(args, **kwargs):
+    """A fresh interpreter that imports this checkout's ``edgesign``."""
+    source = os.path.dirname(os.path.dirname(edgesign.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
 
 
 def dataset_path(name):

@@ -1,10 +1,10 @@
 """Independent oracles used by the tests.
 
 Everything here deliberately avoids the solver code paths under test:
-record-by-record readers and writers, brute-force enumeration, dense
-grids, finite differences, plain projected gradient descent, scipy's
-bounded-variable least squares, exact-rational dynamic programming, and
-the paper's edge-to-node graph transforms.
+record-by-record readers and writers, field-by-field model containers,
+brute-force enumeration, dense grids, finite differences, plain projected
+gradient descent, scipy's bounded-variable least squares, exact-rational
+dynamic programming, and the paper's edge-to-node graph transforms.
 """
 
 import math
@@ -82,6 +82,34 @@ def prediction_csv_reference(pred, node_ids=None):
     rows = [f"{u},{v},{s!r},{y}\n" for u, v, s, y in
             zip(src, dst, pred.scores.tolist(), pred.labels.tolist())]
     return "src,dst,score,label\n" + "".join(rows)
+
+
+def blc_container_reference(model, tr_defined, un_defined):
+    """The blc model container written field by field, with the node flags it once held."""
+    return {
+        "format": "edgesign-blc", "version": 1,
+        "tr": model.tr.tolist(), "un": model.un.tolist(),
+        "tr_defined": tr_defined.astype(int).tolist(),
+        "un_defined": un_defined.astype(int).tolist(),
+        "tau": model.tau,
+    }
+
+
+def logreg_container_reference(model):
+    """The logreg model container written field by field."""
+    return {
+        "format": "edgesign-logreg", "version": 1,
+        "w0": model.w0, "w1": model.w1, "w2": model.w2,
+        "threshold": model.threshold,
+        "tr": model.tr.tolist(), "un": model.un.tolist(),
+    }
+
+
+def pq_container_reference(fmt, model):
+    """The lprop or unreg model container written field by field."""
+    return {"format": fmt, "version": 1,
+            "p": model.p.tolist(), "q": model.q.tolist(),
+            "threshold": model.threshold}
 
 
 def brute_force_threshold_mistakes(scores, labels):

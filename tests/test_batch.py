@@ -6,7 +6,7 @@ from edgesign.batch import (BlcModel, LogRegModel, blc_fit,
                             logreg_predict_split, ml_gradient, save_model,
                             solve_linearized_ml, tune_threshold)
 from edgesign.errors import ConvergenceError, DegenerateFitError
-from edgesign.features import box_fit_edges
+from edgesign.features import box_fit_edges, troll_trust
 from edgesign.genmodel import TwoPointPrior, UniformPrior, bayes_scores, make_synthetic, sign_with_tie
 from edgesign.graph import SignedDigraph, load_edge_list, sample_split
 from edgesign.metrics import confusion
@@ -66,7 +66,9 @@ class TestBlc:
         split = make_split([True, True, True, False])
         model = blc_fit(g, split)
         assert model.tau == 1.0
-        assert np.all(model.tr[model.tr_defined] == 0.0)
+        tt = troll_trust(g, split.training_mask)
+        assert np.array_equal(model.tr, tt.tr)
+        assert np.all(model.tr[tt.tr_defined] == 0.0)
 
     def test_uncovered_node_defaults(self, hand_graph):
         split = make_split([True, False, False, False])
@@ -74,15 +76,11 @@ class TestBlc:
         assert model.tr[1] == 0.5 and model.un[2] == 0.5
 
     def test_score_extremes(self):
-        model = BlcModel(tr=np.array([0.0]), un=np.array([0.0]),
-                         tr_defined=np.array([True]), un_defined=np.array([True]),
-                         tau=0.5)
+        model = BlcModel(tr=np.array([0.0]), un=np.array([0.0]), tau=0.5)
         score = model.score(0, 0)
         sign = sign_with_tie(score)
         assert score == 1.0 and sign == 1
-        model2 = BlcModel(tr=np.array([1.0]), un=np.array([1.0]),
-                          tr_defined=np.array([True]), un_defined=np.array([True]),
-                          tau=0.0)
+        model2 = BlcModel(tr=np.array([1.0]), un=np.array([1.0]), tau=0.0)
         score2 = model2.score(0, 0)
         sign2 = sign_with_tie(score2)
         assert score2 == -0.5 and sign2 == -1

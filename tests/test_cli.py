@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from edgesign.online import OnlineState
 from edgesign.metrics import confusion, mcc
 from edgesign.online import adversary_generate, run_online
 
+from conftest import run_python
 from oracles import prediction_csv_reference
 
 
@@ -186,6 +189,26 @@ class TestPredictChecksTheModel:
         model.write_text("[]")
         with pytest.raises(DataError, match="not a JSON container"):
             load_model(model)
+
+
+@pytest.mark.parametrize("command", ["stats", "split"])
+def test_a_closed_stdout_pipe_exits_141_quietly(graph_path, tmp_path, command):
+    extra = ["--fraction", "0.3", "--seed", "1", "-o", str(tmp_path / "s.json")]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = run_python(["-m", "edgesign.cli", command, str(graph_path),
+                           *(extra if command == "split" else [])],
+                          stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    code = "import sys, edgesign, edgesign.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert run_python(["-c", code]).returncode == 0
 
 
 class TestGraphFiles:

@@ -5,6 +5,7 @@ from edgesign.genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior
                                bayes_scores, eq1_rates, make_synthetic,
                                sample_labels, sample_params, sample_topology,
                                sign_with_tie)
+from edgesign.errors import DataError
 from edgesign.graph import SignedDigraph
 
 from conftest import random_graph
@@ -54,6 +55,17 @@ class TestPriors:
         assert np.array_equal(again.p, params.p)
         assert again.prior.to_json_dict() == params.prior.to_json_dict()
         assert again.seed == params.seed
+
+    @pytest.mark.parametrize("change", [
+        {"q": [0.5, 0.5]}, {"p": "x"}, {"p": ["0.5", "0.5", "0.5"]}, {"p": [[0.5], [0.5], [0.5]]},
+        {"q": [True, False, True]}, {"p": None}, {"q": [0.5, float("nan"), 0.5]}, {"seed": "x"},
+        {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": None},
+    ], ids=["lengths-differ", "p-text", "p-strings", "p-nested", "q-booleans", "p-null", "q-nan",
+            "seed-text", "seed-negative", "seed-fraction", "seed-true", "seed-null"])
+    def test_damaged_container_is_a_data_error(self, change):
+        d = sample_params(3, UniformPrior(), seed=1).to_json_dict()
+        with pytest.raises(DataError):
+            GenParams.from_json_dict({**d, **change})
 
 
 class TestSampleLabels:

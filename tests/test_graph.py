@@ -372,7 +372,8 @@ class TestSampleSplit:
         for change in ({"training_edges": [0, 4, 10]}, {"training_edges": [-1, 4]},
                        {"training_edges": [4, 0, 4]}, {"edge_count": -1},
                        {"edge_count": 2.5}, {"training_edges": [0.5]},
-                       {"training_edges": "0,4"}, {"version": 2}):
+                       {"training_edges": "0,4"}, {"version": 2}, {"seed": "x"},
+                       {"seed": 1.7}, {"seed": True}, {"fraction": None}, {"fraction": "0.3"}):
             with pytest.raises(DataError):
                 EdgeSplit.from_json_dict({**base, **change})
         path = tmp_path / "split.json"

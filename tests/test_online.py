@@ -224,6 +224,34 @@ class TestStatePersistence:
             with pytest.raises(DataError, match=key):
                 OnlineState.from_json_dict(damaged)
 
+    @pytest.mark.parametrize("change", [
+        {"out_loss_plus": [1]}, {"out_loss_minus": [0.7, 1.9, 2.2]}, {"in_loss_plus": [0, -1, 0]},
+        {"in_loss_minus": [[0], [0], [0]]}, {"out_loss_plus": "x"}, {"in_loss_plus": [0, 0, 0, 0]},
+        {"node_count": "3"}, {"node_count": -1}, {"node_count": 2.5},
+        {"meta_loss_out": "x"}, {"meta_loss_in": -0.5}, {"expected_mistakes": None},
+        {"realized_mistakes": 1.5}, {"edges_seen": -1}, {"edges_seen": True},
+        {"revealed": [[0]]}, {"revealed": [0, 1]}, {"revealed": [[0, 1, 2]]},
+        {"revealed": [[0, 3]]}, {"revealed": [[0.5, 1]]}, {"revealed": "x"},
+        {"pending": [[1, 2]]}, {"pending": [[1, 2, 0]]}, {"pending": [[1, 3, 1]]},
+        {"pending": [[-1, 2, 1]]}, {"pending": [[1, 2, 1], [0, 1]]},
+    ], ids=["loss-one-entry", "loss-fractions", "loss-negative", "loss-nested", "loss-text",
+            "loss-too-long", "node-count-text", "node-count-negative", "node-count-fraction",
+            "meta-loss-text", "meta-loss-negative", "expected-null", "realized-fraction",
+            "edges-seen-negative", "edges-seen-true", "revealed-single", "revealed-flat",
+            "revealed-triple", "revealed-out-of-range", "revealed-fraction", "revealed-text",
+            "pending-pair", "pending-guess-zero", "pending-out-of-range", "pending-negative-id",
+            "pending-ragged"])
+    def test_damaged_value_is_a_data_error(self, change):
+        state = OnlineState(3)
+        rng = np.random.default_rng(2)
+        state.predict((0, 1), rng)
+        state.update((0, 1), -1)
+        state.predict((1, 2), rng)
+        d = state.to_json_dict()
+        assert OnlineState.from_json_dict(d).to_json_dict() == d
+        with pytest.raises(DataError):
+            OnlineState.from_json_dict({**d, **change})
+
     def test_reads_files_without_pending_key(self):
         state = OnlineState(4)
         rng = np.random.default_rng(2)
