@@ -257,16 +257,41 @@ class LogRegModel(_FittedModel):
         return logreg_predict_split(self, g, split)
 
 
-def _nll(z, y01):
-    # mean of log(1+e^z) - y*z, stable for large |z|
-    return float(np.mean(np.logaddexp(0.0, z) - y01 * z))
+def _nll(z, y01, counts, m):
+    # mean over edges of log(1+e^z) - y*z, each row standing for ``counts`` edges;
+    # stable for large |z|
+    return float(counts @ (np.logaddexp(0.0, z) - y01 * z)) / m
+
+
+def _distinct_rows(tr, un, src, dst, positive):
+    """The distinct rows (1−tr(i), 1−un(j), y) of the edges (i, j), and their edge counts.
+
+    Each node's tr (un) value gets a code, the rank of the value among the
+    distinct ones; an edge's row is the key (code·K + code)·2 + [y = +1],
+    and one sort of the keys groups them.
+    """
+    tr_values, tr_code = np.unique(tr, return_inverse=True)
+    un_values, un_code = np.unique(un, return_inverse=True)
+    keys = np.sort((tr_code[src] * un_values.size + un_code[dst]) * 2 + positive)
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    counts = np.diff(first, append=keys.size).astype(np.float64)
+    pair, y01 = np.divmod(keys[first], 2)
+    X = np.column_stack([np.ones(first.size),
+                         1.0 - tr_values[pair // un_values.size],
+                         1.0 - un_values[pair % un_values.size]])
+    return X, y01.astype(np.float64), counts
 
 
 def logreg_fit(g, split, tol=1e-8, max_iter=200):
     """Maximum-likelihood logistic fit of training labels on the two features.
 
     Damped Newton with backtracking on the mean negative log-likelihood,
-    stopping at gradient infinity-norm ≤ tol. Single-class training labels
+    stopping at gradient infinity-norm ≤ tol. The features are per-node
+    rates, so the training edges take few distinct (1−tr̂(i), 1−ûn(j), y)
+    rows. The Newton steps run on those rows, each weighted by the number
+    of edges it stands for: the same likelihood as one row per edge, up to
+    rounding. The threshold is tuned on the fitted model's score of every
+    training edge, as for the other methods. Single-class training labels
     raise DegenerateFitError; budget exhaustion raises ConvergenceError with
     diagnostics.
     """
@@ -274,22 +299,19 @@ def logreg_fit(g, split, tol=1e-8, max_iter=200):
     if train.size == 0:
         raise DegenerateFitError("cannot fit on an empty training set")
     y = g.labels[train]
-    if np.all(y == 1) or np.all(y == -1):
+    positive = y == 1
+    if positive.all() or not positive.any():
         raise DegenerateFitError("training labels are single-class")
     tt = troll_trust(g, split.training_mask)
-    X = np.column_stack([
-        np.ones(train.size),
-        1.0 - tt.tr[g.src[train]],
-        1.0 - tt.un[g.dst[train]],
-    ])
-    y01 = (y == 1).astype(np.float64)
+    src, dst = g.src[train], g.dst[train]
+    X, y01, counts = _distinct_rows(tt.tr, tt.un, src, dst, positive)
     m = train.size
     w = np.zeros(3)
     z = X @ w
-    loss = _nll(z, y01)
+    loss = _nll(z, y01, counts, m)
     for it in range(max_iter + 1):
         s = 1.0 / (1.0 + np.exp(-z))
-        grad = X.T @ (s - y01) / m
+        grad = X.T @ (counts * (s - y01)) / m
         gnorm = np.abs(grad).max()
         if gnorm <= tol:
             break
@@ -297,7 +319,7 @@ def logreg_fit(g, split, tol=1e-8, max_iter=200):
             raise ConvergenceError(
                 f"logistic fit not converged after {max_iter} iterations "
                 f"(|grad|={gnorm:.3g}, tol={tol:.3g})")
-        weights = s * (1.0 - s)
+        weights = counts * s * (1.0 - s)
         hess = (X * weights[:, None]).T @ X / m
         try:
             step = np.linalg.solve(hess, grad)
@@ -310,7 +332,7 @@ def logreg_fit(g, split, tol=1e-8, max_iter=200):
         while t > 1e-14:
             w_new = w - t * step
             z_new = X @ w_new
-            loss_new = _nll(z_new, y01)
+            loss_new = _nll(z_new, y01, counts, m)
             if loss_new <= loss - 1e-4 * t * decrease:
                 break
             t *= 0.5
@@ -318,9 +340,10 @@ def logreg_fit(g, split, tol=1e-8, max_iter=200):
             raise ConvergenceError(
                 f"logistic line search stalled at iteration {it + 1} (|grad|={gnorm:.3g})")
         w, z, loss = w_new, z_new, loss_new
-    threshold = tune_threshold(z, y)
-    return LogRegModel(w0=float(w[0]), w1=float(w[1]), w2=float(w[2]),
-                       threshold=threshold, tr=tt.tr, un=tt.un)
+    model = LogRegModel(w0=float(w[0]), w1=float(w[1]), w2=float(w[2]),
+                        threshold=0.0, tr=tt.tr, un=tt.un)
+    model.threshold = tune_threshold(model.score(src, dst), y)
+    return model
 
 
 def logreg_predict_split(model, g, split):

@@ -22,8 +22,8 @@ from . import batch, harness, online
 from .errors import ConvergenceError, DataError, EdgeListParseError, EdgeSignError
 from .features import regularity_report
 from .genmodel import PRIORS, make_synthetic, prior_from_json_dict
-from .graph import (SIGN_TOKENS, EdgeSplit, check_keys, is_count, is_number, load_edge_list,
-                    load_graph, read_json, sample_split, write_json)
+from .graph import (SIGN_TOKENS, EdgeSplit, check_keys, is_count, is_number, json_number,
+                    load_edge_list, load_graph, read_json, sample_split, write_json)
 from .metrics import accuracy, confusion, mcc
 
 DATA_DIR_ENV = "EDGESIGN_DATA_DIR"
@@ -65,7 +65,7 @@ def cmd_stats(args):
                                include_psi2=not args.no_psi2)
     payload = report.to_json_dict()
     payload.update({"node_count": g.node_count, "edge_count": g.edge_count,
-                    "positive_fraction": g.positive_fraction})
+                    "positive_fraction": json_number(g.positive_fraction)})
     if args.output:
         write_json(payload, args.output)
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -95,7 +95,9 @@ def _get_split(g, args):
 def cmd_train(args):
     g = load_graph(_resolve(args.graph))
     split = _get_split(g, args)
-    model = batch.METHODS[args.method].fit(g, split, tol=args.tol, max_iter=args.max_iter)
+    # a bound the user leaves out takes the method's own default
+    bounds = {k: v for k, v in (("tol", args.tol), ("max_iter", args.max_iter)) if v is not None}
+    model = batch.METHODS[args.method].fit(g, split, **bounds)
     batch.save_model(model, args.output)
     if args.split_out:
         split.save(args.split_out)
@@ -170,7 +172,7 @@ def cmd_eval(args):
         raise DataError("prediction file covers a different edge set than the split")
     c = confusion(labels[order[pos]], g.labels[test])
     payload = {"tp": c.tp, "tn": c.tn, "fp": c.fp, "fn": c.fn,
-               "mcc": mcc(c), "accuracy": accuracy(c)}
+               "mcc": mcc(c), "accuracy": json_number(accuracy(c))}
     if args.output:
         write_json(payload, args.output)
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -318,8 +320,8 @@ def build_parser():
                            choices=list(batch.METHODS))
             p.add_argument("-o", "--output", required=True)
             p.add_argument("--split-out", default=None)
-            p.add_argument("--tol", type=float, default=1e-8)
-            p.add_argument("--max-iter", type=int, default=20000)
+            p.add_argument("--tol", type=float, default=None)
+            p.add_argument("--max-iter", type=int, default=None)
         elif name == "predict":
             p.add_argument("model")
             p.add_argument("-o", "--output", required=True)

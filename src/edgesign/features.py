@@ -165,25 +165,26 @@ def psi2(g, tol=1e-8, max_iter=10000):
 
 @dataclass
 class RegularityReport:
-    """Both regularity measures plus their per-edge rates."""
+    """Both regularity measures plus their per-edge rates; ``psi2`` is None when not computed."""
 
     psi_in: int
     psi_out: int
     psi_g: int
-    psi2: float
+    psi2: float | None
     psi_g_rate: float
-    psi2_rate: float
+    psi2_rate: float | None
 
     def to_json_dict(self):
         return asdict(self)
 
 
 def regularity_report(g, tol=1e-8, max_iter=10000, include_psi2=True):
-    """Compute the full regularity report for a labeled graph."""
+    """Compute the regularity report for a labeled graph; without ``include_psi2``
+    its ``psi2`` and ``psi2_rate`` are None."""
     p_in, p_out, p_g = psi_g(g)
     m = max(g.edge_count, 1)
-    value = psi2(g, tol=tol, max_iter=max_iter) if include_psi2 else float("nan")
+    value = psi2(g, tol=tol, max_iter=max_iter) if include_psi2 else None
     return RegularityReport(
         psi_in=p_in, psi_out=p_out, psi_g=p_g, psi2=value,
-        psi_g_rate=p_g / m, psi2_rate=value / m,
+        psi_g_rate=p_g / m, psi2_rate=None if value is None else value / m,
     )

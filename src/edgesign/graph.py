@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -59,6 +60,11 @@ def write_json(payload, path):
     text = json.dumps(payload, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
+
+
+def json_number(value):
+    """``value``, or None (JSON ``null``) for NaN, which strict JSON cannot write."""
+    return None if math.isnan(value) else value
 
 
 def read_json(path):
@@ -430,23 +436,37 @@ def write_edge_list(g, path_or_file):
             f.close()
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeSplit(JsonContainer):
-    """Training/test partition of edge indices, sampled without replacement."""
+    """Training/test partition of edge indices, sampled without replacement.
+
+    The split keeps a read-only copy of the mask it is given (the caller's
+    array is left as it was), and computes the training and test edge
+    indices once, at construction: :meth:`training_indices` and
+    :meth:`test_indices` return the same read-only arrays on every call.
+    """
 
     training_mask: np.ndarray
     fraction: float
     seed: int
+    _training: np.ndarray = field(init=False, repr=False, compare=False)
+    _test: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        mask = _read_only(np.array(self.training_mask, dtype=bool))
+        object.__setattr__(self, "training_mask", mask)
+        object.__setattr__(self, "_training", _read_only(np.flatnonzero(mask)))
+        object.__setattr__(self, "_test", _read_only(np.flatnonzero(~mask)))
 
     @property
     def n_training(self):
-        return int(np.count_nonzero(self.training_mask))
+        return self._training.size
 
     def training_indices(self):
-        return np.flatnonzero(self.training_mask)
+        return self._training
 
     def test_indices(self):
-        return np.flatnonzero(~self.training_mask)
+        return self._test
 
     def to_json_dict(self):
         return {
@@ -510,7 +530,12 @@ class NodeStats:
 
 
 def degree_stats(g, mask=None):
-    """Signed in/out degree counts over the masked edge set (None = all edges)."""
+    """Signed in/out degree counts over the masked edge set (None = all edges).
+
+    The masked edges are gathered by index, and each side is one
+    ``bincount`` over the key ``2·node + (label == 1)``: entry 2i counts
+    node i's negative edges on that side, entry 2i+1 its positive ones.
+    """
     n, m = g.node_count, g.edge_count
     if mask is None:
         src, dst, labels = g.src, g.dst, g.labels
@@ -518,14 +543,13 @@ def degree_stats(g, mask=None):
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (m,):
             raise DataError(f"mask length {mask.size} != edge count {m}")
-        src, dst, labels = g.src[mask], g.dst[mask], g.labels[mask]
+        edges = np.flatnonzero(mask)
+        src, dst, labels = g.src[edges], g.dst[edges], g.labels[edges]
     pos = labels == 1
-    d_out = np.bincount(src, minlength=n)
-    d_in = np.bincount(dst, minlength=n)
-    d_out_plus = np.bincount(src[pos], minlength=n)
-    d_in_plus = np.bincount(dst[pos], minlength=n)
+    out = np.bincount(2 * src + pos, minlength=2 * n).reshape(n, 2)
+    into = np.bincount(2 * dst + pos, minlength=2 * n).reshape(n, 2)
     return NodeStats(
-        d_in=d_in, d_out=d_out,
-        d_in_plus=d_in_plus, d_in_minus=d_in - d_in_plus,
-        d_out_plus=d_out_plus, d_out_minus=d_out - d_out_plus,
+        d_in=into[:, 0] + into[:, 1], d_out=out[:, 0] + out[:, 1],
+        d_in_plus=into[:, 1], d_in_minus=into[:, 0],
+        d_out_plus=out[:, 1], d_out_minus=out[:, 0],
     )

@@ -20,7 +20,7 @@ from . import batch
 from .errors import DataError
 from .features import regularity_report
 from .genmodel import bayes_scores, make_synthetic, sign_with_tie
-from .graph import SignedDigraph, load_graph, sample_split
+from .graph import SignedDigraph, json_number, load_graph, sample_split
 from .metrics import accuracy, confusion, mcc
 
 DEFAULT_FRACTIONS = (0.05, 0.10, 0.15, 0.20, 0.25)
@@ -116,12 +116,12 @@ class ExperimentReport:
         cells = [{
             "method": c.method,
             "fraction": c.fraction,
-            "mcc_mean": c.mcc_mean,
+            "mcc_mean": json_number(c.mcc_mean),
             "mcc_std": c.mcc_std,
-            "acc_mean": c.acc_mean,
+            "acc_mean": json_number(c.acc_mean),
             "mcc_values": list(c.mcc_values),
             "failures": list(c.failures),
-            "seconds_mean": c.seconds_mean,
+            "seconds_mean": json_number(c.seconds_mean),
         } for c in sorted(self.cells, key=lambda c: (c.fraction, c.method))]
         return {
             "format": "edgesign-report", "version": 1,

@@ -2,6 +2,7 @@
 
 Everything here deliberately avoids the solver code paths under test:
 record-by-record readers and writers, field-by-field model containers,
+mask-compacting degree counts, a per-edge logistic fit,
 brute-force enumeration, dense grids, finite differences, plain projected
 gradient descent, scipy's bounded-variable least squares, exact-rational
 dynamic programming, and the paper's edge-to-node graph transforms.
@@ -13,8 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from edgesign.batch import lp_gradient, lp_objective
+from edgesign.batch import lp_gradient, lp_objective, tune_threshold
 from edgesign.errors import DataError, EdgeListParseError
+from edgesign.features import troll_trust
+from edgesign.graph import NodeStats
 
 
 def load_edge_list_reference(text, delimiter=None):
@@ -110,6 +113,66 @@ def pq_container_reference(fmt, model):
     return {"format": fmt, "version": 1,
             "p": model.p.tolist(), "q": model.q.tolist(),
             "threshold": model.threshold}
+
+
+def degree_stats_reference(g, mask=None):
+    """Signed degree counts by boolean-mask compaction and four bincounts."""
+    n = g.node_count
+    if mask is None:
+        src, dst, labels = g.src, g.dst, g.labels
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        src, dst, labels = g.src[mask], g.dst[mask], g.labels[mask]
+    pos = labels == 1
+    d_out = np.bincount(src, minlength=n)
+    d_in = np.bincount(dst, minlength=n)
+    d_out_plus = np.bincount(src[pos], minlength=n)
+    d_in_plus = np.bincount(dst[pos], minlength=n)
+    return NodeStats(d_in=d_in, d_out=d_out,
+                     d_in_plus=d_in_plus, d_in_minus=d_in - d_in_plus,
+                     d_out_plus=d_out_plus, d_out_minus=d_out - d_out_plus)
+
+
+def logreg_fit_reference(g, split, tol=1e-8, max_iter=200):
+    """Damped-Newton logistic fit with one design row per training edge.
+
+    Returns ``(w, threshold)``: the weights (w0, w1, w2) and the threshold
+    tuned on the per-edge training scores.
+    """
+    train = np.flatnonzero(split.training_mask)
+    y = g.labels[train]
+    tt = troll_trust(g, split.training_mask)
+    X = np.column_stack([np.ones(train.size),
+                         1.0 - tt.tr[g.src[train]],
+                         1.0 - tt.un[g.dst[train]]])
+    y01 = (y == 1).astype(np.float64)
+    m = train.size
+
+    def nll(z):
+        return float(np.mean(np.logaddexp(0.0, z) - y01 * z))
+
+    w = np.zeros(3)
+    z = X @ w
+    loss = nll(z)
+    for it in range(max_iter + 1):
+        s = 1.0 / (1.0 + np.exp(-z))
+        grad = X.T @ (s - y01) / m
+        if np.abs(grad).max() <= tol:
+            break
+        assert it < max_iter, "reference logistic fit did not converge"
+        hess = (X * (s * (1.0 - s))[:, None]).T @ X / m
+        step = np.linalg.solve(hess, grad)
+        t = 1.0
+        decrease = float(grad @ step)
+        while True:
+            w_new = w - t * step
+            z_new = X @ w_new
+            loss_new = nll(z_new)
+            if loss_new <= loss - 1e-4 * t * decrease:
+                break
+            t *= 0.5
+        w, z, loss = w_new, z_new, loss_new
+    return w, tune_threshold(z, y)
 
 
 def brute_force_threshold_mistakes(scores, labels):

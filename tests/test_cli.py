@@ -18,7 +18,8 @@ from edgesign.batch import (METHODS, Prediction, UnregModel, UnregOptions, blc_f
 from edgesign.errors import DataError
 from edgesign.genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior, make_synthetic,
                                prior_from_json_dict)
-from edgesign.graph import SignedDigraph, read_json, sample_split, write_edge_list
+from edgesign.features import psi_g
+from edgesign.graph import EdgeSplit, SignedDigraph, read_json, sample_split, write_edge_list
 from edgesign.online import OnlineState
 from edgesign.metrics import confusion, mcc
 from edgesign.online import adversary_generate, run_online
@@ -98,8 +99,8 @@ def test_train_and_predict_are_the_method_tables_fit_and_predict(graph_path, tmp
     assert cli.main(["predict", str(graph_path), str(model_path), "--fraction", "0.3",
                      "--seed", "2", "-o", str(pred_path)]) == 0
     g = SignedDigraph.load(graph_path)
-    # the train command's default --tol and --max-iter
-    model = METHODS[method].fit(g, sample_split(g, 0.3, 1), tol=1e-8, max_iter=20000)
+    # without --tol and --max-iter, train fits with the method's own defaults
+    model = METHODS[method].fit(g, sample_split(g, 0.3, 1))
     expected = model.predict_split(g, sample_split(g, 0.3, 2))
     scores, labels = read_predictions(pred_path)
     assert np.array_equal(scores, expected.scores)
@@ -110,7 +111,8 @@ class TestUnregModel:
     def test_predict_on_another_split_scores_that_split(self, graph_path, tmp_path):
         model_path, pred_path = tmp_path / "unreg.json", tmp_path / "pred.csv"
         assert cli.main(["train", str(graph_path), "--method", "unreg", "--fraction", "0.3",
-                         "--seed", "1", "-o", str(model_path)]) == 0
+                         "--seed", "1", "--tol", str(UnregOptions.tol),
+                         "-o", str(model_path)]) == 0
         # same test-set size, different edges
         assert cli.main(["predict", str(graph_path), str(model_path), "--fraction", "0.3",
                          "--seed", "2", "-o", str(pred_path)]) == 0
@@ -439,3 +441,69 @@ class TestPredictionFiles:
             capsys.readouterr()
             assert run_cli("eval", graph_path, pred, *common) == cli.EXIT_DATA, expected
             assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_train_defaults_are_the_methods_own(graph_path, tmp_path, method):
+    split_path, model, expected = tmp_path / "s.json", tmp_path / "m.json", tmp_path / "e.json"
+    assert run_cli("split", graph_path, "--fraction", "0.3", "--seed", "1", "-o", split_path) == 0
+    assert run_cli("train", graph_path, "--method", method, "--split", split_path,
+                   "-o", model) == 0
+    g = SignedDigraph.load(graph_path)
+    save_model(METHODS[method].fit(g, EdgeSplit.load(split_path)), expected)
+    assert model.read_bytes() == expected.read_bytes()
+
+
+def strict_json(text):
+    """``json.loads`` refusing ``NaN``, ``Infinity`` and ``-Infinity``, which JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJsonOutputs:
+    """Numbers a command cannot give are written as null, not as NaN."""
+
+    def test_stats_without_psi2(self, graph_path, tmp_path, capsys):
+        out = tmp_path / "stats.json"
+        capsys.readouterr()
+        assert run_cli("stats", graph_path, "--no-psi2", "-o", out) == 0
+        for payload in (strict_json(out.read_text()), strict_json(capsys.readouterr().out)):
+            assert payload["psi2"] is None and payload["psi2_rate"] is None
+            assert payload["psi_g"] == psi_g(SignedDigraph.load(graph_path))[2]
+
+    def test_sweep_without_psi2(self, tmp_path):
+        spec, out = tmp_path / "spec.json", tmp_path / "rep.json"
+        spec.write_text(json.dumps({**TINY_SWEEP, "include_psi2": False}))
+        assert run_cli("sweep", spec, "-o", out) == 0
+        regularity = strict_json(out.read_text())["regularity"]
+        assert regularity["psi2"] is None and regularity["psi2_rate"] is None
+
+    def test_sweep_cell_whose_every_repetition_fails(self, tmp_path):
+        # every label is -1, so logreg's training labels are single-class
+        spec, out = tmp_path / "spec.json", tmp_path / "rep.json"
+        spec.write_text(json.dumps({
+            "synthetic": {"node_count": 6, "mean_out_degree": 2,
+                          "prior": {"kind": "two-point", "lo": 0, "hi": 0, "weight": 0.5}},
+            "methods": ["blc", "logreg"], "fractions": [0.5], "repetitions": 2}))
+        assert run_cli("sweep", spec, "-o", out) == 0
+        cells = {c["method"]: c for c in strict_json(out.read_text())["cells"]}
+        failed = cells["logreg"]
+        assert len(failed["failures"]) == 2 and failed["mcc_values"] == []
+        assert failed["mcc_mean"] is failed["acc_mean"] is failed["seconds_mean"] is None
+        assert all(isinstance(cells["blc"][k], float)
+                   for k in ("mcc_mean", "acc_mean", "seconds_mean"))
+
+    def test_stats_of_an_empty_graph_and_eval_of_an_empty_test_set(self, tmp_path):
+        empty, one = tmp_path / "empty.tsv", tmp_path / "one.tsv"
+        empty.write_text("# no edges\n")
+        one.write_text("a\tb\t1\n")
+        assert run_cli("stats", empty, "-o", tmp_path / "stats.json") == 0
+        assert strict_json((tmp_path / "stats.json").read_text())["positive_fraction"] is None
+        # one edge at fraction 0.9: the training set takes it, the test set is empty
+        common = ["--fraction", "0.9", "--seed", "1"]
+        model, pred, out = tmp_path / "m.json", tmp_path / "p.csv", tmp_path / "eval.json"
+        assert run_cli("train", one, "--method", "blc", *common, "-o", model) == 0
+        assert run_cli("predict", one, model, *common, "-o", pred) == 0
+        assert run_cli("eval", one, pred, *common, "-o", out) == 0
+        assert strict_json(out.read_text())["accuracy"] is None
