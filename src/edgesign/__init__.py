@@ -13,17 +13,18 @@ Library layout:
 """
 
 from .graph import EdgeSplit, NodeStats, SignedDigraph, degree_stats, load_edge_list, sample_split
-from .features import RegularityReport, TrollTrust, psi2, psi_g, regularity_report, troll_trust
+from .features import (EdgeFit, RegularityReport, TrollTrust, psi2, psi_g, regularity_report,
+                       troll_trust)
 from .genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior, eq1_rates,
                        make_synthetic, sample_labels, sample_params)
-from .batch import (METHODS, BlcModel, LogRegModel, LpModel, LpOptions, LpState, Prediction,
+from .batch import (METHODS, BlcModel, LogRegModel, LpModel, LpOptions, Prediction,
                     UnregModel, UnregOptions, blc_fit, blc_predict_split, logreg_fit,
-                    logreg_predict_split, lp_predict, lp_run, ml_gradient,
-                    tune_threshold, unreg_predict, unreg_solve)
+                    logreg_predict_split, lp_predict, lp_run, tune_threshold,
+                    unreg_predict, unreg_solve)
 from .online import (AdversarySequence, OnlineReport, OnlineState,
                      adversary_expected_mistakes, adversary_generate, mistake_bound,
                      online_init, online_predict, online_update, run_online)
 from .metrics import ConfusionCounts, accuracy, confusion, mcc
-from .harness import ExperimentReport, ExperimentSpec, SyntheticSpec, paired_t_test, run_experiment
+from .harness import ExperimentReport, ExperimentSpec, SyntheticSpec, run_experiment
 
 __version__ = "0.1.0"

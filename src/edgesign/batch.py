@@ -24,7 +24,8 @@ bound the lprop and unreg solvers; blc and logreg ignore them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 
 import numpy as np
@@ -42,9 +43,11 @@ from .graph import _node_arrays, check_container, is_number, read_json, write_js
 def tune_threshold(scores, labels):
     """Empirical-risk-minimizing binarization threshold.
 
-    Candidates are the midpoints of consecutive distinct scores plus −inf
-    (predict everything +1) and +inf (predict everything −1); predictions are
-    sgn(score − threshold) with sgn(0) = +1. Ties in mistake count break
+    Candidates are the midpoints of consecutive distinct scores plus −M
+    (predict everything +1) and +M (predict everything −1), M the largest
+    finite float, so a model file stays strict JSON; predictions are
+    sgn(score − threshold) with sgn(0) = +1, and the two sentinels label
+    every finite score below M as ±inf would. Ties in mistake count break
     toward the smallest threshold.
     """
     scores = np.asarray(scores, dtype=np.float64)
@@ -62,9 +65,9 @@ def tune_threshold(scores, labels):
     mistakes = cum_pos + (cum_neg[-1] - cum_neg)
     j = int(np.argmin(mistakes))  # argmin takes the first (= smallest threshold)
     if j == 0:
-        return float("-inf")
+        return -sys.float_info.max
     if j == k:
-        return float("inf")
+        return sys.float_info.max
     return float(0.5 * (values[j - 1] + values[j]))
 
 
@@ -352,177 +355,47 @@ def logreg_predict_split(model, g, split):
 
 
 # ---------------------------------------------------------------------------
-# Exact likelihood gradient and its linearization
-
-
-def ml_gradient(p, q, g, split):
-    """Gradient of the training log-likelihood w.r.t. (p, q).
-
-    For each node ℓ: Σ over positive training out-edges of 1/(p_ℓ+q_j) minus
-    Σ over negative ones of 1/(2−p_ℓ−q_j); symmetrically for q. Requires
-    p_i+q_j strictly inside (0, 2) on every training edge.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    train = split.training_indices()
-    src, dst, y = g.src[train], g.dst[train], g.labels[train]
-    s = p[src] + q[dst]
-    bad = np.flatnonzero((s <= 0.0) | (s >= 2.0))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(
-            f"p+q = {s[k]} on training edge ({src[k]}, {dst[k]}) lies outside (0, 2)")
-    n = g.node_count
-    pos = y == 1
-    terms = np.where(pos, 1.0 / s, -1.0 / (2.0 - s))
-    gp = np.bincount(src, weights=terms, minlength=n)
-    gq = np.bincount(dst, weights=terms, minlength=n)
-    return gp, gq
-
-
-def solve_linearized_ml(g, split):
-    """Solve the per-node linear equations approximating the likelihood optimum.
-
-    For every node with training out-degree d̂_out(ℓ) > 0:
-    d̂_out(ℓ)·p_ℓ + Σ q_j = 2·d̂_out⁺(ℓ) over training out-edges, and
-    symmetrically for q. These are the stationarity conditions of the
-    training-edge fit Σ ((1+y)/2 − (p_i+q_j)/2)², so the system is always
-    consistent; it is singular (p + c, q − c on a component solves it too),
-    and :func:`features.box_fit_edges` with no box and no pull returns *a*
-    solution, to a gradient infinity norm of 1e-10, not the minimum-norm
-    one. Nodes the training set never touches keep 1/2.
-    """
-    train = split.training_indices()
-    fit = box_fit_edges(g.node_count, g.src[train], g.dst[train],
-                        (1.0 + g.labels[train]) / 2.0, box=False, tol=1e-10,
-                        max_iter=100000)
-    return fit.p, fit.q
-
-
-# ---------------------------------------------------------------------------
 # Label propagation on the weighted transform
 
 
 @dataclass
 class LpOptions:
-    """``tol`` bounds the gradient infinity norm of :func:`lp_objective`."""
+    """``tol`` bounds the gradient infinity norm of the propagation objective."""
 
     tol: float = 1e-8
-    max_sweeps: int = 1000
-    track_objective: bool = False
-
-
-@dataclass
-class LpState:
-    """Label-propagation variables at (or nearest to) the fixed point.
-
-    ``y_soft`` holds the soft test-edge values in the same units as the
-    training scores (p_i+q_j)/2, ordered like ``split.test_indices()``.
-    ``residual`` is the gradient infinity norm of :func:`lp_objective` at
-    (p, q, y_soft). With ``track_objective`` the per-sweep objective values
-    (a nonincreasing sequence) are kept in ``objective_trace``.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-    y_soft: np.ndarray
-    residual: float
-    iterations: int
-    objective: float
-    objective_trace: list = field(default_factory=list)
-
-
-def _lp_targets(g, split, y_soft=None):
-    t = np.full(g.edge_count, 0.5)
-    train = split.training_indices()
-    t[train] = (1.0 + g.labels[train]) / 2.0
-    if y_soft is not None:
-        t[split.test_indices()] = y_soft
-    return t
-
-
-def lp_objective(g, split, p, q, y_soft):
-    """Quadratic objective the propagation sweeps minimize.
-
-    Edge fit Σ_E (t − (p_i+q_j)/2)² with t pinned to (1+y)/2 on training
-    edges and free on test edges, plus the degree-weighted pull
-    (1/2)Σ_i [d_out(i)p_i² + d_in(i)q_i²] toward zero.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    t = _lp_targets(g, split, y_soft)
-    r = t - 0.5 * (p[g.src] + q[g.dst])
-    n = g.node_count
-    d_out = np.bincount(g.src, minlength=n)
-    d_in = np.bincount(g.dst, minlength=n)
-    return float(r @ r + 0.5 * (d_out @ (p * p) + d_in @ (q * q)))
-
-
-def lp_gradient(g, split, p, q, y_soft):
-    """(∂p, ∂q, ∂y_soft) of :func:`lp_objective`."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    t = _lp_targets(g, split, y_soft)
-    n = g.node_count
-    src, dst = g.src, g.dst
-    d_out = np.bincount(src, minlength=n)
-    d_in = np.bincount(dst, minlength=n)
-    half = 0.5 * (p[src] + q[dst]) - t
-    gp = np.bincount(src, weights=half, minlength=n) + d_out * p
-    gq = np.bincount(dst, weights=half, minlength=n) + d_in * q
-    test = split.test_indices()
-    gt = 2.0 * t[test] - (p[src[test]] + q[dst[test]])
-    return gp, gq, gt
+    max_iter: int = 1000
 
 
 def lp_run(g, split, opt=None):
-    """Minimize :func:`lp_objective` by exact block sweeps over (p, q).
+    """Minimize the propagation objective by exact block sweeps over (p, q).
 
-    Every test value t_e is free and has no box, so at the optimum
-    t_e = (p_i+q_j)/2 and its square drops out. What is left is the
-    training-edge fit plus the pull (1/2)Σ_i [d_out(i)p_i² + d_in(i)q_i²],
-    degrees counted over all edges, which :func:`features.box_fit_edges`
-    solves with no box: p_i ← (2Σ_tr t − Σ_tr q_j) / (d_tr,out(i) + 2d_out(i))
-    over training out-edges, then q_j from the new p symmetrically. Each
-    step is the exact minimizer with the other block held fixed, so the
-    per-sweep objective is nonincreasing; with ``opt.track_objective`` it is
-    recorded after every sweep. The sweeps stop when the gradient infinity
-    norm of :func:`lp_objective` drops to ``opt.tol``; ``residual`` reports
-    that norm (its q and y_soft parts vanish after every sweep, up to
-    rounding). A node with edges but no training out-edge (in-edge) gets
-    p = 0 (q = 0) in the first sweep; one with zero out-degree (in-degree)
-    keeps p (q) at 1/2. ``y_soft`` holds (p_i+q_j)/2 on the test edges.
+    The objective is the edge fit Σ_E (t − (p_i+q_j)/2)², with t pinned to
+    (1+y)/2 on training edges and free on test edges, plus the degree pull
+    (1/2)Σ_i [d_out(i)p_i² + d_in(i)q_i²] toward zero. Every test value t_e
+    has no box, so at the optimum t_e = (p_i+q_j)/2 and its square drops
+    out. What is left is the training-edge fit plus the pull, degrees
+    counted over all edges, which :func:`features.box_fit_edges` solves with
+    no box: p_i ← (2Σ_tr t − Σ_tr q_j) / (d_tr,out(i) + 2d_out(i)) over
+    training out-edges, then q_j from the new p symmetrically. Each step is
+    the exact minimizer with the other block held fixed, so the per-sweep
+    objective is nonincreasing. The sweeps stop when the gradient infinity
+    norm of the objective drops to ``opt.tol``; ``pg_norm`` reports that
+    norm (its q and test parts vanish after every sweep, up to rounding),
+    ``value`` the objective. A node with edges but no training out-edge
+    (in-edge) gets p = 0 (q = 0) in the first sweep; one with zero
+    out-degree (in-degree) keeps p (q) at 1/2.
 
-    Raises ConvergenceError carrying the last state if ``opt.max_sweeps``
-    is exhausted.
+    Returns the kernel's :class:`features.EdgeFit` with ``y_soft`` =
+    (p_i+q_j)/2 on the test edges. The kernel's ConvergenceError, raised if
+    ``opt.max_iter`` sweeps are exhausted, propagates as it is.
     """
     opt = opt or LpOptions()
     n = g.node_count
     train, test = split.training_indices(), split.test_indices()
-    test_src, test_dst = g.src[test], g.dst[test]
-    trace = []
-
-    def y_soft(p, q):
-        return 0.5 * (p[test_src] + q[test_dst])
-
-    def record(p, q):
-        trace.append(lp_objective(g, split, p, q, y_soft(p, q)))
-
-    def state(fit):
-        t = y_soft(fit.p, fit.q)
-        return LpState(p=fit.p, q=fit.q, y_soft=t, residual=fit.pg_norm,
-                       iterations=fit.iterations,
-                       objective=lp_objective(g, split, fit.p, fit.q, t),
-                       objective_trace=trace)
-
     pull = (np.bincount(g.src, minlength=n), np.bincount(g.dst, minlength=n))
-    try:
-        fit = box_fit_edges(n, g.src[train], g.dst[train], (1.0 + g.labels[train]) / 2.0,
-                            pull=pull, box=False, tol=opt.tol, max_iter=opt.max_sweeps,
-                            callback=record if opt.track_objective else None)
-    except ConvergenceError as err:
-        raise ConvergenceError(str(err), state=state(err.state)) from err
-    return state(fit)
+    fit = box_fit_edges(n, g.src[train], g.dst[train], (1.0 + g.labels[train]) / 2.0,
+                        pull=pull, box=False, tol=opt.tol, max_iter=opt.max_iter)
+    return replace(fit, y_soft=0.5 * (fit.p[g.src[test]] + fit.q[g.dst[test]]))
 
 
 @dataclass
@@ -550,10 +423,10 @@ class LpModel(_PQModel):
     FORMAT = "edgesign-lprop"
 
     @classmethod
-    def fit(cls, g, split, tol=LpOptions.tol, max_iter=LpOptions.max_sweeps):
+    def fit(cls, g, split, tol=LpOptions.tol, max_iter=LpOptions.max_iter):
         """:func:`lp_run` to ``tol`` in at most ``max_iter`` sweeps, then the cut."""
-        state = lp_run(g, split, LpOptions(tol=tol, max_sweeps=max_iter))
-        return cls._tuned(state.p, state.q, g, split)
+        fit = lp_run(g, split, LpOptions(tol=tol, max_iter=max_iter))
+        return cls._tuned(fit.p, fit.q, g, split)
 
     def score(self, src, dst):
         return 0.5 * (self.p[src] + self.q[dst])
@@ -573,58 +446,33 @@ def lp_predict(model, g, split):
 
 @dataclass
 class UnregOptions:
-    tol: float = 1e-8
+    """``tol`` bounds the projected-gradient infinity norm of the training-edge fit."""
+
+    tol: float = 1e-6
     max_iter: int = 20000
-
-
-@dataclass
-class UnregResult:
-    p: np.ndarray
-    q: np.ndarray
-    y_soft: np.ndarray
-    objective: float
-    iterations: int
-    pg_norm: float
-
-
-def unreg_objective(g, split, p, q, y_soft):
-    """Joint quadratic: training fit plus test fit with free y ∈ [−1,1]."""
-    y = g.labels.astype(np.float64)
-    y[split.test_indices()] = y_soft
-    r = (1.0 + y) / 2.0 - 0.5 * (np.asarray(p, dtype=np.float64)[g.src]
-                                 + np.asarray(q, dtype=np.float64)[g.dst])
-    return float(r @ r)
 
 
 def unreg_solve(g, split, opt=None):
     """Minimize the unregularized joint quadratic over p, q ∈ [0,1] and test y ∈ [−1,1].
 
-    p_i+q_j−1 always lies in [−1,1], so every minimizer fits each test edge
-    exactly with y = p_i+q_j−1. What is left is the box least-squares fit of
-    the training edges alone, solved by :func:`features.box_fit_edges` to a
-    projected-gradient infinity norm of ``opt.tol``; test edges then get
-    ``y_soft = p_i+q_j−1``. The minimizer is not unique: the objective does
-    not depend on p (q) of a node without a training out-edge (in-edge),
-    which keeps 1/2, so test labels depend on where the solver starts and
-    stops. Raises ConvergenceError carrying the last iterate as an
-    :class:`UnregResult` if ``opt.max_iter`` sweeps are exhausted.
+    The objective is Σ_E ((1+y)/2 − (p_i+q_j)/2)², y the label on training
+    edges. p_i+q_j−1 always lies in [−1,1], so every minimizer fits each test
+    edge exactly with y = p_i+q_j−1. What is left is the box least-squares
+    fit of the training edges alone, solved by :func:`features.box_fit_edges`
+    to a projected-gradient infinity norm of ``opt.tol``. The minimizer is
+    not unique: the objective does not depend on p (q) of a node without a
+    training out-edge (in-edge), which keeps 1/2, so test labels depend on
+    where the solver starts and stops.
+
+    Returns the kernel's :class:`features.EdgeFit` with ``y_soft`` =
+    p_i+q_j−1 on the test edges. The kernel's ConvergenceError, raised if
+    ``opt.max_iter`` sweeps are exhausted, propagates as it is.
     """
     opt = opt or UnregOptions()
-    train = split.training_indices()
-    test = split.test_indices()
-
-    def result(fit):
-        y_soft = fit.p[g.src[test]] + fit.q[g.dst[test]] - 1.0
-        return UnregResult(p=fit.p, q=fit.q, y_soft=y_soft, objective=fit.value,
-                           iterations=fit.iterations, pg_norm=fit.pg_norm)
-
-    try:
-        fit = box_fit_edges(g.node_count, g.src[train], g.dst[train],
-                            (1.0 + g.labels[train]) / 2.0, tol=opt.tol,
-                            max_iter=opt.max_iter)
-    except ConvergenceError as err:
-        raise ConvergenceError(str(err), state=result(err.state)) from err
-    return result(fit)
+    train, test = split.training_indices(), split.test_indices()
+    fit = box_fit_edges(g.node_count, g.src[train], g.dst[train],
+                        (1.0 + g.labels[train]) / 2.0, tol=opt.tol, max_iter=opt.max_iter)
+    return replace(fit, y_soft=fit.p[g.src[test]] + fit.q[g.dst[test]] - 1.0)
 
 
 class UnregModel(_PQModel):
@@ -634,10 +482,10 @@ class UnregModel(_PQModel):
     FORMAT = "edgesign-unreg"
 
     @classmethod
-    def fit(cls, g, split, tol=1e-6, max_iter=UnregOptions.max_iter):
-        """:func:`unreg_solve` to ``tol`` (the sweep's 1e-6 by default), then the cut."""
-        result = unreg_solve(g, split, UnregOptions(tol=tol, max_iter=max_iter))
-        return cls._tuned(result.p, result.q, g, split)
+    def fit(cls, g, split, tol=UnregOptions.tol, max_iter=UnregOptions.max_iter):
+        """:func:`unreg_solve` to ``tol`` in at most ``max_iter`` sweeps, then the cut."""
+        fit = unreg_solve(g, split, UnregOptions(tol=tol, max_iter=max_iter))
+        return cls._tuned(fit.p, fit.q, g, split)
 
     def score(self, src, dst):
         return self.p[src] + self.q[dst] - 1.0

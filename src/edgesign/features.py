@@ -66,14 +66,22 @@ def psi_g_for_labels(g, labels):
 
 
 @dataclass
-class BoxLsResult:
-    """Solution of the edge-quadratic fit."""
+class EdgeFit:
+    """A fit of the edge quadratic: the one record every edge-quadratic solver returns.
 
-    value: float
+    ``value`` is the objective at (p, q), ``pg_norm`` the stationarity
+    measure the sweeps stopped on. ``y_soft`` holds the soft values of the
+    test edges for :func:`batch.lp_run` and :func:`batch.unreg_solve`, ordered
+    like ``split.test_indices()``; it is None for a bare kernel fit and for
+    the record a ConvergenceError carries.
+    """
+
     p: np.ndarray
     q: np.ndarray
+    value: float
     iterations: int
     pg_norm: float
+    y_soft: np.ndarray | None = None
 
 
 def box_fit_edges(n, src, dst, targets, pull=None, box=True, tol=1e-8, max_iter=10000,
@@ -94,9 +102,9 @@ def box_fit_edges(n, src, dst, targets, pull=None, box=True, tol=1e-8, max_iter=
     After its own step the q block is stationary, so the (projected)
     gradient infinity norm of the p block is the stationarity measure; it
     comes from the Σ_out q_j that the next p step needs anyway. Stops when
-    it drops to ``tol``. Raises ConvergenceError carrying the last iterate
-    as a :class:`BoxLsResult` (``state``) and its value (``best_value``) if
-    ``max_iter`` sweeps are exhausted.
+    it drops to ``tol``. Returns an :class:`EdgeFit`; raises ConvergenceError
+    carrying the last iterate as an :class:`EdgeFit` (``state``) and its
+    value (``best_value``) if ``max_iter`` sweeps are exhausted.
     """
     # denominators of the block steps: fitted degree plus twice the pull
     den_p = np.bincount(src, minlength=n).astype(np.float64)
@@ -116,7 +124,7 @@ def box_fit_edges(n, src, dst, targets, pull=None, box=True, tol=1e-8, max_iter=
         return float(r @ r + 0.5 * (pull[0] @ (p * p) + pull[1] @ (q * q)))
 
     if not (has_out.any() or has_in.any()):
-        return BoxLsResult(value(), p, q, 0, 0.0)
+        return EdgeFit(p, q, value(), 0, 0.0)
     sum_out_t = np.bincount(src, weights=targets, minlength=n)
     sum_in_t = np.bincount(dst, weights=targets, minlength=n)
     sum_out_q = np.bincount(src, weights=q[dst], minlength=n)
@@ -141,11 +149,11 @@ def box_fit_edges(n, src, dst, targets, pull=None, box=True, tol=1e-8, max_iter=
         if callback is not None:
             callback(p, q)
         if pg <= tol:
-            return BoxLsResult(value(), p, q, it, float(pg))
+            return EdgeFit(p, q, value(), it, float(pg))
     best = value()
     raise ConvergenceError(
         f"edge-quadratic fit not stationary after {max_iter} sweeps (gradient {pg:.3g})",
-        state=BoxLsResult(best, p, q, it, float(pg)), best_value=best)
+        state=EdgeFit(p, q, best, it, float(pg)), best_value=best)
 
 
 def minimize_edge_quadratic(g, tol=1e-8, max_iter=10000, callback=None):

@@ -436,7 +436,7 @@ def write_edge_list(g, path_or_file):
             f.close()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeSplit(JsonContainer):
     """Training/test partition of edge indices, sampled without replacement.
 
@@ -467,6 +467,12 @@ class EdgeSplit(JsonContainer):
 
     def test_indices(self):
         return self._test
+
+    def __eq__(self, other):
+        if not isinstance(other, EdgeSplit):
+            return NotImplemented
+        return (np.array_equal(self.training_mask, other.training_mask)
+                and self.fraction == other.fraction and self.seed == other.seed)
 
     def to_json_dict(self):
         return {

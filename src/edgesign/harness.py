@@ -9,7 +9,6 @@ failing method run is recorded in its cell without disturbing the rest.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -231,33 +230,3 @@ def run_experiment(spec, threads=1):
     return ExperimentReport(cells=list(cells.values()), regularity=regularity,
                             repetitions=spec.repetitions, base_seed=spec.base_seed,
                             node_count=g.node_count, edge_count=g.edge_count)
-
-
-@dataclass
-class TTestResult:
-    p_value: float
-    t_statistic: float
-    degenerate: bool
-
-
-def paired_t_test(a, b):
-    """Two-sided paired Student t-test.
-
-    Zero-variance differences are degenerate: p = 1 when the paired values
-    agree on average, p = 0 otherwise, flagged in the result.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.size < 2:
-        raise ValueError("need two equal-length vectors with at least 2 entries")
-    d = a - b
-    mean = d.mean()
-    sd = d.std(ddof=1)
-    if sd == 0.0:
-        return TTestResult(p_value=1.0 if mean == 0.0 else 0.0,
-                           t_statistic=float("nan") if mean else 0.0,
-                           degenerate=True)
-    import scipy.stats  # slow to import, and only this test needs it
-    t = mean / (sd / math.sqrt(d.size))
-    p = 2.0 * scipy.stats.t.sf(abs(t), df=d.size - 1)
-    return TTestResult(p_value=float(p), t_statistic=float(t), degenerate=False)

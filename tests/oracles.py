@@ -5,7 +5,11 @@ record-by-record readers and writers, field-by-field model containers,
 mask-compacting degree counts, a per-edge logistic fit,
 brute-force enumeration, dense grids, finite differences, plain projected
 gradient descent, scipy's bounded-variable least squares, exact-rational
-dynamic programming, and the paper's edge-to-node graph transforms.
+dynamic programming, and the paper's edge-to-node graph transforms. The
+closed-form objectives and gradients of the lprop, unreg and likelihood
+problems live here too, as the definitions the solvers are checked
+against; only :func:`solve_linearized_ml` runs the kernel, for the tests
+of its unboxed mode.
 """
 
 import math
@@ -14,9 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from edgesign.batch import lp_gradient, lp_objective, tune_threshold
+from edgesign.batch import tune_threshold
 from edgesign.errors import DataError, EdgeListParseError
-from edgesign.features import troll_trust
+from edgesign.features import box_fit_edges, troll_trust
 from edgesign.graph import NodeStats
 
 
@@ -199,6 +203,102 @@ def finite_difference(fun, x, h=1e-5):
         e[k] = h
         grad[k] = (fun(x + e) - fun(x - e)) / (2.0 * h)
     return grad
+
+
+def _lp_targets(g, split, y_soft=None):
+    t = np.full(g.edge_count, 0.5)
+    train = split.training_indices()
+    t[train] = (1.0 + g.labels[train]) / 2.0
+    if y_soft is not None:
+        t[split.test_indices()] = y_soft
+    return t
+
+
+def lp_objective(g, split, p, q, y_soft):
+    """Quadratic objective the propagation sweeps minimize.
+
+    Edge fit Σ_E (t − (p_i+q_j)/2)² with t pinned to (1+y)/2 on training
+    edges and free on test edges, plus the degree-weighted pull
+    (1/2)Σ_i [d_out(i)p_i² + d_in(i)q_i²] toward zero.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    t = _lp_targets(g, split, y_soft)
+    r = t - 0.5 * (p[g.src] + q[g.dst])
+    n = g.node_count
+    d_out = np.bincount(g.src, minlength=n)
+    d_in = np.bincount(g.dst, minlength=n)
+    return float(r @ r + 0.5 * (d_out @ (p * p) + d_in @ (q * q)))
+
+
+def lp_gradient(g, split, p, q, y_soft):
+    """(∂p, ∂q, ∂y_soft) of :func:`lp_objective`."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    t = _lp_targets(g, split, y_soft)
+    n = g.node_count
+    src, dst = g.src, g.dst
+    d_out = np.bincount(src, minlength=n)
+    d_in = np.bincount(dst, minlength=n)
+    half = 0.5 * (p[src] + q[dst]) - t
+    gp = np.bincount(src, weights=half, minlength=n) + d_out * p
+    gq = np.bincount(dst, weights=half, minlength=n) + d_in * q
+    test = split.test_indices()
+    gt = 2.0 * t[test] - (p[src[test]] + q[dst[test]])
+    return gp, gq, gt
+
+
+def unreg_objective(g, split, p, q, y_soft):
+    """Joint quadratic: training fit plus test fit with free y ∈ [−1,1]."""
+    y = g.labels.astype(np.float64)
+    y[split.test_indices()] = y_soft
+    r = (1.0 + y) / 2.0 - 0.5 * (np.asarray(p, dtype=np.float64)[g.src]
+                                 + np.asarray(q, dtype=np.float64)[g.dst])
+    return float(r @ r)
+
+
+def ml_gradient(p, q, g, split):
+    """Gradient of the training log-likelihood w.r.t. (p, q).
+
+    For each node ℓ: Σ over positive training out-edges of 1/(p_ℓ+q_j) minus
+    Σ over negative ones of 1/(2−p_ℓ−q_j); symmetrically for q. Requires
+    p_i+q_j strictly inside (0, 2) on every training edge.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    train = split.training_indices()
+    src, dst, y = g.src[train], g.dst[train], g.labels[train]
+    s = p[src] + q[dst]
+    bad = np.flatnonzero((s <= 0.0) | (s >= 2.0))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"p+q = {s[k]} on training edge ({src[k]}, {dst[k]}) lies outside (0, 2)")
+    n = g.node_count
+    pos = y == 1
+    terms = np.where(pos, 1.0 / s, -1.0 / (2.0 - s))
+    gp = np.bincount(src, weights=terms, minlength=n)
+    gq = np.bincount(dst, weights=terms, minlength=n)
+    return gp, gq
+
+
+def solve_linearized_ml(g, split):
+    """Solve the per-node linear equations approximating the likelihood optimum.
+
+    For every node with training out-degree d̂_out(ℓ) > 0:
+    d̂_out(ℓ)·p_ℓ + Σ q_j = 2·d̂_out⁺(ℓ) over training out-edges, and
+    symmetrically for q. These are the stationarity conditions of the
+    training-edge fit Σ ((1+y)/2 − (p_i+q_j)/2)², so the system is always
+    consistent; it is singular (p + c, q − c on a component solves it too),
+    and :func:`edgesign.features.box_fit_edges` with no box and no pull
+    returns *a* solution, to a gradient infinity norm of 1e-10, not the
+    minimum-norm one. Nodes the training set never touches keep 1/2.
+    """
+    train = split.training_indices()
+    fit = box_fit_edges(g.node_count, g.src[train], g.dst[train],
+                        (1.0 + g.labels[train]) / 2.0, box=False, tol=1e-10,
+                        max_iter=100000)
+    return fit.p, fit.q
 
 
 def lp_reference_minimize(g, split, iters=400000, check_every=200, tol=1e-11):
@@ -429,19 +529,6 @@ def mrc_recurrence_table(r_max, c_max):
                 prev_less = table.get((r - 1, c - 1), Fraction(0))
                 table[(r, c)] = (prev_same + prev_less) / 2
     return table
-
-
-def student_t_two_sided_p(t, df):
-    """Two-sided p-value by numerical quadrature of the t density."""
-    from scipy.integrate import quad
-
-    c = math.gamma((df + 1) / 2.0) / (math.sqrt(df * math.pi) * math.gamma(df / 2.0))
-
-    def density(x):
-        return c * (1.0 + x * x / df) ** (-(df + 1) / 2.0)
-
-    tail, _ = quad(density, abs(t), np.inf)
-    return 2.0 * tail
 
 
 def rwm_two_expert_mistakes(labels):

@@ -1,10 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
-from edgesign.batch import (BlcModel, LogRegModel, blc_fit,
-                            blc_predict_split, load_model, logreg_fit,
-                            logreg_predict_split, ml_gradient, save_model,
-                            solve_linearized_ml, tune_threshold)
+from edgesign.batch import (BlcModel, LogRegModel, blc_fit, blc_predict_split, load_model,
+                            logreg_fit, logreg_predict_split, save_model, tune_threshold)
 from edgesign.errors import ConvergenceError, DegenerateFitError
 from edgesign.features import box_fit_edges, troll_trust
 from edgesign.genmodel import TwoPointPrior, UniformPrior, bayes_scores, make_synthetic, sign_with_tie
@@ -12,8 +12,8 @@ from edgesign.graph import SignedDigraph, load_edge_list, sample_split
 from edgesign.metrics import confusion
 
 from conftest import make_split, random_graph
-from oracles import (brute_force_threshold_mistakes, finite_difference,
-                     quadratic_training_grad, quadratic_training_loss)
+from oracles import (brute_force_threshold_mistakes, finite_difference, ml_gradient,
+                     quadratic_training_grad, quadratic_training_loss, solve_linearized_ml)
 
 
 class TestTuneThreshold:
@@ -23,10 +23,10 @@ class TestTuneThreshold:
         assert theta == 0.5
 
     def test_all_positive_sentinel(self):
-        assert tune_threshold([0.3, 0.7, 0.1], [1, 1, 1]) == float("-inf")
+        assert tune_threshold([0.3, 0.7, 0.1], [1, 1, 1]) == -sys.float_info.max
 
     def test_all_negative_sentinel(self):
-        assert tune_threshold([0.3, 0.7], [-1, -1]) == float("inf")
+        assert tune_threshold([0.3, 0.7], [-1, -1]) == sys.float_info.max
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -41,7 +41,7 @@ class TestTuneThreshold:
     def test_tie_breaks_toward_smallest(self):
         # both cuts around the middle value are optimal; smallest wins
         theta = tune_threshold([0.0, 1.0], [1, -1])
-        assert theta == float("-inf")
+        assert theta == -sys.float_info.max
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

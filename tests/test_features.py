@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from edgesign.batch import unreg_objective
 from edgesign.errors import ConvergenceError
 from edgesign.features import (minimize_edge_quadratic, psi2, psi_g, regularity_report,
                                troll_trust)
@@ -9,7 +8,7 @@ from edgesign.genmodel import TwoPointPrior, UniformPrior, eq1_rates, make_synth
 from edgesign.graph import SignedDigraph, load_edge_list
 
 from conftest import make_split, random_graph
-from oracles import batch_mismatch, grid_minimum
+from oracles import batch_mismatch, grid_minimum, unreg_objective
 
 
 class TestTrollTrust:

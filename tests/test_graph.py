@@ -355,6 +355,14 @@ class TestSampleSplit:
         b = sample_split(g, 0.3, seed=123)
         assert np.array_equal(a.training_mask, b.training_mask)
 
+    def test_splits_compare_by_mask_fraction_and_seed(self):
+        g = random_graph(30, 100, seed=8)
+        a = sample_split(g, 0.5, seed=1)
+        assert a == sample_split(g, 0.5, seed=1)
+        assert a != sample_split(g, 0.5, seed=2)
+        assert a != EdgeSplit(a.training_mask, 0.5, 2)
+        assert a != EdgeSplit(a.training_mask, 0.25, 1)
+
     def test_uniformity_monte_carlo(self):
         # 3-sigma binomial band on per-edge inclusion over 10000 seeds
         g = random_graph(10, 4, seed=11)
@@ -386,6 +394,4 @@ class TestSampleSplit:
         split = sample_split(g, 0.25, seed=5)
         path = tmp_path / "split.json"
         split.save(path)
-        again = EdgeSplit.load(path)
-        assert np.array_equal(again.training_mask, split.training_mask)
-        assert again.seed == split.seed and again.fraction == split.fraction
+        assert EdgeSplit.load(path) == split

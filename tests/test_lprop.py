@@ -1,24 +1,34 @@
+import inspect
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from edgesign.batch import (LpModel, LpOptions, UnregModel, UnregOptions, UnregResult,
-                            lp_gradient, lp_objective, lp_predict, lp_run, tune_threshold,
-                            unreg_objective, unreg_predict, unreg_solve)
+from edgesign.batch import (LpModel, LpOptions, UnregModel, UnregOptions, lp_predict, lp_run,
+                            unreg_predict, unreg_solve)
 from edgesign.errors import ConvergenceError
+from edgesign.features import EdgeFit, minimize_edge_quadratic
 from edgesign.graph import SignedDigraph, load_edge_list, sample_split
 
 from conftest import make_split, random_graph
-from oracles import (batch_mismatch, finite_difference, grid_minimum, lp_objective_batch,
-                     lp_reference_minimize, unreg_box_lsq_minimum,
-                     unreg_objective_batch)
+from oracles import (batch_mismatch, finite_difference, grid_minimum, lp_gradient, lp_objective,
+                     lp_objective_batch, lp_reference_minimize, unreg_box_lsq_minimum,
+                     unreg_objective, unreg_objective_batch)
 
 
 def lp_run_partial(g, split, opt):
-    """The state after ``opt.max_sweeps`` sweeps, converged or not."""
+    """The fit after ``opt.max_iter`` sweeps, converged or not.
+
+    An unconverged fit carries no ``y_soft``; it gets the lprop score
+    (p_i+q_j)/2 of each test edge, which is what :func:`lp_run` returns.
+    """
     try:
         return lp_run(g, split, opt)
     except ConvergenceError as err:
-        return err.state
+        test = split.test_indices()
+        model = LpModel(err.state.p, err.state.q, 0.0)
+        return replace(err.state, y_soft=model.score(g.src[test], g.dst[test]))
 
 
 def joint_projected_gradient(g, split, result):
@@ -93,17 +103,11 @@ class TestLpRun:
         split = sample_split(g, 0.3, seed=10)
         values = []
         for sweeps in range(1, 12):
-            try:
-                state = lp_run(g, split, LpOptions(tol=0.0, max_sweeps=sweeps))
-            except ConvergenceError as err:
-                state = err.state
+            state = lp_run_partial(g, split, LpOptions(tol=0.0, max_iter=sweeps))
+            assert state.iterations == sweeps
             values.append(lp_objective(g, split, state.p, state.q, state.y_soft))
+            assert state.value == pytest.approx(values[-1], rel=1e-12)
         assert np.all(np.diff(values) <= 1e-10)
-        traced = lp_run_partial(g, split, LpOptions(tol=0.0, max_sweeps=11,
-                                                    track_objective=True))
-        assert len(traced.objective_trace) == 11
-        assert np.all(np.diff(traced.objective_trace) <= 1e-10)
-        assert np.array_equal(traced.objective_trace, values)
 
     @pytest.mark.parametrize("g, split", [
         random_case(12, 45, seed=21, fraction=0.3),
@@ -118,21 +122,17 @@ class TestLpRun:
     def test_objective_nonincreasing_on_more_splits(self, g, split):
         values = []
         for sweeps in range(1, 16):
-            state = lp_run_partial(g, split, LpOptions(tol=0.0, max_sweeps=sweeps))
+            state = lp_run_partial(g, split, LpOptions(tol=0.0, max_iter=sweeps))
+            assert state.iterations <= sweeps
             values.append(lp_objective(g, split, state.p, state.q, state.y_soft))
+            assert state.value == pytest.approx(values[-1], rel=1e-12, abs=1e-15)
         assert np.all(np.diff(values) <= 1e-10)
-        traced = lp_run_partial(g, split, LpOptions(tol=0.0, max_sweeps=15,
-                                                    track_objective=True))
-        trace = traced.objective_trace
-        assert len(trace) == traced.iterations
-        assert np.array_equal(trace, values[:len(trace)])
-        assert trace[-1] == traced.objective
 
     def test_matches_reference_minimizer(self):
         for seed in range(6):
             g = random_graph(10, 30, seed=seed + 20)
             split = sample_split(g, 0.4, seed=seed + 200)
-            state = lp_run(g, split, LpOptions(tol=1e-12, max_sweeps=20000))
+            state = lp_run(g, split, LpOptions(tol=1e-12, max_iter=20000))
             p, q, t = lp_reference_minimize(g, split)
             assert np.abs(state.p - p).max() <= 1e-6
             assert np.abs(state.q - q).max() <= 1e-6
@@ -174,7 +174,7 @@ class TestLpRun:
         state = lp_run(g, make_split([False, False]))
         assert state.iterations == 1
         assert state.p.tolist() == [0.0, 0.0, 0.5] and state.q.tolist() == [0.5, 0.0, 0.0]
-        assert state.y_soft.tolist() == [0.0, 0.0] and state.objective == 0.0
+        assert state.y_soft.tolist() == [0.0, 0.0] and state.value == 0.0
 
     def test_untrained_side_in_trained_component_is_exactly_zero(self):
         # one trained component: b's only out-edge and both of c's in-edges
@@ -194,14 +194,14 @@ class TestLpRun:
         state = lp_run(g, split, LpOptions(tol=1e-9))
         gp, gq, gt = lp_gradient(g, split, state.p, state.q, state.y_soft)
         norm = max(np.abs(gp).max(), np.abs(gq).max(), np.abs(gt).max(initial=0.0))
-        assert state.residual <= 1e-9
-        assert abs(norm - state.residual) <= 1e-14
+        assert state.pg_norm <= 1e-9
+        assert abs(norm - state.pg_norm) <= 1e-14
 
     def test_max_sweeps_error_carries_state(self):
         g = random_graph(20, 80, seed=11)
         split = sample_split(g, 0.3, seed=12)
         with pytest.raises(ConvergenceError) as err:
-            lp_run(g, split, LpOptions(tol=1e-14, max_sweeps=2))
+            lp_run(g, split, LpOptions(tol=1e-14, max_iter=2))
         assert err.value.state is not None
         assert err.value.state.iterations == 2
 
@@ -219,7 +219,7 @@ class TestLpPredict:
         g = load_edge_list("a\tb\t1\nb\tc\t1\nc\td\t1\nd\ta\t1\na\tc\t1\n")
         split = make_split([True, True, True, True, False])
         pred = lp_predict(LpModel.fit(g, split), g, split)
-        assert pred.threshold == float("-inf")
+        assert pred.threshold == -sys.float_info.max
         assert np.all(pred.labels == 1)
 
     def test_persisted_model_reproduces_scores_bitwise(self, tmp_path):
@@ -241,7 +241,7 @@ class TestUnreg:
         g = load_edge_list("a\tb\t1\n")
         split = make_split([True])
         result = unreg_solve(g, split)
-        assert result.objective <= 1e-12
+        assert result.value <= 1e-12
         assert abs(result.p[0] - 1.0) <= 1e-6
         assert abs(result.q[1] - 1.0) <= 1e-6
 
@@ -257,7 +257,7 @@ class TestUnreg:
             q_clip = np.clip(state.q, 0.0, 1.0)
             y_clip = np.clip(2.0 * state.y_soft - 1.0, -1.0, 1.0)
             lp_value = unreg_objective(g, split, p_clip, q_clip, y_clip)
-            assert result.objective <= lp_value + 1e-9
+            assert result.value <= lp_value + 1e-9
 
     def test_two_variable_instance_matches_grid(self):
         g = load_edge_list("a\tb\t1\n")
@@ -276,7 +276,7 @@ class TestUnreg:
         assert batch_mismatch(fun, fun_batch, bounds, 0.001) <= 1e-12
         best_val, _ = grid_minimum(fun_batch, bounds, 0.001)
         result = unreg_solve(g, split)
-        assert result.objective <= best_val + 1e-9
+        assert result.value <= best_val + 1e-9
 
     def test_four_variable_instance_matches_refined_grid(self):
         # one training edge (a,b,+), one test edge (a,c): vars p_a,q_b,q_c,y
@@ -299,7 +299,7 @@ class TestUnreg:
         assert batch_mismatch(fun, fun_batch, fine_bounds, 0.01) <= 1e-12
         fine_val, _ = grid_minimum(fun_batch, fine_bounds, 0.01)
         result = unreg_solve(g, split)
-        assert result.objective <= fine_val + 1e-9
+        assert result.value <= fine_val + 1e-9
 
     @pytest.mark.parametrize("n, m, seed, fraction", [
         (12, 40, 31, 0.3), (15, 60, 32, 0.5), (20, 50, 33, 0.2), (25, 120, 34, 0.1),
@@ -308,11 +308,11 @@ class TestUnreg:
         g, split = random_case(n, m, seed, fraction)
         tol = 1e-10
         result = unreg_solve(g, split, UnregOptions(tol=tol))
-        assert abs(result.objective - unreg_box_lsq_minimum(g, split)) <= 1e-9
+        assert abs(result.value - unreg_box_lsq_minimum(g, split)) <= 1e-9
         test, train = split.test_indices(), split.training_indices()
         assert np.array_equal(result.y_soft,
                               result.p[g.src[test]] + result.q[g.dst[test]] - 1.0)
-        assert abs(result.objective - unreg_objective(g, split, result.p, result.q,
+        assert abs(result.value - unreg_objective(g, split, result.p, result.q,
                                                       result.y_soft)) <= 1e-12
         assert joint_projected_gradient(g, split, result) <= tol
         no_out = np.bincount(g.src[train], minlength=n) == 0
@@ -325,10 +325,9 @@ class TestUnreg:
         with pytest.raises(ConvergenceError) as err:
             unreg_solve(g, split, UnregOptions(tol=1e-14, max_iter=2))
         state = err.value.state
-        assert isinstance(state, UnregResult)
+        assert isinstance(state, EdgeFit)
         assert state.iterations == 2 and state.pg_norm > 1e-14
-        test = split.test_indices()
-        assert np.array_equal(state.y_soft, state.p[g.src[test]] + state.q[g.dst[test]] - 1.0)
+        assert state.y_soft is None
 
     def test_stationarity(self):
         g = random_graph(12, 40, seed=15)
@@ -340,6 +339,28 @@ class TestUnreg:
         g = random_graph(12, 50, seed=17)
         split = sample_split(g, 0.5, seed=18)
         result = unreg_solve(g, split)
-        pred = unreg_predict(UnregModel.fit(g, split, tol=UnregOptions.tol), g, split)
+        pred = unreg_predict(UnregModel.fit(g, split), g, split)
         assert np.array_equal(pred.scores, result.y_soft)
         assert set(np.unique(pred.labels)) <= {-1, 1}
+
+
+@pytest.mark.parametrize("solve", [
+    lambda g, split: minimize_edge_quadratic(g, tol=0.0, max_iter=2),
+    lambda g, split: lp_run(g, split, LpOptions(tol=0.0, max_iter=2)),
+    lambda g, split: unreg_solve(g, split, UnregOptions(tol=0.0, max_iter=2)),
+], ids=["psi2", "lprop", "unreg"])
+def test_convergence_error_carries_the_kernel_record(solve):
+    g, split = random_case(20, 80, 36, 0.4)
+    with pytest.raises(ConvergenceError) as err:
+        solve(g, split)
+    state = err.value.state
+    assert type(state) is EdgeFit
+    assert state.iterations == 2 and state.y_soft is None
+    assert state.value == err.value.best_value
+
+
+@pytest.mark.parametrize("model, options", [(LpModel, LpOptions), (UnregModel, UnregOptions)])
+def test_fit_defaults_are_the_options_defaults(model, options):
+    params = inspect.signature(model.fit).parameters
+    assert params["tol"].default == options().tol
+    assert params["max_iter"].default == options().max_iter

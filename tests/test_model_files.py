@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from edgesign.batch import METHODS, load_model, save_model
 from edgesign.errors import DataError
 from edgesign.features import troll_trust
 from edgesign.genmodel import TwoPointPrior, UniformPrior, make_synthetic
-from edgesign.graph import sample_split
+from edgesign.graph import EdgeSplit, load_edge_list, sample_split
 
 from conftest import random_graph, run_python
 from oracles import blc_container_reference, logreg_container_reference, pq_container_reference
@@ -70,6 +71,20 @@ def test_blc_files_with_the_node_flags_still_load_and_predict_the_same(tmp_path)
         assert np.array_equal(again.tr, model.tr) and np.array_equal(again.un, model.un)
         assert again.tau == model.tau
         assert prediction_csv(again, g, split) == prediction_csv(model, g, split)
+
+
+@pytest.mark.parametrize("method", ["lprop", "unreg"])
+def test_files_with_an_infinite_threshold_still_load_and_predict_the_same(tmp_path, method):
+    g = load_edge_list("a b 1\nb c 1\nc a 1\na c 1\nc b -1\n")
+    split = EdgeSplit(np.array([True, True, True, True, False]), 0.8, 0)
+    model = METHODS[method].fit(g, split)
+    assert model.threshold == -sys.float_info.max
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({**model.to_json_dict(), "threshold": float("-inf")}))
+    assert '"threshold": -Infinity' in path.read_text()
+    again = load_model(path)
+    assert again.threshold == float("-inf")
+    assert prediction_csv(again, g, split) == prediction_csv(model, g, split)
 
 
 DELETE = object()

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from edgesign.batch import lp_objective
 from edgesign.errors import DataError
 from edgesign.graph import load_edge_list, sample_split
 
 from conftest import random_graph
-from oracles import cutsize, to_gprime, to_gsecond
+from oracles import cutsize, lp_objective, to_gprime, to_gsecond
 
 
 class TestToGPrime:
