@@ -54,21 +54,21 @@ def tune_threshold(scores, labels):
     labels = np.asarray(labels)
     if scores.size == 0 or scores.shape != labels.shape:
         raise ValueError("need nonempty score/label vectors of equal length")
-    values, inverse = np.unique(scores, return_inverse=True)
-    k = values.size
-    pos = np.bincount(inverse[labels == 1], minlength=k)
-    neg = np.bincount(inverse[labels == -1], minlength=k)
-    # mistakes when everything with score <= values[j-1] is predicted -1:
-    # positives below the cut plus negatives above it
-    cum_pos = np.concatenate([[0], np.cumsum(pos)])
-    cum_neg = np.concatenate([[0], np.cumsum(neg)])
-    mistakes = cum_pos + (cum_neg[-1] - cum_neg)
+    order = np.argsort(scores)
+    ordered = scores[order]
+    ends = np.flatnonzero(ordered[1:] != ordered[:-1])  # last index of each run but the top one
+    # mistakes when everything with score <= ordered[e] is predicted -1:
+    # positives up to e plus negatives after it, between the all +1 and all -1 cuts
+    pos = np.cumsum(labels[order] == 1)
+    neg = np.cumsum(labels[order] == -1)
+    mistakes = np.r_[neg[-1], pos[ends] + (neg[-1] - neg[ends]), pos[-1]]
     j = int(np.argmin(mistakes))  # argmin takes the first (= smallest threshold)
     if j == 0:
         return -sys.float_info.max
-    if j == k:
+    if j == mistakes.size - 1:
         return sys.float_info.max
-    return float(0.5 * (values[j - 1] + values[j]))
+    e = ends[j - 1]
+    return float(0.5 * (ordered[e] + ordered[e + 1]))
 
 
 @dataclass
@@ -170,6 +170,12 @@ class _FittedModel:
                 raise DataError(f"{cls.FORMAT} container: {name} must be a number, got {d[name]!r}")
         return cls(**dict(zip(arrays, _node_arrays(d, arrays))),
                    **{name: float(d[name]) for name in numbers})
+
+    def _tune_threshold(self, g, split):
+        """Set ``threshold`` by :func:`tune_threshold` on the split's training-edge scores."""
+        train = split.training_indices()
+        self.threshold = tune_threshold(self.score(g.src[train], g.dst[train]), g.labels[train])
+        return self
 
 
 def _predict(model, g, split):
@@ -343,10 +349,8 @@ def logreg_fit(g, split, tol=1e-8, max_iter=200):
             raise ConvergenceError(
                 f"logistic line search stalled at iteration {it + 1} (|grad|={gnorm:.3g})")
         w, z, loss = w_new, z_new, loss_new
-    model = LogRegModel(w0=float(w[0]), w1=float(w[1]), w2=float(w[2]),
-                        threshold=0.0, tr=tt.tr, un=tt.un)
-    model.threshold = tune_threshold(model.score(src, dst), y)
-    return model
+    return LogRegModel(w0=float(w[0]), w1=float(w[1]), w2=float(w[2]),
+                       threshold=0.0, tr=tt.tr, un=tt.un)._tune_threshold(g, split)
 
 
 def logreg_predict_split(model, g, split):
@@ -406,15 +410,6 @@ class _PQModel(_FittedModel):
     q: np.ndarray
     threshold: float
 
-    @classmethod
-    def _tuned(cls, p, q, g, split):
-        """The model on (p, q) with its threshold tuned on the training edges."""
-        model = cls(p, q, 0.0)
-        train = split.training_indices()
-        model.threshold = tune_threshold(model.score(g.src[train], g.dst[train]),
-                                         g.labels[train])
-        return model
-
 
 class LpModel(_PQModel):
     """Label-propagation (p, q); scores an edge as (p_i+q_j)/2."""
@@ -426,7 +421,7 @@ class LpModel(_PQModel):
     def fit(cls, g, split, tol=LpOptions.tol, max_iter=LpOptions.max_iter):
         """:func:`lp_run` to ``tol`` in at most ``max_iter`` sweeps, then the cut."""
         fit = lp_run(g, split, LpOptions(tol=tol, max_iter=max_iter))
-        return cls._tuned(fit.p, fit.q, g, split)
+        return cls(fit.p, fit.q, 0.0)._tune_threshold(g, split)
 
     def score(self, src, dst):
         return 0.5 * (self.p[src] + self.q[dst])
@@ -485,7 +480,7 @@ class UnregModel(_PQModel):
     def fit(cls, g, split, tol=UnregOptions.tol, max_iter=UnregOptions.max_iter):
         """:func:`unreg_solve` to ``tol`` in at most ``max_iter`` sweeps, then the cut."""
         fit = unreg_solve(g, split, UnregOptions(tol=tol, max_iter=max_iter))
-        return cls._tuned(fit.p, fit.q, g, split)
+        return cls(fit.p, fit.q, 0.0)._tune_threshold(g, split)
 
     def score(self, src, dst):
         return self.p[src] + self.q[dst] - 1.0

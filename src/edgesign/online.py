@@ -46,13 +46,9 @@ def mistake_bound(psi, n):
     return psi + MISTAKE_BOUND_CONSTANT * (math.sqrt(n * psi) + n)
 
 
-def _eta(best_loss):
-    return min(0.5, math.sqrt(LN2 / (1.0 + best_loss)))
-
-
 def _prob_first(loss_first, loss_second):
     """Weight of the first of two experts under the self-confident rate."""
-    eta = _eta(min(loss_first, loss_second))
+    eta = min(0.5, math.sqrt(LN2 / (1.0 + min(loss_first, loss_second))))
     x = eta * (loss_first - loss_second)
     # stable two-expert softmax
     if x >= 0:
@@ -82,10 +78,15 @@ _TALLIES = {**dict.fromkeys(("meta_loss_out", "meta_loss_in", "expected_mistakes
             "realized_mistakes": is_count, "edges_seen": is_count}
 
 
+def _is_node_id(v, n):
+    """A Python or NumPy integer, not a bool, in [0, n)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < n
+
+
 def _is_edge_entry(entry, width, n):
     """``[i, j]`` (width 2) or ``[i, j, guess]`` (width 3): node ids below n, a ±1 guess."""
     return (isinstance(entry, list) and len(entry) == width
-            and all(is_count(v) and v < n for v in entry[:2])
+            and all(_is_node_id(v, n) for v in entry[:2])
             and all(type(v) is int and abs(v) == 1 for v in entry[2:]))
 
 
@@ -116,44 +117,35 @@ class OnlineState:
         self._revealed = set()
         self._pending = {}
 
-    # -- probability queries (no state change) ------------------------------
-
-    def base_prob_plus(self, node, side):
-        """P(+1) of the node's base instance on the given side ('out'/'in')."""
-        if side == "out":
-            lp, lm = self.out_loss_plus[node], self.out_loss_minus[node]
-        else:
-            lp, lm = self.in_loss_plus[node], self.in_loss_minus[node]
-        return _prob_first(lp, lm)  # weight on the +1 expert
-
-    def top_prob_out(self):
-        return _prob_first(self.meta_loss_out, self.meta_loss_in)
-
-    def prob_plus(self, i, j):
-        """Overall P(prediction = +1) on edge (i, j) under current weights."""
-        w_out = self.top_prob_out()
-        return (w_out * self.base_prob_plus(i, "out")
-                + (1.0 - w_out) * self.base_prob_plus(j, "in"))
-
-    def mistake_probs(self, i, j):
-        """{+1: P(mistake | label=+1), -1: P(mistake | label=-1)}."""
-        plus = self.prob_plus(i, j)
-        return {1: 1.0 - plus, -1: plus}
-
     # -- protocol ------------------------------------------------------------
+
+    def probs(self, i, j):
+        """The three weights a round on edge (i, j) consults: ``(w_out, p_out, p_in)``.
+
+        ``w_out`` is the top combiner's weight on the outgoing meta-expert,
+        ``p_out`` the P(+1) of i's outgoing base instance and ``p_in`` the
+        P(+1) of j's incoming one, all under the current losses. The round
+        predicts +1 with probability ``w_out·p_out + (1 − w_out)·p_in``.
+        """
+        return (_prob_first(self.meta_loss_out, self.meta_loss_in),
+                _prob_first(self.out_loss_plus[i], self.out_loss_minus[i]),
+                _prob_first(self.in_loss_plus[j], self.in_loss_minus[j]))
 
     def predict(self, edge, rng):
         i, j = edge
+        n = self.node_count
+        if not (_is_node_id(i, n) and _is_node_id(j, n)):
+            raise ProtocolError(f"edge {(i, j)} needs two integer node ids in [0, {n})")
         if (i, j) in self._revealed:
             raise ProtocolError(f"edge {(i, j)} was already revealed")
         if (i, j) in self._pending:
             raise ProtocolError(f"edge {(i, j)} already has a pending prediction")
-        w_out = self.top_prob_out()
-        side = "out" if rng.random() < w_out else "in"
-        p_plus = self.base_prob_plus(i if side == "out" else j, side)
-        guess = 1 if rng.random() < p_plus else -1
+        w_out, p_out, p_in = self.probs(i, j)
+        p_side = p_out if rng.random() < w_out else p_in
+        guess = 1 if rng.random() < p_side else -1
         self._pending[(i, j)] = guess
-        return guess, self.mistake_probs(i, j)
+        plus = w_out * p_out + (1.0 - w_out) * p_in
+        return guess, {1: 1.0 - plus, -1: plus}
 
     def update(self, edge, label):
         i, j = edge
@@ -162,21 +154,14 @@ class OnlineState:
         if label not in (1, -1):
             raise ValueError(f"label must be +1 or -1, got {label}")
         guess = self._pending.pop((i, j))
-        self._apply(i, j, label, guess)
-        self._revealed.add((i, j))
-        return self
-
-    def _apply(self, i, j, label, guess):
         # pre-update probabilities drive the expected-loss bookkeeping
-        p_out_plus = self.base_prob_plus(i, "out")
-        p_in_plus = self.base_prob_plus(j, "in")
-        w_out = self.top_prob_out()
+        w_out, p_out, p_in = self.probs(i, j)
         if label == 1:
-            miss_out, miss_in = 1.0 - p_out_plus, 1.0 - p_in_plus
+            miss_out, miss_in = 1.0 - p_out, 1.0 - p_in
             self.out_loss_minus[i] += 1
             self.in_loss_minus[j] += 1
         else:
-            miss_out, miss_in = p_out_plus, p_in_plus
+            miss_out, miss_in = p_out, p_in
             self.out_loss_plus[i] += 1
             self.in_loss_plus[j] += 1
         self.meta_loss_out += miss_out
@@ -185,6 +170,8 @@ class OnlineState:
         if guess != label:
             self.realized_mistakes += 1
         self.edges_seen += 1
+        self._revealed.add((i, j))
+        return self
 
     # -- persistence ---------------------------------------------------------
 

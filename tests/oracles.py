@@ -3,7 +3,7 @@
 Everything here deliberately avoids the solver code paths under test:
 record-by-record readers and writers, field-by-field model containers,
 mask-compacting degree counts, a per-edge logistic fit,
-brute-force enumeration, dense grids, finite differences, plain projected
+brute-force enumeration, distinct-value threshold tuning, dense grids, finite differences, plain projected
 gradient descent, scipy's bounded-variable least squares, exact-rational
 dynamic programming, and the paper's edge-to-node graph transforms. The
 closed-form objectives and gradients of the lprop, unreg and likelihood
@@ -13,6 +13,7 @@ of its unboxed mode.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,6 +178,27 @@ def logreg_fit_reference(g, split, tol=1e-8, max_iter=200):
             t *= 0.5
         w, z, loss = w_new, z_new, loss_new
     return w, tune_threshold(z, y)
+
+
+def tune_threshold_reference(scores, labels):
+    """``tune_threshold`` by distinct values: ``np.unique`` and per-value label counts."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    values, inverse = np.unique(scores, return_inverse=True)
+    k = values.size
+    pos = np.bincount(inverse[labels == 1], minlength=k)
+    neg = np.bincount(inverse[labels == -1], minlength=k)
+    # mistakes when everything with score <= values[j-1] is predicted -1:
+    # positives below the cut plus negatives above it
+    cum_pos = np.concatenate([[0], np.cumsum(pos)])
+    cum_neg = np.concatenate([[0], np.cumsum(neg)])
+    mistakes = cum_pos + (cum_neg[-1] - cum_neg)
+    j = int(np.argmin(mistakes))  # argmin takes the first (= smallest threshold)
+    if j == 0:
+        return -sys.float_info.max
+    if j == k:
+        return sys.float_info.max
+    return float(0.5 * (values[j - 1] + values[j]))
 
 
 def brute_force_threshold_mistakes(scores, labels):

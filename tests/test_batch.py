@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesign.batch import (BlcModel, LogRegModel, blc_fit, blc_predict_split, load_model,
                             logreg_fit, logreg_predict_split, save_model, tune_threshold)
@@ -13,7 +15,8 @@ from edgesign.metrics import confusion
 
 from conftest import make_split, random_graph
 from oracles import (brute_force_threshold_mistakes, finite_difference, ml_gradient,
-                     quadratic_training_grad, quadratic_training_loss, solve_linearized_ml)
+                     quadratic_training_grad, quadratic_training_loss, solve_linearized_ml,
+                     tune_threshold_reference)
 
 
 class TestTuneThreshold:
@@ -46,6 +49,17 @@ class TestTuneThreshold:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             tune_threshold([], [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 40), single_class=st.sampled_from([None, 1, -1]))
+    def test_matches_the_distinct_value_reference(self, data, size, single_class):
+        # a small pool forces ties, and 0.0 and -0.0 tie with each other
+        pool = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, -0.25, 1e-300, -3.5, 7.0])
+                                  | st.floats(-1e6, 1e6), min_size=1, max_size=6))
+        scores = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        labels = ([single_class] * size if single_class else
+                  data.draw(st.lists(st.sampled_from([1, -1]), min_size=size, max_size=size)))
+        assert repr(tune_threshold(scores, labels)) == repr(tune_threshold_reference(scores, labels))
 
 
 class TestBlc:

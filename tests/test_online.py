@@ -265,13 +265,67 @@ class TestStatePersistence:
             again.predict((0, 1), rng)
 
 
+class TestStateRounds:
+    @pytest.mark.parametrize("edge", [(-1, 0), (0, -1), (5, 0), (0, 3), (1.5, 0), (0, 1.0),
+                                      ("1", 0), (True, 0), (np.int64(3), 0)])
+    def test_endpoint_outside_the_node_set_is_a_protocol_error(self, edge):
+        state = OnlineState(3)
+        rng = np.random.default_rng(4)
+        state.predict((1, 2), rng)
+        state.update((1, 2), -1)
+        before = state.to_json_dict()
+        with pytest.raises(ProtocolError):
+            state.predict(edge, rng)
+        with pytest.raises(ProtocolError):
+            state.update(edge, -1)
+        assert state.to_json_dict() == before
+
+    def test_expected_mistake_increment_is_the_predicted_probability(self):
+        # for a -1 label both sides add w_out·p_out + (1−w_out)·p_in; for +1 the
+        # tally adds w_out·(1−p_out) + (1−w_out)·(1−p_in) and predict returns
+        # 1 − (w_out·p_out + (1−w_out)·p_in), equal up to rounding
+        g, _ = make_synthetic(60, TwoPointPrior(0.1, 0.9), 6, seed=2)
+        state = online.online_init(g)
+        rng = np.random.default_rng(3)
+        for e in np.random.default_rng(4).permutation(g.edge_count):
+            edge, label = (int(g.src[e]), int(g.dst[e])), int(g.labels[e])
+            _, miss = online.online_predict(state, edge, rng)
+            before = state.expected_mistakes
+            online.online_update(state, edge, label)
+            if label == -1:
+                assert state.expected_mistakes == before + miss[-1]
+            else:
+                assert state.expected_mistakes == pytest.approx(before + miss[1], rel=1e-15)
+
+    def test_each_call_weighs_three_instances(self, monkeypatch):
+        calls = []
+        prob_first = online._prob_first
+
+        def counted(*losses):
+            calls.append(losses)
+            return prob_first(*losses)
+
+        monkeypatch.setattr(online, "_prob_first", counted)
+        g = random_graph(8, 30, seed=6)
+        state = online.online_init(g)
+        rng = np.random.default_rng(7)
+        for e in range(g.edge_count):
+            edge = (int(g.src[e]), int(g.dst[e]))
+            del calls[:]
+            online.online_predict(state, edge, rng)
+            assert len(calls) == 3
+            del calls[:]
+            online.online_update(state, edge, int(g.labels[e]))
+            assert len(calls) == 3
+
+
 def test_base_instance_matches_hand_simulated_two_expert_rwm():
     labels = np.where(np.random.default_rng(8).random(200) < 0.3, -1, 1)
     state = OnlineState(labels.size + 1)
     rng = np.random.default_rng(9)
     total = 0.0
     for k, y in enumerate(labels):
-        p_plus = state.base_prob_plus(0, "out")
+        p_plus = state.probs(0, k + 1)[1]
         total += 1.0 - p_plus if y == 1 else p_plus
         state.predict((0, k + 1), rng)
         state.update((0, k + 1), int(y))
