@@ -61,8 +61,7 @@ def cmd_ingest(args):
 
 def cmd_stats(args):
     g = load_graph(_resolve(args.graph))
-    report = regularity_report(g, tol=args.tol, max_iter=args.max_iter,
-                               include_psi2=not args.no_psi2)
+    report = regularity_report(g, include_psi2=not args.no_psi2)
     payload = report.to_json_dict()
     payload.update({"node_count": g.node_count, "edge_count": g.edge_count,
                     "positive_fraction": json_number(g.positive_fraction)})
@@ -99,8 +98,6 @@ def cmd_train(args):
     bounds = {k: v for k, v in (("tol", args.tol), ("max_iter", args.max_iter)) if v is not None}
     model = batch.METHODS[args.method].fit(g, split, **bounds)
     batch.save_model(model, args.output)
-    if args.split_out:
-        split.save(args.split_out)
     print(f"model\t{args.output}")
     return 0
 
@@ -247,12 +244,6 @@ def cmd_sweep(args):
     spec = harness.ExperimentSpec(source=source, **_spec_values(d, EXPERIMENT_KEYS))
     report = harness.run_experiment(spec, threads=args.threads)
     write_json(report.to_json_dict(), args.output)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as f:
-            f.write(report.to_csv())
-    if args.markdown:
-        with open(args.markdown, "w", encoding="utf-8") as f:
-            f.write(report.to_markdown())
     print(report.to_markdown())
     return 0
 
@@ -299,8 +290,6 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--no-psi2", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=10000)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("split", help="draw and persist a training/test split")
@@ -319,7 +308,6 @@ def build_parser():
             p.add_argument("--method", required=True,
                            choices=list(batch.METHODS))
             p.add_argument("-o", "--output", required=True)
-            p.add_argument("--split-out", default=None)
             p.add_argument("--tol", type=float, default=None)
             p.add_argument("--max-iter", type=int, default=None)
         elif name == "predict":
@@ -337,8 +325,6 @@ def build_parser():
     p = sub.add_parser("sweep", help="run a fraction sweep from a spec file")
     p.add_argument("spec")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--markdown", default=None)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 

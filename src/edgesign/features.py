@@ -166,9 +166,9 @@ def minimize_edge_quadratic(g, tol=1e-8, max_iter=10000, callback=None):
                          max_iter=max_iter, callback=callback)
 
 
-def psi2(g, tol=1e-8, max_iter=10000):
+def psi2(g):
     """Quadratic regularity: min over (p,q) ∈ [0,1]² of the full-graph fit."""
-    return minimize_edge_quadratic(g, tol=tol, max_iter=max_iter).value
+    return minimize_edge_quadratic(g).value
 
 
 @dataclass
@@ -186,12 +186,12 @@ class RegularityReport:
         return asdict(self)
 
 
-def regularity_report(g, tol=1e-8, max_iter=10000, include_psi2=True):
+def regularity_report(g, include_psi2=True):
     """Compute the regularity report for a labeled graph; without ``include_psi2``
     its ``psi2`` and ``psi2_rate`` are None."""
     p_in, p_out, p_g = psi_g(g)
     m = max(g.edge_count, 1)
-    value = psi2(g, tol=tol, max_iter=max_iter) if include_psi2 else None
+    value = psi2(g) if include_psi2 else None
     return RegularityReport(
         psi_in=p_in, psi_out=p_out, psi_g=p_g, psi2=value,
         psi_g_rate=p_g / m, psi2_rate=None if value is None else value / m,

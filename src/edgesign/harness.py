@@ -77,21 +77,21 @@ class Cell:
     seconds: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
-    @property
-    def mcc_mean(self):
-        return float(np.mean(self.mcc_values)) if self.mcc_values else float("nan")
+    def to_json_dict(self):
+        """The cell's report entry; a mean is None (JSON ``null``) when no repetition ran."""
+        def mean(values):
+            return json_number(float(np.mean(values))) if values else None
 
-    @property
-    def mcc_std(self):
-        return float(np.std(self.mcc_values, ddof=1)) if len(self.mcc_values) > 1 else 0.0
-
-    @property
-    def acc_mean(self):
-        return float(np.mean(self.acc_values)) if self.acc_values else float("nan")
-
-    @property
-    def seconds_mean(self):
-        return float(np.mean(self.seconds)) if self.seconds else float("nan")
+        return {
+            "method": self.method,
+            "fraction": self.fraction,
+            "mcc_mean": mean(self.mcc_values),
+            "mcc_std": float(np.std(self.mcc_values, ddof=1)) if len(self.mcc_values) > 1 else 0.0,
+            "acc_mean": mean(self.acc_values),
+            "mcc_values": list(self.mcc_values),
+            "failures": list(self.failures),
+            "seconds_mean": mean(self.seconds),
+        }
 
 
 @dataclass
@@ -105,23 +105,7 @@ class ExperimentReport:
     node_count: int
     edge_count: int
 
-    def cell(self, method, fraction):
-        for c in self.cells:
-            if c.method == method and abs(c.fraction - fraction) < 1e-12:
-                return c
-        raise KeyError((method, fraction))
-
     def to_json_dict(self):
-        cells = [{
-            "method": c.method,
-            "fraction": c.fraction,
-            "mcc_mean": json_number(c.mcc_mean),
-            "mcc_std": c.mcc_std,
-            "acc_mean": json_number(c.acc_mean),
-            "mcc_values": list(c.mcc_values),
-            "failures": list(c.failures),
-            "seconds_mean": json_number(c.seconds_mean),
-        } for c in sorted(self.cells, key=lambda c: (c.fraction, c.method))]
         return {
             "format": "edgesign-report", "version": 1,
             "node_count": self.node_count,
@@ -129,27 +113,22 @@ class ExperimentReport:
             "repetitions": self.repetitions,
             "base_seed": self.base_seed,
             "regularity": self.regularity.to_json_dict() if self.regularity else None,
-            "cells": cells,
+            "cells": [c.to_json_dict()
+                      for c in sorted(self.cells, key=lambda c: (c.fraction, c.method))],
         }
 
-    def to_csv(self):
-        lines = ["method,fraction,mcc_mean,mcc_std,acc_mean,seconds_mean,failures"]
-        for c in sorted(self.cells, key=lambda c: (c.fraction, c.method)):
-            lines.append(f"{c.method},{c.fraction!r},{c.mcc_mean!r},{c.mcc_std!r},"
-                         f"{c.acc_mean!r},{c.seconds_mean!r},{len(c.failures)}")
-        return "\n".join(lines) + "\n"
-
     def to_markdown(self):
-        methods = sorted({c.method for c in self.cells})
-        fractions = sorted({c.fraction for c in self.cells})
-        header = "| fraction | " + " | ".join(methods) + " |"
-        sep = "|---" * (len(methods) + 1) + "|"
-        rows = [header, sep]
+        """The MCC table, mean ± std in percent: one row per fraction, one column per method."""
+        cells = {(c.method, c.fraction): c.to_json_dict() for c in self.cells}
+        methods = sorted({m for m, _ in cells})
+        fractions = sorted({f for _, f in cells})
+        rows = ["| fraction | " + " | ".join(methods) + " |", "|---" * (len(methods) + 1) + "|"]
         for f in fractions:
             entries = []
             for m in methods:
-                c = self.cell(m, f)
-                entries.append(f"{100 * c.mcc_mean:.2f} ± {100 * c.mcc_std:.2f}")
+                mean, std = cells[m, f]["mcc_mean"], cells[m, f]["mcc_std"]
+                entries.append(("nan" if mean is None else f"{100 * mean:.2f}")
+                               + f" ± {100 * std:.2f}")
             rows.append(f"| {f:g} | " + " | ".join(entries) + " |")
         return "\n".join(rows) + "\n"
 
@@ -187,6 +166,8 @@ def run_experiment(spec, threads=1):
     repetitions run in a thread pool; aggregation is order-independent, so
     reports are identical either way.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     spec.validate()
     g, params = load_source(spec.source)
     cells = {(m, f): Cell(method=m, fraction=f)

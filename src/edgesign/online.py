@@ -188,7 +188,9 @@ class OnlineState:
 
     @classmethod
     def from_json_dict(cls, d):
-        """Read a state container; a value no state of ``node_count`` nodes holds is a DataError."""
+        """Read a state container; a value no state of ``node_count`` nodes holds is a DataError.
+
+        So is an edge listed twice, or an ``edges_seen`` other than the revealed count."""
         check_container(d, STATE_FORMAT, keys=("node_count", *_LOSS_COUNTS, *_TALLIES, "revealed"))
         for name, ok in (("node_count", is_count), *_TALLIES.items()):
             if not ok(d[name]):
@@ -208,6 +210,11 @@ class OnlineState:
                 raise DataError(f"{STATE_FORMAT} container: bad {name} entry for {n} nodes")
         state._revealed = {tuple(e) for e in d["revealed"]}
         state._pending = {(i, j): guess for i, j, guess in pending}
+        if (len(state._revealed) < len(d["revealed"]) or len(state._pending) < len(pending)
+                or not state._revealed.isdisjoint(state._pending)
+                or state.edges_seen != len(state._revealed)):
+            raise DataError(f"{STATE_FORMAT} container: revealed and pending must list distinct "
+                            f"edges, edges_seen ({state.edges_seen}) of them revealed")
         return state
 
 

@@ -271,6 +271,15 @@ def test_sweep_with_repeated_or_empty_lists_is_an_argument_error(tmp_path, capsy
     assert not report.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_sweep_with_fewer_than_one_thread_is_an_argument_error(tmp_path, capsys, threads):
+    path, report = tmp_path / "spec.json", tmp_path / "rep.json"
+    path.write_text(json.dumps(TINY_SWEEP))
+    assert run_cli("sweep", path, "-o", report, "--threads", threads) == cli.EXIT_ARGUMENT
+    assert "threads must be at least 1" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def sweep_spec(path):
     return cli.cmd_sweep(cli.build_parser().parse_args(["sweep", str(path), "-o", "unused"]))
 

@@ -3,7 +3,7 @@ import pytest
 from edgesign.batch import METHODS
 from edgesign.genmodel import TwoPointPrior, bayes_scores, make_synthetic, sign_with_tie
 from edgesign.graph import sample_split
-from edgesign.harness import ExperimentSpec, SyntheticSpec, run_experiment
+from edgesign.harness import Cell, ExperimentReport, ExperimentSpec, SyntheticSpec, run_experiment
 from edgesign.metrics import confusion, mcc
 
 
@@ -50,3 +50,39 @@ def test_sweep_cells_are_the_method_tables_predictions():
         return d
 
     assert untimed(run_experiment(spec, threads=2)) == untimed(report)
+
+
+def test_fewer_than_one_thread_is_refused_before_the_source_is_read(tmp_path):
+    spec = ExperimentSpec(source=str(tmp_path / "missing.json"))
+    for threads in (0, -2):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run_experiment(spec, threads=threads)
+
+
+def test_report_encodes_every_cell_once_for_json_and_markdown():
+    report = ExperimentReport(
+        cells=[Cell("lprop", 0.25, mcc_values=[0.5, 0.25], acc_values=[0.75, 0.5],
+                    seconds=[1.0, 3.0]),
+               Cell("blc", 0.25, mcc_values=[0.125], acc_values=[0.625], seconds=[2.0],
+                    failures=["rep 1: ConvergenceError: stuck"]),
+               Cell("blc", 0.1, failures=["rep 0: DataError: a", "rep 1: DataError: b"]),
+               Cell("lprop", 0.1, mcc_values=[-0.5, 0.5], acc_values=[0.25, 0.75],
+                    seconds=[0.5, 0.5])],
+        regularity=None, repetitions=2, base_seed=0, node_count=10, edge_count=30)
+    assert report.to_markdown() == (
+        "| fraction | blc | lprop |\n"
+        "|---|---|---|\n"
+        "| 0.1 | nan ± 0.00 | 0.00 ± 70.71 |\n"
+        "| 0.25 | 12.50 ± 0.00 | 37.50 ± 17.68 |\n")
+    assert report.to_json_dict()["cells"] == [
+        {"method": "blc", "fraction": 0.1, "mcc_mean": None, "mcc_std": 0.0, "acc_mean": None,
+         "mcc_values": [], "failures": ["rep 0: DataError: a", "rep 1: DataError: b"],
+         "seconds_mean": None},
+        {"method": "lprop", "fraction": 0.1, "mcc_mean": 0.0, "mcc_std": 0.7071067811865476,
+         "acc_mean": 0.5, "mcc_values": [-0.5, 0.5], "failures": [], "seconds_mean": 0.5},
+        {"method": "blc", "fraction": 0.25, "mcc_mean": 0.125, "mcc_std": 0.0,
+         "acc_mean": 0.625, "mcc_values": [0.125], "failures": ["rep 1: ConvergenceError: stuck"],
+         "seconds_mean": 2.0},
+        {"method": "lprop", "fraction": 0.25, "mcc_mean": 0.375, "mcc_std": 0.1767766952966369,
+         "acc_mean": 0.625, "mcc_values": [0.5, 0.25], "failures": [], "seconds_mean": 2.0},
+    ]

@@ -234,13 +234,16 @@ class TestStatePersistence:
         {"revealed": [[0, 3]]}, {"revealed": [[0.5, 1]]}, {"revealed": "x"},
         {"pending": [[1, 2]]}, {"pending": [[1, 2, 0]]}, {"pending": [[1, 3, 1]]},
         {"pending": [[-1, 2, 1]]}, {"pending": [[1, 2, 1], [0, 1]]},
+        {"revealed": [[0, 1], [0, 1]]}, {"pending": [[1, 2, 1], [1, 2, -1]]},
+        {"pending": [[0, 1, 1], [1, 2, 1]]}, {"edges_seen": 2},
     ], ids=["loss-one-entry", "loss-fractions", "loss-negative", "loss-nested", "loss-text",
             "loss-too-long", "node-count-text", "node-count-negative", "node-count-fraction",
             "meta-loss-text", "meta-loss-negative", "expected-null", "realized-fraction",
             "edges-seen-negative", "edges-seen-true", "revealed-single", "revealed-flat",
             "revealed-triple", "revealed-out-of-range", "revealed-fraction", "revealed-text",
             "pending-pair", "pending-guess-zero", "pending-out-of-range", "pending-negative-id",
-            "pending-ragged"])
+            "pending-ragged", "revealed-twice", "pending-twice", "revealed-and-pending",
+            "edges-seen-not-revealed-count"])
     def test_damaged_value_is_a_data_error(self, change):
         state = OnlineState(3)
         rng = np.random.default_rng(2)
