@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -19,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from . import batch, harness, online
-from .errors import ConvergenceError, DataError, EdgeListParseError, EdgeSignError
+from .errors import ConvergenceError, DataError, EdgeListParseError
 from .features import regularity_report
 from .genmodel import PRIORS, make_synthetic, prior_from_json_dict
 from .graph import (SIGN_TOKENS, EdgeSplit, check_keys, is_count, is_number, json_number,
@@ -92,6 +93,10 @@ def _get_split(g, args):
 
 
 def cmd_train(args):
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
+    if args.max_iter is not None and args.max_iter < 1:
+        raise ValueError(f"--max-iter must be at least 1, got {args.max_iter}")
     g = load_graph(_resolve(args.graph))
     split = _get_split(g, args)
     # a bound the user leaves out takes the method's own default

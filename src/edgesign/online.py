@@ -25,7 +25,7 @@ are in :func:`adversary_expected_mistakes`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -93,7 +93,10 @@ def _is_edge_entry(entry, width, n):
 class OnlineState:
     """Mutable state of the stacked predictor over a fixed node set.
 
-    Base-expert losses are integer label counts per node and side; the meta
+    Base-expert losses are integer label counts per node and side, held as
+    lists of Python ints: a round reads and bumps single entries, which on a
+    list costs a fraction of a NumPy scalar index, and the weights computed
+    from the ints are bitwise the ones computed from int64 scalars. The meta
     level stores the two meta-experts' cumulative expected losses, which the
     top combiner weighs. Tallies: ``expected_mistakes`` is the exact running
     sum of per-round mistake probabilities, ``realized_mistakes`` counts the
@@ -105,10 +108,10 @@ class OnlineState:
         self.node_count = n
         # loss of the constant +1 (resp. -1) expert = negatives (resp.
         # positives) revealed so far on that side of the node
-        self.out_loss_plus = np.zeros(n, dtype=np.int64)
-        self.out_loss_minus = np.zeros(n, dtype=np.int64)
-        self.in_loss_plus = np.zeros(n, dtype=np.int64)
-        self.in_loss_minus = np.zeros(n, dtype=np.int64)
+        self.out_loss_plus = [0] * n
+        self.out_loss_minus = [0] * n
+        self.in_loss_plus = [0] * n
+        self.in_loss_minus = [0] * n
         self.meta_loss_out = 0.0
         self.meta_loss_in = 0.0
         self.expected_mistakes = 0.0
@@ -179,7 +182,7 @@ class OnlineState:
         return {
             "format": STATE_FORMAT, "version": 1,
             "node_count": self.node_count,
-            **{name: getattr(self, name).tolist() for name in _LOSS_COUNTS},
+            **{name: list(getattr(self, name)) for name in _LOSS_COUNTS},
             **{name: getattr(self, name) for name in _TALLIES},
             "revealed": sorted([[int(i), int(j)] for i, j in self._revealed]),
             "pending": sorted([[int(i), int(j), int(guess)]
@@ -201,7 +204,7 @@ class OnlineState:
             losses = _int_list(d[name], name)
             if losses.size != n or (n and losses.min() < 0):
                 raise DataError(f"{STATE_FORMAT} container: {name} must hold {n} counts")
-            getattr(state, name)[:] = losses
+            setattr(state, name, losses.tolist())
         for name in _TALLIES:
             setattr(state, name, d[name])
         pending = d.get("pending", [])  # files from before pending guesses were kept lack it
@@ -279,11 +282,12 @@ def run_online(g, labeling=None, order="random", seed=0):
         side (outgoing when below the top weight), the second the sign (+1
         when below that side's base P(+1)).
 
-    The weight state depends only on the reveal sequence, so the whole pass
-    is computed with array operations, and stepping an :class:`OnlineState`
-    through the same sequence with the same generator (``online_predict``
-    then ``online_update`` per round) reproduces its tallies exactly.
-    Every input is checked before any round is played.
+    The weight state depends only on the reveal sequence, so the pass is
+    computed with array operations, a block of rounds at a time, on
+    temporaries the size of the node set and of a block. Stepping an
+    :class:`OnlineState` through the same sequence with the same generator
+    (``online_predict`` then ``online_update`` per round) reproduces its
+    tallies exactly. Every input is checked before any round is played.
 
     Returns an :class:`OnlineReport` holding realized and exact expected
     mistake counts, the labeling's regularity psi_g, and the documented
@@ -316,29 +320,27 @@ def run_online(g, labeling=None, order="random", seed=0):
         raise ValueError("labels must be +1 or -1")
 
     plus = round_labels == 1
-    p_out = _base_prob_plus(g.src[edges], plus)
-    p_in = _base_prob_plus(g.dst[edges], plus)
-    miss_out = np.where(plus, 1.0 - p_out, p_out)
-    miss_in = np.where(plus, 1.0 - p_in, p_in)
-    w_out = _prob_first_array(_exclusive_cumsum(miss_out), _exclusive_cumsum(miss_in))
-    u = rng.random((edges.size, 2))
-    wrong = (u[:, 1] < np.where(u[:, 0] < w_out, p_out, p_in)) != plus
-    # cumsum adds in reveal order, as the streaming tally does
-    expected = np.zeros(edges.size + 1)
-    np.cumsum(w_out * miss_out + (1.0 - w_out) * miss_in, out=expected[1:])
+    state = _PassState(g.node_count)
+    tallies = []
+    # blocks never straddle the headline, so its tallies are read between the segments
+    for begin, end in ((0, headline), (headline, edges.size)):
+        for start in range(begin, end, _ROUND_BLOCK):
+            block = edges[start:min(start + _ROUND_BLOCK, end)]
+            state.play(g.src[block], g.dst[block], plus[start:start + block.size], rng)
+        tallies.append((state.realized, state.expected))
+    (realized, expected), (all_realized, all_expected) = tallies
 
     psi = psi_g_for_labels(g, labels)[2]
     report = OnlineReport(
         node_count=g.node_count, edge_count=m, edges_predicted=int(edges.size),
-        realized_mistakes=int(np.count_nonzero(wrong[:headline])),
-        expected_mistakes=float(expected[headline]),
+        realized_mistakes=realized, expected_mistakes=expected,
         psi_g=psi, bound=mistake_bound(psi, g.node_count),
         seed=int(seed), order=order_name)
     if isinstance(order, AdversarySequence):
         report.forced_len = headline
         if order.tail is not None:
-            report.tail_realized = int(np.count_nonzero(wrong[headline:]))
-            report.tail_expected = float(expected[-1] - expected[headline])
+            report.tail_realized = all_realized - realized
+            report.tail_expected = all_expected - expected
     return report
 
 
@@ -366,35 +368,78 @@ def _sequence_rounds(seq, m):
     return labels, edges, np.concatenate([forced[:, 1], labels[tail]])
 
 
-def _exclusive_cumsum(x):
-    """Running sums before each entry, added in order like the streaming ``+=``."""
-    out = np.zeros_like(x)
-    np.cumsum(x[:-1], out=out[1:])
-    return out
+#: Rounds that :func:`run_online` computes at once; its temporaries grow with this, not |E|.
+_ROUND_BLOCK = 1 << 13
 
 
-def _base_prob_plus(nodes, plus):
-    """P(+1) of the base instance that each round consults, before its reveal.
+class _PassState:
+    """What :func:`run_online` carries from one block of rounds to the next.
 
-    ``nodes[t]`` hosts round t's instance and ``plus[t]`` says whether its
-    label is +1. The +1 expert has lost once per earlier −1 label on the same
-    node, the −1 expert once per earlier +1: exclusive prefix counts within
-    the rounds grouped by node, kept in reveal order by a stable sort.
+    The state :class:`OnlineState` holds, in arrays: the rounds and
+    the +1 labels seen on each node's outgoing (row 0) and incoming (row 1)
+    side, the meta-experts' cumulative expected losses and the tallies.
     """
-    by_node = np.argsort(nodes, kind="stable")
-    grouped = nodes[by_node]
-    rank = np.arange(nodes.size)
-    is_first = np.ones(nodes.size, dtype=bool)
-    is_first[1:] = grouped[1:] != grouped[:-1]
-    first = np.maximum.accumulate(np.where(is_first, rank, 0))
-    plus_grouped = plus[by_node].astype(np.int64)
-    plus_before = np.cumsum(plus_grouped) - plus_grouped
-    plus_before -= plus_before[first]
-    loss_plus = np.empty(nodes.size, dtype=np.int64)
-    loss_minus = np.empty(nodes.size, dtype=np.int64)
-    loss_plus[by_node] = rank - first - plus_before
-    loss_minus[by_node] = plus_before
-    return _prob_first_array(loss_plus, loss_minus)
+
+    def __init__(self, node_count):
+        self.rounds = np.zeros((2, node_count), dtype=np.int64)
+        self.pluses = np.zeros((2, node_count), dtype=np.int64)
+        self.meta_loss = [0.0, 0.0]
+        self.realized = 0
+        self.expected = 0.0
+
+    def play(self, src, dst, plus, rng):
+        """Play a block of consecutive rounds on edges (src[t], dst[t]) with labels ``plus[t]``.
+
+        Each round draws two uniforms, as :meth:`OnlineState.predict` does."""
+        p_out = self._base_prob_plus(0, src, plus)
+        p_in = self._base_prob_plus(1, dst, plus)
+        miss_out = np.where(plus, 1.0 - p_out, p_out)
+        miss_in = np.where(plus, 1.0 - p_in, p_in)
+        w_out = _prob_first_array(self._add_meta_loss(0, miss_out),
+                                  self._add_meta_loss(1, miss_in))
+        u = rng.random((plus.size, 2))
+        wrong = (u[:, 1] < np.where(u[:, 0] < w_out, p_out, p_in)) != plus
+        self.realized += int(np.count_nonzero(wrong))
+        mistakes = w_out * miss_out + (1.0 - w_out) * miss_in
+        self.expected = float(_running_sums(self.expected, mistakes)[-1])
+
+    def _add_meta_loss(self, side, miss):
+        """The meta-expert's cumulative loss before each round; the block's is then added."""
+        sums = _running_sums(self.meta_loss[side], miss)
+        self.meta_loss[side] = float(sums[-1])
+        return sums[:-1]
+
+    def _base_prob_plus(self, side, nodes, plus):
+        """P(+1) of the base instance that each round consults, before its reveal.
+
+        ``nodes[t]`` hosts round t's instance. The +1 expert has lost once per
+        earlier −1 label on the node, the −1 expert once per earlier +1: the
+        counts of earlier blocks plus exclusive prefix counts within the
+        block's rounds grouped by node, kept in reveal order by a stable sort.
+        """
+        rounds, pluses = self.rounds[side], self.pluses[side]
+        by_node = np.argsort(nodes, kind="stable")
+        grouped = nodes[by_node]
+        # where each node's run of rounds starts in the grouped block, and its length
+        starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+        sizes = np.diff(starts, append=nodes.size)
+        first = np.repeat(starts, sizes)
+        plus_grouped = plus[by_node]
+        plus_before = np.cumsum(plus_grouped, dtype=np.int64) - plus_grouped
+        plus_before -= plus_before[first]
+        loss_minus = pluses[grouped] + plus_before
+        loss_plus = rounds[grouped] + np.arange(nodes.size) - first - loss_minus
+        p_plus = np.empty(nodes.size)
+        p_plus[by_node] = _prob_first_array(loss_plus, loss_minus)
+        hosts = grouped[starts]
+        rounds[hosts] += sizes
+        pluses[hosts] += np.add.reduceat(plus_grouped, starts, dtype=np.int64)
+        return p_plus
+
+
+def _running_sums(start, x):
+    """``start`` followed by the running sums start + x[0], …, added in order like ``+=``."""
+    return np.cumsum(np.concatenate(([start], x)))
 
 
 # ---------------------------------------------------------------------------

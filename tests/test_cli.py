@@ -107,6 +107,21 @@ def test_train_and_predict_are_the_method_tables_fit_and_predict(graph_path, tmp
     assert np.array_equal(labels, expected.labels)
 
 
+@pytest.mark.parametrize("method", list(METHODS))
+@pytest.mark.parametrize("bound", [("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"),
+                                   ("--tol", "inf"), ("--max-iter", "-3"), ("--max-iter", "0")],
+                         ids=lambda b: " ".join(b))
+def test_train_bound_outside_its_range_is_an_argument_error(tmp_path, capsys, method, bound):
+    # the graph file is not JSON, so reading it first would exit 3
+    graph, model = tmp_path / "graph.json", tmp_path / "model.json"
+    graph.write_text("not a graph")
+    code = run_cli("train", graph, "--method", method, "--fraction", "0.3", "--seed", "1",
+                   *bound, "-o", model)
+    assert code == cli.EXIT_ARGUMENT
+    assert f"{bound[0]} must be" in capsys.readouterr().err
+    assert not model.exists()
+
+
 class TestUnregModel:
     def test_predict_on_another_split_scores_that_split(self, graph_path, tmp_path):
         model_path, pred_path = tmp_path / "unreg.json", tmp_path / "pred.csv"
