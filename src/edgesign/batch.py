@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConvergenceError, DataError, DegenerateFitError
 from .features import box_fit_edges, troll_trust
 from .genmodel import sign_with_tie
-from .graph import _node_arrays, check_container, is_number, read_json, write_json
+from .graph import NUMBER, _node_arrays, check_container, read_json, write_json, write_text
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +107,7 @@ class Prediction:
                    _text_column(scores, scores.view(np.int64), repr),
                    _text_column(self.labels, self.labels, str))
         rows = map(",".join, zip(*columns))
-        text = "\n".join(chain(("src,dst,score,label",), rows, ("",)))
-        own = not hasattr(path_or_file, "write")
-        f = open(path_or_file, "w", encoding="utf-8", newline="") if own else path_or_file
-        try:
-            f.write(text)
-        finally:
-            if own:
-                f.close()
+        write_text(path_or_file, "\n".join(chain(("src,dst,score,label",), rows, ("",))))
 
 
 def _text_column(values, keys, fmt):
@@ -147,7 +140,7 @@ class _FittedModel:
     """A model dataclass's container: ``{"format": FORMAT, "version": 1}``, then its fields.
 
     A field annotated ``np.ndarray`` is a per-node array (read with
-    :func:`graph._node_arrays`), any other a number (:func:`graph.is_number`).
+    :func:`graph._node_arrays`), any other a number (:data:`graph.NUMBER`).
     Keys no field names, such as the ``y_soft`` of older unreg files, are ignored.
     """
 
@@ -161,13 +154,10 @@ class _FittedModel:
 
     @classmethod
     def from_json_dict(cls, d):
-        check_container(d, cls.FORMAT, keys=[f.name for f in fields(cls)])
         # annotations are strings here (``from __future__ import annotations``)
         arrays = [f.name for f in fields(cls) if f.type == "np.ndarray"]
         numbers = [f.name for f in fields(cls) if f.name not in arrays]
-        for name in numbers:
-            if not is_number(d[name]):
-                raise DataError(f"{cls.FORMAT} container: {name} must be a number, got {d[name]!r}")
+        check_container(d, cls.FORMAT, keys=arrays, values=dict.fromkeys(numbers, NUMBER))
         return cls(**dict(zip(arrays, _node_arrays(d, arrays))),
                    **{name: float(d[name]) for name in numbers})
 

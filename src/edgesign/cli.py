@@ -23,8 +23,8 @@ from . import batch, harness, online
 from .errors import ConvergenceError, DataError, EdgeListParseError
 from .features import regularity_report
 from .genmodel import PRIORS, make_synthetic, prior_from_json_dict
-from .graph import (SIGN_TOKENS, EdgeSplit, check_keys, is_count, is_number, json_number,
-                    load_edge_list, load_graph, read_json, sample_split, write_json)
+from .graph import (COUNT, SIGN_TOKENS, EdgeSplit, check_keys, check_values, is_number,
+                    json_number, load_edge_list, load_graph, read_json, sample_split, write_json)
 from .metrics import accuracy, confusion, mcc
 
 DATA_DIR_ENV = "EDGESIGN_DATA_DIR"
@@ -213,27 +213,21 @@ def _is_list_of(ok):
     return lambda value: isinstance(value, list) and all(map(ok, value))
 
 
-_COUNT = (is_count, "a non-negative integer")
-
 #: Check and description of each sweep-spec key a spec dataclass holds; a key
 #: the spec leaves out takes the dataclass default.
-SYNTHETIC_KEYS = {"node_count": _COUNT, "mean_out_degree": _COUNT,
-                  "topology": (_is(str), "a string"), "seed": _COUNT}
+SYNTHETIC_KEYS = {"node_count": COUNT, "mean_out_degree": COUNT,
+                  "topology": (_is(str), "a string"), "seed": COUNT}
 EXPERIMENT_KEYS = {"methods": (_is_list_of(_is(str)), "a list of names"),
                    "fractions": (_is_list_of(is_number), "a list of numbers"),
-                   "repetitions": _COUNT, "base_seed": _COUNT,
+                   "repetitions": COUNT, "base_seed": COUNT,
                    "include_psi2": (_is(bool), "true or false")}
 
 
 def _spec_values(d, checks):
     """The keys of ``d`` that ``checks`` names, lists as tuples; a DataError on a bad value."""
-    values = {}
-    for key, (ok, kind) in checks.items():
-        if key in d:
-            if not ok(d[key]):
-                raise DataError(f"sweep spec: {key} must be {kind}, got {d[key]!r}")
-            values[key] = tuple(d[key]) if isinstance(d[key], list) else d[key]
-    return values
+    check_values(d, "sweep spec", checks)
+    return {key: tuple(d[key]) if isinstance(d[key], list) else d[key]
+            for key in checks if key in d}
 
 
 def cmd_sweep(args):

@@ -48,18 +48,14 @@ def troll_trust(g, mask=None):
     return TrollTrust(tr=tr, un=un, tr_defined=tr_defined, un_defined=un_defined)
 
 
-def psi_g(g):
+def psi_g(g, labels=None):
     """(psi_in, psi_out, psi_g): summed per-node minority sign counts.
 
     psi_in = Σ_j min(d_in^-(j), d_in^+(j)), psi_out symmetrically over
-    outgoing edges, psi_g = min of the two.
+    outgoing edges, psi_g = min of the two. The labels are ``labels`` on
+    g's topology when given, else g's own.
     """
-    return psi_g_for_labels(g, g.labels)
-
-
-def psi_g_for_labels(g, labels):
-    """Same measures for an alternative labeling of g's topology."""
-    s = degree_stats(g.with_labels(labels))
+    s = degree_stats(g if labels is None else g.with_labels(labels))
     p_in = int(np.minimum(s.d_in_minus, s.d_in_plus).sum())
     p_out = int(np.minimum(s.d_out_minus, s.d_out_plus).sum())
     return p_in, p_out, min(p_in, p_out)

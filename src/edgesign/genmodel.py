@@ -13,8 +13,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DataError
-from .graph import (JsonContainer, SignedDigraph, _node_arrays, check_container, check_keys,
-                    is_count, is_number)
+from .graph import (COUNT, NUMBER, JsonContainer, SignedDigraph, _node_arrays, check_container,
+                    check_keys, check_values)
 
 
 def sign_with_tie(x):
@@ -122,9 +122,8 @@ def prior_from_json_dict(d):
     cls = PRIORS[kind]
     check_keys(d, f"{kind} prior", cls.required)
     prior = cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
-    for key, value in prior.to_json_dict().items():
-        if key != "kind" and not is_number(value):
-            raise DataError(f"{kind} prior: {key} must be a number, got {value!r}")
+    # the constructed prior's values, so a two-point q side left null takes the p side's
+    check_values(prior.to_json_dict(), f"{kind} prior", {f.name: NUMBER for f in fields(cls)})
     return prior
 
 
@@ -149,10 +148,8 @@ class GenParams(JsonContainer):
 
     @classmethod
     def from_json_dict(cls, d):
-        check_container(d, "edgesign-genparams", keys=("p", "q", "prior", "seed"))
+        check_container(d, "edgesign-genparams", keys=("p", "q", "prior"), values={"seed": COUNT})
         p, q = _node_arrays(d, ("p", "q"))
-        if not is_count(d["seed"]):
-            raise DataError(f"edgesign-genparams container: seed {d['seed']!r} is not a count")
         prior = prior_from_json_dict(d["prior"]) if d["prior"] is not None else None
         return cls(p, q, prior, d["seed"])
 

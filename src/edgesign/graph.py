@@ -29,7 +29,9 @@ from __future__ import annotations
 import base64
 import json
 import math
+import reprlib
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 
@@ -45,10 +47,21 @@ SIGN_TOKENS = {"1": 1, "+1": 1, "-1": -1}
 
 #: dtype tag of each packed array in a version-2 graph container.
 _PACKED = {"src": "<i4", "dst": "<i4", "labels": "<i1"}
+#: Check of a graph container's ``node_ids``.
+_NODE_IDS = (lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)
+             and len(set(v)) == len(v), "a list of distinct strings")
 
 
 # ---------------------------------------------------------------------------
 # JSON containers
+
+
+def write_text(path_or_file, text):
+    """Write ``text`` to a text file object, or as UTF-8 to a path opened with
+    ``newline=""``: every ``\\n`` is written as is, on every platform."""
+    with (nullcontext(path_or_file) if hasattr(path_or_file, "write")
+          else open(path_or_file, "w", encoding="utf-8", newline="")) as f:
+        f.write(text)
 
 
 def write_json(payload, path):
@@ -57,9 +70,7 @@ def write_json(payload, path):
     ``json.dumps`` encodes the whole payload in C; ``json.dump`` to a file
     runs the pure-Python encoder chunk by chunk, several times slower.
     """
-    text = json.dumps(payload, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    write_text(path, json.dumps(payload, separators=(",", ":")))
 
 
 def json_number(value):
@@ -80,14 +91,41 @@ def read_json(path):
     return d
 
 
-def check_container(d, fmt, versions=(1,), keys=()):
-    """Check a container's format tag, version and required keys; return the version."""
+def is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def is_number(value):
+    """A float but NaN, or an int (not a bool) that ``float`` converts without overflow."""
+    return (isinstance(value, float) and not np.isnan(value)
+            or type(value) is int and abs(value) <= sys.float_info.max)
+
+
+#: ``(ok, kind)`` checks of :func:`check_values`: a count, a number.
+COUNT = (is_count, "a non-negative integer")
+NUMBER = (is_number, "a number")
+
+
+def check_values(d, what, checks):
+    """Raise DataError ``<what>: <key> must be <kind>, got <value>`` at the first key of
+    ``checks`` that ``d`` holds whose value fails ``ok``, where ``checks`` maps a key to
+    an ``(ok, kind)`` pair. A long value is shown abridged."""
+    for key, (ok, kind) in checks.items():
+        if key in d and not ok(d[key]):
+            raise DataError(f"{what}: {key} must be {kind}, got {reprlib.repr(d[key])}")
+
+
+def check_container(d, fmt, versions=(1,), keys=(), values=None):
+    """Check a container's format tag and version, that it holds ``keys`` and the
+    keys of ``values``, and those keys' values (:func:`check_values`); return the version."""
     if d.get("format") != fmt:
         raise DataError(f"not a {fmt} container (format {d.get('format')!r})")
     version = d.get("version")
     if version not in versions:
         raise DataError(f"unsupported {fmt} container version {version!r}")
-    check_keys(d, f"{fmt} container", keys)
+    values = values or {}
+    check_keys(d, f"{fmt} container", (*keys, *values))
+    check_values(d, f"{fmt} container", values)
     return version
 
 
@@ -109,16 +147,6 @@ class JsonContainer:
     @classmethod
     def load(cls, path):
         return cls.from_json_dict(read_json(path))
-
-
-def is_count(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def is_number(value):
-    """A float but NaN, or an int (not a bool) that ``float`` converts without overflow."""
-    return (isinstance(value, float) and not np.isnan(value)
-            or type(value) is int and abs(value) <= sys.float_info.max)
 
 
 def _pack(array, tag):
@@ -270,21 +298,14 @@ class SignedDigraph(JsonContainer):
     @classmethod
     def from_json_dict(cls, d):
         """Read a version-1 or version-2 container and validate the graph."""
-        version = check_container(d, GRAPH_FORMAT, (1, 2),
-                                  ("node_count", "src", "dst", "labels", "node_ids"))
+        version = check_container(d, GRAPH_FORMAT, (1, 2), ("src", "dst", "labels"),
+                                  values={"node_count": COUNT, "node_ids": _NODE_IDS})
         n, node_ids = d["node_count"], d["node_ids"]
-        if not is_count(n):
-            raise DataError(f"graph container node_count {n!r} is not a count")
-        if (not isinstance(node_ids, list) or not all(isinstance(t, str) for t in node_ids)
-                or len(set(node_ids)) != len(node_ids)):
-            raise DataError("graph container node_ids must be a list of distinct strings")
         if version == 1:
             arrays = [_int_list(d[name], name) for name in _PACKED]
         else:
-            m = d.get("edge_count")
-            if not is_count(m):
-                raise DataError(f"graph container edge_count {m!r} is not a count")
-            arrays = [_unpack(d[name], tag, m, name) for name, tag in _PACKED.items()]
+            check_container(d, GRAPH_FORMAT, (2,), values={"edge_count": COUNT})
+            arrays = [_unpack(d[name], tag, d["edge_count"], name) for name, tag in _PACKED.items()]
         return cls(n, *arrays, node_ids=node_ids)
 
 
@@ -298,16 +319,9 @@ class LoadReport:
 
 
 def _read_lines(source):
-    if hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        return text.splitlines()
-    if isinstance(source, bytes):
-        return source.decode("utf-8").splitlines()
     if isinstance(source, str) and "\n" in source:
         return source.splitlines()
-    with open(source, "r", encoding="utf-8") as f:
+    with nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8") as f:
         return f.read().splitlines()
 
 
@@ -338,7 +352,9 @@ def load_edge_list(source, delimiter=None):
 
     Parameters
     ----------
-    source : path, file-like, or str/bytes content
+    source : path, text file object, or str content. A str holding a line
+        break is content and any other str a path, so a one-record
+        ``"a b 1"`` is opened as a file.
     delimiter : explicit field separator, or None for any whitespace
 
     Returns
@@ -427,13 +443,7 @@ def write_edge_list(g, path_or_file):
     rows = map("\t".join, zip(map(names.__getitem__, g.src.tolist()),
                                map(names.__getitem__, g.dst.tolist()),
                                map(("-1", "1").__getitem__, (g.labels > 0).tolist())))
-    own = not hasattr(path_or_file, "write")
-    f = open(path_or_file, "w", encoding="utf-8") if own else path_or_file
-    try:
-        f.write("\n".join(chain(rows, ("",))))
-    finally:
-        if own:
-            f.close()
+    write_text(path_or_file, "\n".join(chain(rows, ("",))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,18 +497,14 @@ class EdgeSplit(JsonContainer):
     @classmethod
     def from_json_dict(cls, d):
         """Read a split container; training indices must be distinct and in range."""
-        check_container(d, SPLIT_FORMAT, (1,),
-                        ("edge_count", "fraction", "seed", "training_edges"))
-        for key, ok, kind in (("edge_count", is_count, "count"), ("seed", is_count, "count"),
-                              ("fraction", is_number, "number")):
-            if not ok(d[key]):
-                raise DataError(f"split {key} {d[key]!r} is not a {kind}")
+        check_container(d, SPLIT_FORMAT, keys=("training_edges",),
+                        values={"edge_count": COUNT, "seed": COUNT, "fraction": NUMBER})
         m = d["edge_count"]
         train = _int_list(d["training_edges"], "training_edges")
         if train.size and (train.min() < 0 or train.max() >= m):
-            raise DataError(f"split training edge index out of range [0, {m})")
+            raise DataError(f"{SPLIT_FORMAT} container: training_edges index out of range [0, {m})")
         if sorted_unique(train).size != train.size:
-            raise DataError("split lists a training edge twice")
+            raise DataError(f"{SPLIT_FORMAT} container: training_edges lists an edge twice")
         mask = np.zeros(m, dtype=bool)
         mask[train] = True
         return cls(mask, float(d["fraction"]), d["seed"])

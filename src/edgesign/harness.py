@@ -149,11 +149,8 @@ def _fit_predict(method, g, split, params):
 def load_source(source):
     """Resolve an experiment source into (graph, params-or-None)."""
     if isinstance(source, SyntheticSpec):
-        source.prior.validate()
-        g, params = make_synthetic(source.node_count, source.prior,
-                                   source.mean_out_degree, source.seed,
-                                   kind=source.topology)
-        return g, params
+        return make_synthetic(source.node_count, source.prior, source.mean_out_degree,
+                              source.seed, kind=source.topology)
     if isinstance(source, SignedDigraph):
         return source, None
     return load_graph(source), None

@@ -31,8 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DataError, ProtocolError
-from .features import psi_g_for_labels
-from .graph import _int_list, check_container, is_count, is_number
+from .features import psi_g
+from .graph import COUNT, check_container, check_values, is_count, is_number
 
 LN2 = math.log(2.0)
 
@@ -74,8 +74,8 @@ STATE_FORMAT = "edgesign-online-state"
 _LOSS_COUNTS = ("out_loss_plus", "out_loss_minus", "in_loss_plus", "in_loss_minus")
 #: Check of each scalar tally of a state container: losses are numbers ≥ 0, the rest counts.
 _TALLIES = {**dict.fromkeys(("meta_loss_out", "meta_loss_in", "expected_mistakes"),
-                            lambda x: is_number(x) and x >= 0),
-            "realized_mistakes": is_count, "edges_seen": is_count}
+                            (lambda x: is_number(x) and x >= 0, "a non-negative number")),
+            "realized_mistakes": COUNT, "edges_seen": COUNT}
 
 
 def _is_node_id(v, n):
@@ -83,11 +83,16 @@ def _is_node_id(v, n):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < n
 
 
-def _is_edge_entry(entry, width, n):
-    """``[i, j]`` (width 2) or ``[i, j, guess]`` (width 3): node ids below n, a ±1 guess."""
-    return (isinstance(entry, list) and len(entry) == width
-            and all(_is_node_id(v, n) for v in entry[:2])
-            and all(type(v) is int and abs(v) == 1 for v in entry[2:]))
+def _list_checks(n):
+    """Check of each list in a state container of n nodes: the loss counts and edge rows."""
+    def rows(width):  # [i, j] (width 2) or [i, j, guess] (width 3): node ids below n, a ±1 guess
+        return (lambda v: isinstance(v, list) and all(
+            isinstance(e, list) and len(e) == width and all(_is_node_id(x, n) for x in e[:2])
+            and all(type(x) is int and abs(x) == 1 for x in e[2:]) for e in v),
+            f"a list of {width}-entry edge rows with node ids below {n}")
+    counts = (lambda v: isinstance(v, list) and len(v) == n and all(map(is_count, v)),
+              f"a list of {n} non-negative integers")
+    return {**dict.fromkeys(_LOSS_COUNTS, counts), "revealed": rows(2), "pending": rows(3)}
 
 
 class OnlineState:
@@ -194,23 +199,16 @@ class OnlineState:
         """Read a state container; a value no state of ``node_count`` nodes holds is a DataError.
 
         So is an edge listed twice, or an ``edges_seen`` other than the revealed count."""
-        check_container(d, STATE_FORMAT, keys=("node_count", *_LOSS_COUNTS, *_TALLIES, "revealed"))
-        for name, ok in (("node_count", is_count), *_TALLIES.items()):
-            if not ok(d[name]):
-                raise DataError(f"{STATE_FORMAT} container: bad {name} {d[name]!r}")
+        check_container(d, STATE_FORMAT, keys=(*_LOSS_COUNTS, "revealed"),
+                        values={"node_count": COUNT, **_TALLIES})
         n = d["node_count"]
+        check_values(d, f"{STATE_FORMAT} container", _list_checks(n))
         state = cls(n)
         for name in _LOSS_COUNTS:
-            losses = _int_list(d[name], name)
-            if losses.size != n or (n and losses.min() < 0):
-                raise DataError(f"{STATE_FORMAT} container: {name} must hold {n} counts")
-            setattr(state, name, losses.tolist())
+            setattr(state, name, list(d[name]))
         for name in _TALLIES:
             setattr(state, name, d[name])
         pending = d.get("pending", [])  # files from before pending guesses were kept lack it
-        for name, rows, width in (("revealed", d["revealed"], 2), ("pending", pending, 3)):
-            if not (isinstance(rows, list) and all(_is_edge_entry(e, width, n) for e in rows)):
-                raise DataError(f"{STATE_FORMAT} container: bad {name} entry for {n} nodes")
         state._revealed = {tuple(e) for e in d["revealed"]}
         state._pending = {(i, j): guess for i, j, guess in pending}
         if (len(state._revealed) < len(d["revealed"]) or len(state._pending) < len(pending)
@@ -330,7 +328,7 @@ def run_online(g, labeling=None, order="random", seed=0):
         tallies.append((state.realized, state.expected))
     (realized, expected), (all_realized, all_expected) = tallies
 
-    psi = psi_g_for_labels(g, labels)[2]
+    psi = psi_g(g, labels)[2]
     report = OnlineReport(
         node_count=g.node_count, edge_count=m, edges_predicted=int(edges.size),
         realized_mistakes=realized, expected_mistakes=expected,

@@ -299,36 +299,46 @@ def sweep_spec(path):
     return cli.cmd_sweep(cli.build_parser().parse_args(["sweep", str(path), "-o", "unused"]))
 
 
-@pytest.mark.parametrize("payload, reader", [
-    ({"format": "edgesign-genparams", "version": 1, "p": [0.5]}, GenParams.load),
-    ({"node_count": 3}, lambda path: OnlineState.from_json_dict(read_json(path))),
-    ({"format": "edgesign-online-state", "version": 1, "node_count": 3},
-     lambda path: OnlineState.from_json_dict(read_json(path))),
-    ({"kind": "two-point", "lo": 0.1}, lambda path: prior_from_json_dict(read_json(path))),
-    ({"synthetic": {"node_count": 10}}, sweep_spec),
-    ({"synthetic": {"node_count": 10, "prior": {"kind": "beta"}}}, sweep_spec),
-    ({"methods": ["blc"]}, sweep_spec),
-    ({**TINY_SWEEP, "repetitions": "3"}, sweep_spec),
-    ({**TINY_SWEEP, "base_seed": "x"}, sweep_spec),
-    ({**TINY_SWEEP, "methods": "blc"}, sweep_spec),
-    ({**TINY_SWEEP, "fractions": ["0.5"]}, sweep_spec),
-    ({**TINY_SWEEP, "include_psi2": "no"}, sweep_spec),
-    ({"synthetic": {**TINY_SWEEP["synthetic"], "seed": -1}}, sweep_spec),
-    ({"synthetic": {**TINY_SWEEP["synthetic"], "node_count": "10"}}, sweep_spec),
+def read_state(path):
+    return OnlineState.from_json_dict(read_json(path))
+
+
+@pytest.mark.parametrize("payload, reader, key", [
+    ({"format": "edgesign-genparams", "version": 1, "p": [0.5]}, GenParams.load, "seed"),
+    ({"format": "edgesign-genparams", "version": 1, "p": [0.5], "q": [0.5], "prior": None,
+      "seed": 1.5}, GenParams.load, "seed"),
+    ({"node_count": 3}, read_state, "format"),
+    ({"format": "edgesign-online-state", "version": 1, "node_count": 3}, read_state,
+     "out_loss_plus"),
+    ({**OnlineState(3).to_json_dict(), "edges_seen": True}, read_state, "edges_seen"),
+    ({"kind": "two-point", "lo": 0.1}, lambda path: prior_from_json_dict(read_json(path)), "hi"),
+    ({"synthetic": {"node_count": 10}}, sweep_spec, "prior"),
+    ({"synthetic": {"node_count": 10, "prior": {"kind": "beta"}}}, sweep_spec, "a_p"),
+    ({"methods": ["blc"]}, sweep_spec, "dataset"),
+    ({**TINY_SWEEP, "repetitions": "3"}, sweep_spec, "repetitions"),
+    ({**TINY_SWEEP, "base_seed": "x"}, sweep_spec, "base_seed"),
+    ({**TINY_SWEEP, "methods": "blc"}, sweep_spec, "methods"),
+    ({**TINY_SWEEP, "fractions": ["0.5"]}, sweep_spec, "fractions"),
+    ({**TINY_SWEEP, "include_psi2": "no"}, sweep_spec, "include_psi2"),
+    ({"synthetic": {**TINY_SWEEP["synthetic"], "seed": -1}}, sweep_spec, "seed"),
+    ({"synthetic": {**TINY_SWEEP["synthetic"], "node_count": "10"}}, sweep_spec, "node_count"),
     ({"synthetic": {**TINY_SWEEP["synthetic"], "prior": {"kind": "two-point", "lo": "0.1",
-                                                          "hi": 0.9, "weight": 0.5}}}, sweep_spec),
+                                                          "hi": 0.9, "weight": 0.5}}},
+     sweep_spec, "lo"),
     ({"synthetic": {**TINY_SWEEP["synthetic"], "prior": {"kind": "beta", "a_p": 1, "b_p": [1],
-                                                          "a_q": 1, "b_q": 1}}}, sweep_spec),
-    ({"dataset": 5}, sweep_spec),
-], ids=["genparams", "online-untagged", "online-lacks-losses", "prior", "sweep-no-prior",
-        "sweep-beta-no-shapes", "sweep-no-source", "sweep-repetitions-text",
-        "sweep-base-seed-text", "sweep-methods-text", "sweep-fractions-text",
-        "sweep-psi2-text", "sweep-negative-seed", "sweep-node-count-text",
-        "sweep-two-point-text", "sweep-beta-list", "sweep-dataset-number"])
-def test_damaged_parameter_state_and_spec_files_are_data_errors(tmp_path, payload, reader):
+                                                          "a_q": 1, "b_q": 1}}},
+     sweep_spec, "b_p"),
+    ({"dataset": 5}, sweep_spec, "dataset"),
+], ids=["genparams", "genparams-seed-fraction", "online-untagged", "online-lacks-losses",
+        "online-edges-seen-true", "prior", "sweep-no-prior", "sweep-beta-no-shapes",
+        "sweep-no-source", "sweep-repetitions-text", "sweep-base-seed-text",
+        "sweep-methods-text", "sweep-fractions-text", "sweep-psi2-text", "sweep-negative-seed",
+        "sweep-node-count-text", "sweep-two-point-text", "sweep-beta-list",
+        "sweep-dataset-number"])
+def test_damaged_parameter_state_and_spec_files_are_data_errors(tmp_path, payload, reader, key):
     path = tmp_path / "damaged.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=rf"\b{key}\b"):
         reader(path)
     if reader is sweep_spec:
         assert run_cli("sweep", path, "-o", tmp_path / "rep.json") == cli.EXIT_DATA

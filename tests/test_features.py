@@ -76,6 +76,14 @@ class TestPsiG:
         _, _, psi = psi_g(g)
         assert 0 <= psi <= g.edge_count // 2
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_explicit_labeling_is_the_relabeled_graphs(self, seed):
+        g = random_graph(30, 120, seed=seed)
+        labels = np.random.default_rng(seed + 10).choice(np.array([-1, 1], dtype=np.int8),
+                                                         g.edge_count)
+        assert not np.array_equal(labels, g.labels)
+        assert psi_g(g, labels) == psi_g(g.with_labels(labels))
+
 
 class TestPsi2:
     def test_single_positive_edge_vanishes(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from edgesign import online
 from edgesign.errors import DataError, ProtocolError
+from edgesign.features import psi_g
 from edgesign.genmodel import TwoPointPrior, make_synthetic
 from edgesign.graph import SignedDigraph
 from edgesign.online import (AdversarySequence, OnlineState, adversary_expected_mistakes,
@@ -329,7 +330,8 @@ class TestStatePersistence:
         state.predict((1, 2), rng)
         d = state.to_json_dict()
         assert OnlineState.from_json_dict(d).to_json_dict() == d
-        with pytest.raises(DataError):
+        (key,) = change
+        with pytest.raises(DataError, match=rf"\b{key}\b"):
             OnlineState.from_json_dict({**d, **change})
 
     def test_reads_files_without_pending_key(self):
@@ -417,6 +419,14 @@ def test_base_instance_matches_hand_simulated_two_expert_rwm():
 def test_adversary_closed_form_matches_recurrence(budget, r_max):
     table = mrc_recurrence_table(r_max, budget)
     assert adversary_expected_mistakes(budget, r_max) == float(sum(table.values()))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_adversary_pass_reports_psi_g_of_the_sequence_labels(seed):
+    g = random_graph(30, 120, seed=seed)
+    seq = adversary_generate(g, 8, seed, include_tail=seed == 2)
+    assert psi_g(g, seq.labels()) != psi_g(g)  # the graph's own labels would not pass
+    assert run_online(g, order=seq, seed=seed).psi_g == psi_g(g, seq.labels())[2]
 
 
 def test_adversary_closed_form_tends_to_budget():
