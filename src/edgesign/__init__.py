@@ -12,9 +12,8 @@ Library layout:
 * :mod:`edgesign.cli` — command-line frontend
 """
 
-from .graph import EdgeSplit, NodeStats, SignedDigraph, degree_stats, load_edge_list, sample_split
-from .features import (EdgeFit, RegularityReport, TrollTrust, psi2, psi_g, regularity_report,
-                       troll_trust)
+from .graph import EdgeSplit, SignedDigraph, degree_stats, load_edge_list, sample_split
+from .features import EdgeFit, RegularityReport, psi2, psi_g, regularity_report, troll_trust
 from .genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior, eq1_rates,
                        make_synthetic, sample_labels, sample_params)
 from .batch import (METHODS, BlcModel, LogRegModel, LpModel, LpOptions, Prediction,

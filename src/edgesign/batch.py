@@ -214,9 +214,9 @@ def blc_fit(g, split):
     train = split.training_indices()
     if train.size == 0:
         raise DegenerateFitError("cannot fit on an empty training set")
-    tt = troll_trust(g, split.training_mask)
+    tr, un = troll_trust(g, split.training_mask)
     tau = float(np.count_nonzero(g.labels[train] == 1) / train.size)
-    return BlcModel(tr=tt.tr, un=tt.un, tau=tau)
+    return BlcModel(tr=tr, un=un, tau=tau)
 
 
 def blc_predict_split(model, g, split):
@@ -301,9 +301,9 @@ def logreg_fit(g, split, tol=1e-8, max_iter=200):
     positive = y == 1
     if positive.all() or not positive.any():
         raise DegenerateFitError("training labels are single-class")
-    tt = troll_trust(g, split.training_mask)
+    tr, un = troll_trust(g, split.training_mask)
     src, dst = g.src[train], g.dst[train]
-    X, y01, counts = _distinct_rows(tt.tr, tt.un, src, dst, positive)
+    X, y01, counts = _distinct_rows(tr, un, src, dst, positive)
     m = train.size
     w = np.zeros(3)
     z = X @ w
@@ -340,7 +340,7 @@ def logreg_fit(g, split, tol=1e-8, max_iter=200):
                 f"logistic line search stalled at iteration {it + 1} (|grad|={gnorm:.3g})")
         w, z, loss = w_new, z_new, loss_new
     return LogRegModel(w0=float(w[0]), w1=float(w[1]), w2=float(w[2]),
-                       threshold=0.0, tr=tt.tr, un=tt.un)._tune_threshold(g, split)
+                       threshold=0.0, tr=tr, un=un)._tune_threshold(g, split)
 
 
 def logreg_predict_split(model, g, split):

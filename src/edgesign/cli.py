@@ -20,11 +20,12 @@ from itertools import repeat
 import numpy as np
 
 from . import batch, harness, online
-from .errors import ConvergenceError, DataError, EdgeListParseError
+from .errors import ConvergenceError, DataError
 from .features import regularity_report
 from .genmodel import PRIORS, make_synthetic, prior_from_json_dict
-from .graph import (COUNT, SIGN_TOKENS, EdgeSplit, check_keys, check_values, is_number,
-                    json_number, load_edge_list, load_graph, read_json, sample_split, write_json)
+from .graph import (COUNT, SIGN_TOKENS, EdgeSplit, check_keys, check_known_keys, check_values,
+                    is_number, json_number, load_edge_list, load_graph, read_json, sample_split,
+                    write_json)
 from .metrics import accuracy, confusion, mcc
 
 DATA_DIR_ENV = "EDGESIGN_DATA_DIR"
@@ -214,7 +215,7 @@ def _is_list_of(ok):
 
 
 #: Check and description of each sweep-spec key a spec dataclass holds; a key
-#: the spec leaves out takes the dataclass default.
+#: the spec leaves out takes the dataclass default, an unknown one is a DataError.
 SYNTHETIC_KEYS = {"node_count": COUNT, "mean_out_degree": COUNT,
                   "topology": (_is(str), "a string"), "seed": COUNT}
 EXPERIMENT_KEYS = {"methods": (_is_list_of(_is(str)), "a list of names"),
@@ -232,9 +233,12 @@ def _spec_values(d, checks):
 
 def cmd_sweep(args):
     d = read_json(args.spec)
-    if "synthetic" in d:
+    source_key = "synthetic" if "synthetic" in d else "dataset"
+    check_known_keys(d, "sweep spec", {source_key, *EXPERIMENT_KEYS})
+    if source_key == "synthetic":
         s = d["synthetic"]
         check_keys(s, "sweep spec's synthetic entry", ("node_count", "prior"))
+        check_known_keys(s, "sweep spec's synthetic entry", {"prior", *SYNTHETIC_KEYS})
         source = harness.SyntheticSpec(prior=prior_from_json_dict(s["prior"]),
                                        **_spec_values(s, SYNTHETIC_KEYS))
     else:
@@ -361,7 +365,7 @@ def main(argv=None):
         # the reader is gone: send the rest to /dev/null so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (EdgeListParseError, DataError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConvergenceError as exc:

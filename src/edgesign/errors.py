@@ -9,16 +9,16 @@ class EdgeSignError(Exception):
     """Base class for package-specific errors."""
 
 
-class EdgeListParseError(EdgeSignError):
+class DataError(EdgeSignError):
+    """Input data violates a structural requirement (shape, coverage, format)."""
+
+
+class EdgeListParseError(DataError):
     """Malformed edge-list record; carries the 1-based line number."""
 
     def __init__(self, line_number, message):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {message}")
-
-
-class DataError(EdgeSignError):
-    """Input data violates a structural requirement (shape, coverage, format)."""
 
 
 class DegenerateFitError(DataError):

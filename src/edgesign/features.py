@@ -22,30 +22,17 @@ from .graph import degree_stats
 UNSEEN_RATE = 0.5
 
 
-@dataclass
-class TrollTrust:
-    """Per-node trollness/untrustworthiness with measured-or-unseen flags."""
-
-    tr: np.ndarray
-    un: np.ndarray
-    tr_defined: np.ndarray
-    un_defined: np.ndarray
-
-
 def troll_trust(g, mask=None):
-    """Trollness and untrustworthiness over the masked edge set.
+    """(tr, un): trollness and untrustworthiness over the masked edge set.
 
-    Nodes with no masked outgoing (incoming) edges get :data:`UNSEEN_RATE`
-    and a False presence flag.
+    Each is a side's negative count over its total (:func:`graph.degree_stats`);
+    nodes with no masked outgoing (incoming) edges get :data:`UNSEEN_RATE`.
     """
-    stats = degree_stats(g, mask)
-    tr_defined = stats.d_out > 0
-    un_defined = stats.d_in > 0
-    tr = np.full(g.node_count, UNSEEN_RATE)
-    un = np.full(g.node_count, UNSEEN_RATE)
-    np.divide(stats.d_out_minus, stats.d_out, out=tr, where=tr_defined)
-    np.divide(stats.d_in_minus, stats.d_in, out=un, where=un_defined)
-    return TrollTrust(tr=tr, un=un, tr_defined=tr_defined, un_defined=un_defined)
+    tr, un = np.full(g.node_count, UNSEEN_RATE), np.full(g.node_count, UNSEEN_RATE)
+    for rate, counts in zip((tr, un), degree_stats(g, mask)):
+        total = counts[:, 0] + counts[:, 1]
+        np.divide(counts[:, 0], total, out=rate, where=total > 0)
+    return tr, un
 
 
 def psi_g(g, labels=None):
@@ -55,9 +42,9 @@ def psi_g(g, labels=None):
     outgoing edges, psi_g = min of the two. The labels are ``labels`` on
     g's topology when given, else g's own.
     """
-    s = degree_stats(g if labels is None else g.with_labels(labels))
-    p_in = int(np.minimum(s.d_in_minus, s.d_in_plus).sum())
-    p_out = int(np.minimum(s.d_out_minus, s.d_out_plus).sum())
+    out, into = degree_stats(g if labels is None else g.with_labels(labels))
+    p_in = int(np.minimum(into[:, 0], into[:, 1]).sum())
+    p_out = int(np.minimum(out[:, 0], out[:, 1]).sum())
     return p_in, p_out, min(p_in, p_out)
 
 

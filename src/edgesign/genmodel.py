@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import (COUNT, NUMBER, JsonContainer, SignedDigraph, _node_arrays, check_container,
-                    check_keys, check_values)
+                    check_keys, check_known_keys, check_values)
 
 
 def sign_with_tie(x):
@@ -114,13 +114,14 @@ PRIORS = {cls.kind: cls for cls in (UniformPrior, BetaPrior, TwoPointPrior)}
 
 
 def prior_from_json_dict(d):
-    """The prior a JSON object describes; a parameter that is not a number is a DataError."""
+    """The prior a JSON object describes; an unknown key or a non-number value is a DataError."""
     check_keys(d, "prior", ("kind",))
     kind = d["kind"]
     if not isinstance(kind, str) or kind not in PRIORS:
         raise DataError(f"unknown prior kind {kind!r}")
     cls = PRIORS[kind]
     check_keys(d, f"{kind} prior", cls.required)
+    check_known_keys(d, f"{kind} prior", {"kind", *(f.name for f in fields(cls))})
     prior = cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
     # the constructed prior's values, so a two-point q side left null takes the p side's
     check_values(prior.to_json_dict(), f"{kind} prior", {f.name: NUMBER for f in fields(cls)})

@@ -138,6 +138,13 @@ def check_keys(d, what, keys):
         raise DataError(f"{what} lacks {', '.join(missing)}")
 
 
+def check_known_keys(d, what, known):
+    """Raise DataError naming every key of the JSON object ``d`` that ``known`` lacks."""
+    unknown = [k for k in d if k not in known]
+    if unknown:
+        raise DataError(f"{what}: unknown key {', '.join(map(repr, unknown))}")
+
+
 class JsonContainer:
     """``save`` and ``load`` for a class with ``to_json_dict`` and ``from_json_dict``."""
 
@@ -529,24 +536,12 @@ def sample_split(g, fraction, seed):
     return EdgeSplit(mask, float(fraction), int(seed))
 
 
-@dataclass
-class NodeStats:
-    """Per-node signed degree counts restricted to an edge mask."""
-
-    d_in: np.ndarray
-    d_out: np.ndarray
-    d_in_plus: np.ndarray
-    d_in_minus: np.ndarray
-    d_out_plus: np.ndarray
-    d_out_minus: np.ndarray
-
-
 def degree_stats(g, mask=None):
-    """Signed in/out degree counts over the masked edge set (None = all edges).
+    """Signed (out, into) degree counts over the masked edge set (None = all edges).
 
-    The masked edges are gathered by index, and each side is one
-    ``bincount`` over the key ``2·node + (label == 1)``: entry 2i counts
-    node i's negative edges on that side, entry 2i+1 its positive ones.
+    The masked edges are gathered by index, and each side is one (n, 2)
+    ``bincount`` over the key ``2·node + (label == 1)``: column 0 counts the
+    node's negative edges on that side, column 1 its positive ones.
     """
     n, m = g.node_count, g.edge_count
     if mask is None:
@@ -558,10 +553,4 @@ def degree_stats(g, mask=None):
         edges = np.flatnonzero(mask)
         src, dst, labels = g.src[edges], g.dst[edges], g.labels[edges]
     pos = labels == 1
-    out = np.bincount(2 * src + pos, minlength=2 * n).reshape(n, 2)
-    into = np.bincount(2 * dst + pos, minlength=2 * n).reshape(n, 2)
-    return NodeStats(
-        d_in=into[:, 0] + into[:, 1], d_out=out[:, 0] + out[:, 1],
-        d_in_plus=into[:, 1], d_in_minus=into[:, 0],
-        d_out_plus=out[:, 1], d_out_minus=out[:, 0],
-    )
+    return tuple(np.bincount(2 * ends + pos, minlength=2 * n).reshape(n, 2) for ends in (src, dst))

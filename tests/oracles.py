@@ -22,7 +22,6 @@ import numpy as np
 from edgesign.batch import tune_threshold
 from edgesign.errors import DataError, EdgeListParseError
 from edgesign.features import box_fit_edges, troll_trust
-from edgesign.graph import NodeStats
 
 
 def load_edge_list_reference(text, delimiter=None):
@@ -92,13 +91,18 @@ def prediction_csv_reference(pred, node_ids=None):
     return "src,dst,score,label\n" + "".join(rows)
 
 
-def blc_container_reference(model, tr_defined, un_defined):
-    """The blc model container written field by field, with the node flags it once held."""
+def blc_container_reference(model, g, mask):
+    """The blc model container written field by field, with the node flags it once held.
+
+    ``tr_defined`` (``un_defined``) flags the nodes with a masked outgoing
+    (incoming) edge.
+    """
+    out, into = degree_stats_reference(g, mask)
     return {
         "format": "edgesign-blc", "version": 1,
         "tr": model.tr.tolist(), "un": model.un.tolist(),
-        "tr_defined": tr_defined.astype(int).tolist(),
-        "un_defined": un_defined.astype(int).tolist(),
+        "tr_defined": (out.sum(axis=1) > 0).astype(int).tolist(),
+        "un_defined": (into.sum(axis=1) > 0).astype(int).tolist(),
         "tau": model.tau,
     }
 
@@ -121,7 +125,10 @@ def pq_container_reference(fmt, model):
 
 
 def degree_stats_reference(g, mask=None):
-    """Signed degree counts by boolean-mask compaction and four bincounts."""
+    """Signed (out, into) degree tables by boolean-mask compaction and four bincounts.
+
+    Column 0 of each (n, 2) table counts negative edges, column 1 positive ones.
+    """
     n = g.node_count
     if mask is None:
         src, dst, labels = g.src, g.dst, g.labels
@@ -133,9 +140,8 @@ def degree_stats_reference(g, mask=None):
     d_in = np.bincount(dst, minlength=n)
     d_out_plus = np.bincount(src[pos], minlength=n)
     d_in_plus = np.bincount(dst[pos], minlength=n)
-    return NodeStats(d_in=d_in, d_out=d_out,
-                     d_in_plus=d_in_plus, d_in_minus=d_in - d_in_plus,
-                     d_out_plus=d_out_plus, d_out_minus=d_out - d_out_plus)
+    return (np.column_stack([d_out - d_out_plus, d_out_plus]),
+            np.column_stack([d_in - d_in_plus, d_in_plus]))
 
 
 def logreg_fit_reference(g, split, tol=1e-8, max_iter=200):
@@ -146,10 +152,10 @@ def logreg_fit_reference(g, split, tol=1e-8, max_iter=200):
     """
     train = np.flatnonzero(split.training_mask)
     y = g.labels[train]
-    tt = troll_trust(g, split.training_mask)
+    tr, un = troll_trust(g, split.training_mask)
     X = np.column_stack([np.ones(train.size),
-                         1.0 - tt.tr[g.src[train]],
-                         1.0 - tt.un[g.dst[train]]])
+                         1.0 - tr[g.src[train]],
+                         1.0 - un[g.dst[train]]])
     y01 = (y == 1).astype(np.float64)
     m = train.size
 

@@ -10,7 +10,7 @@ from edgesign.batch import (BlcModel, LogRegModel, blc_fit, blc_predict_split, l
 from edgesign.errors import ConvergenceError, DegenerateFitError
 from edgesign.features import box_fit_edges, troll_trust
 from edgesign.genmodel import TwoPointPrior, UniformPrior, bayes_scores, make_synthetic, sign_with_tie
-from edgesign.graph import SignedDigraph, load_edge_list, sample_split
+from edgesign.graph import SignedDigraph, degree_stats, load_edge_list, sample_split
 from edgesign.metrics import confusion
 
 from conftest import make_split, random_graph
@@ -80,9 +80,10 @@ class TestBlc:
         split = make_split([True, True, True, False])
         model = blc_fit(g, split)
         assert model.tau == 1.0
-        tt = troll_trust(g, split.training_mask)
-        assert np.array_equal(model.tr, tt.tr)
-        assert np.all(model.tr[tt.tr_defined] == 0.0)
+        tr, _ = troll_trust(g, split.training_mask)
+        out, _ = degree_stats(g, split.training_mask)
+        assert np.array_equal(model.tr, tr)
+        assert np.all(model.tr[out.sum(axis=1) > 0] == 0.0)
 
     def test_uncovered_node_defaults(self, hand_graph):
         split = make_split([True, False, False, False])
@@ -158,12 +159,11 @@ class TestLogReg:
         split = sample_split(g, 0.6, seed=6)
         model = logreg_fit(g, split, tol=1e-10)
         # recompute the mean-likelihood gradient at the returned weights
-        from edgesign.features import troll_trust
-        tt = troll_trust(g, split.training_mask)
+        tr, un = troll_trust(g, split.training_mask)
         train = split.training_indices()
         X = np.column_stack([np.ones(train.size),
-                             1.0 - tt.tr[g.src[train]],
-                             1.0 - tt.un[g.dst[train]]])
+                             1.0 - tr[g.src[train]],
+                             1.0 - un[g.dst[train]]])
         y01 = (g.labels[train] == 1).astype(float)
         z = X @ np.array([model.w0, model.w1, model.w2])
         grad = X.T @ (1 / (1 + np.exp(-z)) - y01) / train.size

@@ -245,6 +245,13 @@ class TestGraphFiles:
                        "-o", tmp_path / "s.json") == 0
         assert "training_edges\t2" in capsys.readouterr().out
 
+    def test_bad_edge_list_record_is_a_data_error_naming_its_line(self, tmp_path, capsys):
+        edges, out = tmp_path / "g.tsv", tmp_path / "g.json"
+        edges.write_text("# header\na b 1\n\nb c x\n")
+        assert run_cli("ingest", edges, out) == cli.EXIT_DATA
+        assert capsys.readouterr().err == "error: line 4: bad sign token 'x'\n"
+        assert not out.exists()
+
     def test_split_with_bad_indices_is_a_data_error(self, graph_path, tmp_path):
         m = SignedDigraph.load(graph_path).edge_count
         split = tmp_path / "s.json"
@@ -296,7 +303,8 @@ def test_sweep_with_fewer_than_one_thread_is_an_argument_error(tmp_path, capsys,
 
 
 def sweep_spec(path):
-    return cli.cmd_sweep(cli.build_parser().parse_args(["sweep", str(path), "-o", "unused"]))
+    report = str(path.parent / "unused.json")  # written only if the spec is accepted
+    return cli.cmd_sweep(cli.build_parser().parse_args(["sweep", str(path), "-o", report]))
 
 
 def read_state(path):
@@ -329,12 +337,25 @@ def read_state(path):
                                                           "a_q": 1, "b_q": 1}}},
      sweep_spec, "b_p"),
     ({"dataset": 5}, sweep_spec, "dataset"),
+    ({**TINY_SWEEP, "repetition": 2}, sweep_spec, "repetition"),
+    ({**TINY_SWEEP, "dataset": "g.json"}, sweep_spec, "dataset"),
+    ({**TINY_SWEEP, "synthetic": {**TINY_SWEEP["synthetic"], "mean_outdegree": 4}}, sweep_spec,
+     "mean_outdegree"),
+    ({**TINY_SWEEP, "synthetic": {**TINY_SWEEP["synthetic"],
+                                  "prior": {"kind": "uniform", "lo": 0.1}}}, sweep_spec, "lo"),
+    ({"kind": "two-point", "lo": 0.1, "hi": 0.9, "weight": 0.5, "q_wieght": 0.9},
+     lambda path: prior_from_json_dict(read_json(path)), "q_wieght"),
+    ({"format": "edgesign-genparams", "version": 1, "p": [0.5], "q": [0.5],
+      "prior": {"kind": "beta", "a_p": 1, "b_p": 1, "a_q": 1, "b_q": 1, "a": 1}, "seed": 1},
+     GenParams.load, "a"),
 ], ids=["genparams", "genparams-seed-fraction", "online-untagged", "online-lacks-losses",
         "online-edges-seen-true", "prior", "sweep-no-prior", "sweep-beta-no-shapes",
         "sweep-no-source", "sweep-repetitions-text", "sweep-base-seed-text",
         "sweep-methods-text", "sweep-fractions-text", "sweep-psi2-text", "sweep-negative-seed",
         "sweep-node-count-text", "sweep-two-point-text", "sweep-beta-list",
-        "sweep-dataset-number"])
+        "sweep-dataset-number", "sweep-unknown-key", "sweep-both-sources",
+        "sweep-synthetic-unknown-key", "sweep-prior-unknown-key", "prior-unknown-key",
+        "genparams-prior-unknown-key"])
 def test_damaged_parameter_state_and_spec_files_are_data_errors(tmp_path, payload, reader, key):
     path = tmp_path / "damaged.json"
     path.write_text(json.dumps(payload))
@@ -342,6 +363,24 @@ def test_damaged_parameter_state_and_spec_files_are_data_errors(tmp_path, payloa
         reader(path)
     if reader is sweep_spec:
         assert run_cli("sweep", path, "-o", tmp_path / "rep.json") == cli.EXIT_DATA
+
+
+def test_misspelled_spec_keys_are_named_and_nothing_runs(tmp_path, capsys):
+    # "repetition" and "fraction" would otherwise leave 12 repetitions over the
+    # default fractions in place
+    path, report = tmp_path / "spec.json", tmp_path / "rep.json"
+    path.write_text(json.dumps({"synthetic": TINY_SWEEP["synthetic"], "methods": ["blc"],
+                                "repetition": 2, "fraction": [0.5]}))
+    assert run_cli("sweep", path, "-o", report) == cli.EXIT_DATA
+    assert capsys.readouterr().err == "error: sweep spec: unknown key 'repetition', 'fraction'\n"
+    assert not report.exists()
+
+
+def test_prior_with_a_misspelled_key_is_refused_not_defaulted():
+    prior = {"kind": "two-point", "lo": 0.1, "hi": 0.9, "weight": 0.5}
+    assert prior_from_json_dict(prior).q_weight == 0.5
+    with pytest.raises(DataError, match=r"^two-point prior: unknown key 'q_wieght'$"):
+        prior_from_json_dict({**prior, "q_wieght": 0.9})
 
 
 def run_synth(tmp_path, kind, *values):

@@ -302,36 +302,38 @@ class TestSignedDigraph:
 
 class TestDegreeStats:
     def test_hand_graph_counts(self, hand_graph):
-        s = degree_stats(hand_graph)
-        a, b, c = 0, 1, 2
-        assert s.d_out[a] == 2 and s.d_out_minus[a] == 1
-        assert s.d_in[b] == 2 and s.d_in_minus[b] == 1
+        out, into = degree_stats(hand_graph)
+        # columns: (negative, positive); rows: nodes a, b, c
+        assert np.array_equal(out, [[1, 1], [0, 1], [1, 0]])
+        assert np.array_equal(into, [[0, 0], [1, 1], [1, 1]])
 
     def test_empty_mask_all_zero(self, hand_graph):
-        s = degree_stats(hand_graph, np.zeros(4, dtype=bool))
-        for arr in (s.d_in, s.d_out, s.d_in_plus, s.d_out_minus):
-            assert arr.sum() == 0
+        for table in degree_stats(hand_graph, np.zeros(4, dtype=bool)):
+            assert table.shape == (3, 2) and not table.any()
 
     def test_signed_counts_are_consistent(self):
         g = random_graph(25, 100, seed=1)
-        s = degree_stats(g)
-        assert np.array_equal(s.d_in_plus + s.d_in_minus, s.d_in)
-        assert np.array_equal(s.d_out_plus + s.d_out_minus, s.d_out)
+        out, into = degree_stats(g)
+        negatives = np.count_nonzero(g.labels == -1)
+        for table in (out, into):
+            assert table.shape == (g.node_count, 2)
+            assert table[:, 0].sum() == negatives
+            assert table[:, 1].sum() == g.edge_count - negatives
 
     def test_handshake(self):
         g = random_graph(25, 100, seed=2)
-        s = degree_stats(g)
-        assert s.d_in.sum() == s.d_out.sum() == g.edge_count
+        out, into = degree_stats(g)
+        assert np.array_equal(out.sum(axis=1), np.bincount(g.src, minlength=g.node_count))
+        assert np.array_equal(into.sum(axis=1), np.bincount(g.dst, minlength=g.node_count))
+        assert out.sum() == into.sum() == g.edge_count
 
     def test_mask_partition_additivity(self):
         g = random_graph(20, 80, seed=3)
         rng = np.random.default_rng(0)
         m1 = rng.random(g.edge_count) < 0.4
-        s_all = degree_stats(g)
-        s1 = degree_stats(g, m1)
-        s2 = degree_stats(g, ~m1)
-        assert np.array_equal(s1.d_out + s2.d_out, s_all.d_out)
-        assert np.array_equal(s1.d_in_minus + s2.d_in_minus, s_all.d_in_minus)
+        for whole, part1, part2 in zip(degree_stats(g), degree_stats(g, m1),
+                                       degree_stats(g, ~m1)):
+            assert np.array_equal(part1 + part2, whole)
 
     def test_shape_mismatch(self, hand_graph):
         with pytest.raises(DataError):

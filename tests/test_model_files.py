@@ -10,7 +10,6 @@ import pytest
 from edgesign import cli
 from edgesign.batch import METHODS, load_model, save_model
 from edgesign.errors import DataError
-from edgesign.features import troll_trust
 from edgesign.genmodel import TwoPointPrior, UniformPrior, make_synthetic
 from edgesign.graph import EdgeSplit, load_edge_list, sample_split
 
@@ -25,8 +24,7 @@ NUMBERS = {"blc": ("tau",), "logreg": ("w0", "w1", "w2", "threshold"),
 
 def reference(method, model, g, split):
     if method == "blc":
-        tt = troll_trust(g, split.training_mask)
-        d = blc_container_reference(model, tt.tr_defined, tt.un_defined)
+        d = blc_container_reference(model, g, split.training_mask)
         del d["tr_defined"], d["un_defined"]
         return d
     if method == "logreg":
@@ -64,9 +62,8 @@ def test_blc_files_with_the_node_flags_still_load_and_predict_the_same(tmp_path)
     for g, fraction, seed in seeded_graphs():
         split = sample_split(g, fraction, seed)
         model = METHODS["blc"].fit(g, split)
-        tt = troll_trust(g, split.training_mask)
         path = tmp_path / "old.json"
-        path.write_bytes(encoded(blc_container_reference(model, tt.tr_defined, tt.un_defined)))
+        path.write_bytes(encoded(blc_container_reference(model, g, split.training_mask)))
         again = load_model(path)
         assert np.array_equal(again.tr, model.tr) and np.array_equal(again.un, model.un)
         assert again.tau == model.tau
