@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConvergenceError, DataError, DegenerateFitError
 from .features import box_fit_edges, troll_trust
 from .genmodel import sign_with_tie
-from .graph import NUMBER, _node_arrays, check_container, read_json, write_json, write_text
+from .graph import NUMBER, check_container, number_lists, read_json, write_json, write_text
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ class _FittedModel:
     """A model dataclass's container: ``{"format": FORMAT, "version": 1}``, then its fields.
 
     A field annotated ``np.ndarray`` is a per-node array (read with
-    :func:`graph._node_arrays`), any other a number (:data:`graph.NUMBER`).
+    :func:`graph.number_lists`), any other a number (:data:`graph.NUMBER`).
     Keys no field names, such as the ``y_soft`` of older unreg files, are ignored.
     """
 
@@ -158,7 +158,7 @@ class _FittedModel:
         arrays = [f.name for f in fields(cls) if f.type == "np.ndarray"]
         numbers = [f.name for f in fields(cls) if f.name not in arrays]
         check_container(d, cls.FORMAT, keys=arrays, values=dict.fromkeys(numbers, NUMBER))
-        return cls(**dict(zip(arrays, _node_arrays(d, arrays))),
+        return cls(**dict(zip(arrays, number_lists(d, arrays))),
                    **{name: float(d[name]) for name in numbers})
 
     def _tune_threshold(self, g, split):

@@ -28,28 +28,14 @@ from .graph import (COUNT, SIGN_TOKENS, EdgeSplit, check_keys, check_known_keys,
                     write_json)
 from .metrics import accuracy, confusion, mcc
 
-DATA_DIR_ENV = "EDGESIGN_DATA_DIR"
-
 EXIT_ARGUMENT = 2
 EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
 EXIT_BROKEN_PIPE = 141
 
 
-def _resolve(path):
-    """Expand a bare filename against $EDGESIGN_DATA_DIR when it is not local."""
-    if os.path.exists(path):
-        return path
-    base = os.environ.get(DATA_DIR_ENV)
-    if base:
-        candidate = os.path.join(base, path)
-        if os.path.exists(candidate):
-            return candidate
-    return path
-
-
 def cmd_ingest(args):
-    g = load_edge_list(_resolve(args.input), delimiter=args.delimiter)
+    g = load_edge_list(args.input, delimiter=args.delimiter)
     g.save(args.output)
     rep = g.load_report
     print(f"nodes\t{g.node_count}")
@@ -62,7 +48,7 @@ def cmd_ingest(args):
 
 
 def cmd_stats(args):
-    g = load_graph(_resolve(args.graph))
+    g = load_graph(args.graph)
     report = regularity_report(g, include_psi2=not args.no_psi2)
     payload = report.to_json_dict()
     payload.update({"node_count": g.node_count, "edge_count": g.edge_count,
@@ -74,7 +60,7 @@ def cmd_stats(args):
 
 
 def cmd_split(args):
-    g = load_graph(_resolve(args.graph))
+    g = load_graph(args.graph)
     split = sample_split(g, args.fraction, args.seed)
     split.save(args.output)
     print(f"training_edges\t{split.n_training}")
@@ -98,7 +84,7 @@ def cmd_train(args):
         raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
     if args.max_iter is not None and args.max_iter < 1:
         raise ValueError(f"--max-iter must be at least 1, got {args.max_iter}")
-    g = load_graph(_resolve(args.graph))
+    g = load_graph(args.graph)
     split = _get_split(g, args)
     # a bound the user leaves out takes the method's own default
     bounds = {k: v for k, v in (("tol", args.tol), ("max_iter", args.max_iter)) if v is not None}
@@ -109,7 +95,7 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    g = load_graph(_resolve(args.graph))
+    g = load_graph(args.graph)
     split = _get_split(g, args)
     model = batch.load_model(args.model)
     pred = model.predict_split(g, split)
@@ -146,7 +132,7 @@ def _read_predictions(path):
 
 
 def cmd_eval(args):
-    g = load_graph(_resolve(args.graph))
+    g = load_graph(args.graph)
     split = _get_split(g, args)
     test = split.test_indices()
     src, dst, labels = _read_predictions(args.predictions)
@@ -243,7 +229,7 @@ def cmd_sweep(args):
                                        **_spec_values(s, SYNTHETIC_KEYS))
     else:
         check_keys(d, "sweep spec", ("dataset",))
-        source = _resolve(_spec_values(d, {"dataset": (_is(str), "a path")})["dataset"])
+        source = _spec_values(d, {"dataset": (_is(str), "a path")})["dataset"]
     spec = harness.ExperimentSpec(source=source, **_spec_values(d, EXPERIMENT_KEYS))
     report = harness.run_experiment(spec, threads=args.threads)
     write_json(report.to_json_dict(), args.output)
@@ -254,7 +240,7 @@ def cmd_sweep(args):
 def cmd_online(args):
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    g = load_graph(_resolve(args.graph))
+    g = load_graph(args.graph)
     reports = []
     for trial in range(args.trials):
         seed = args.seed + trial

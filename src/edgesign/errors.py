@@ -28,9 +28,8 @@ class DegenerateFitError(DataError):
 class ConvergenceError(EdgeSignError):
     """Iterative solver exhausted its budget; carries the best state found."""
 
-    def __init__(self, message, state=None, best_value=None):
+    def __init__(self, message, state=None):
         self.state = state
-        self.best_value = best_value
         super().__init__(message)
 
 

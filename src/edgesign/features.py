@@ -86,8 +86,8 @@ def box_fit_edges(n, src, dst, targets, pull=None, box=True, tol=1e-8, max_iter=
     gradient infinity norm of the p block is the stationarity measure; it
     comes from the Σ_out q_j that the next p step needs anyway. Stops when
     it drops to ``tol``. Returns an :class:`EdgeFit`; raises ConvergenceError
-    carrying the last iterate as an :class:`EdgeFit` (``state``) and its
-    value (``best_value``) if ``max_iter`` sweeps are exhausted.
+    carrying the last iterate and its value as an :class:`EdgeFit`
+    (``state``) if ``max_iter`` sweeps are exhausted.
     """
     # denominators of the block steps: fitted degree plus twice the pull
     den_p = np.bincount(src, minlength=n).astype(np.float64)
@@ -133,10 +133,9 @@ def box_fit_edges(n, src, dst, targets, pull=None, box=True, tol=1e-8, max_iter=
             callback(p, q)
         if pg <= tol:
             return EdgeFit(p, q, value(), it, float(pg))
-    best = value()
     raise ConvergenceError(
         f"edge-quadratic fit not stationary after {max_iter} sweeps (gradient {pg:.3g})",
-        state=EdgeFit(p, q, best, it, float(pg)), best_value=best)
+        state=EdgeFit(p, q, value(), it, float(pg)))
 
 
 def minimize_edge_quadratic(g, tol=1e-8, max_iter=10000, callback=None):

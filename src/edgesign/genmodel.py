@@ -13,8 +13,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DataError
-from .graph import (COUNT, NUMBER, JsonContainer, SignedDigraph, _node_arrays, check_container,
-                    check_keys, check_known_keys, check_values)
+from .graph import (COUNT, NUMBER, JsonContainer, SignedDigraph, check_container, check_keys,
+                    check_known_keys, check_values, number_lists)
 
 
 def sign_with_tie(x):
@@ -150,7 +150,7 @@ class GenParams(JsonContainer):
     @classmethod
     def from_json_dict(cls, d):
         check_container(d, "edgesign-genparams", keys=("p", "q", "prior"), values={"seed": COUNT})
-        p, q = _node_arrays(d, ("p", "q"))
+        p, q = number_lists(d, ("p", "q"))
         prior = prior_from_json_dict(d["prior"]) if d["prior"] is not None else None
         return cls(p, q, prior, d["seed"])
 

@@ -161,47 +161,43 @@ def _pack(array, tag):
     return {"dtype": tag, "data": base64.b64encode(data).decode("ascii")}
 
 
-def _unpack(entry, tag, length, name):
-    """A read-only array of ``length`` values from a packed entry, checked."""
+def _unpack(d, name, tag):
+    """A read-only array of ``edge_count`` values from the packed entry ``d[name]``, checked."""
+    what, entry, length = f"{GRAPH_FORMAT} container", d[name], d["edge_count"]
     if not (isinstance(entry, dict) and entry.get("dtype") == tag
             and isinstance(entry.get("data"), str)):
-        raise DataError(f"graph container array {name!r} is not packed {tag} data")
+        raise DataError(f"{what}: {name} must be packed {tag} data, got {reprlib.repr(entry)}")
     try:
         raw = base64.b64decode(entry["data"], validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise DataError(f"graph container array {name!r}: bad base64 ({exc})") from exc
+        raise DataError(f"{what}: {name} must be packed {tag} data, "
+                        f"got bad base64 ({exc})") from exc
     if len(raw) != length * np.dtype(tag).itemsize:
-        raise DataError(f"graph container array {name!r} holds {len(raw)} bytes, "
-                        f"not {length} {tag} values")
+        raise DataError(f"{what}: {name} must be edge_count = {length} {tag} values, "
+                        f"got {len(raw)} bytes")
     return np.frombuffer(raw, dtype=tag)
 
 
-def _int_list(value, name):
-    """A JSON integer list (a split, or a version-1 graph array) as int64."""
-    try:
-        array = np.asarray(value)
-    except ValueError as exc:  # ragged nesting
-        raise DataError(f"container field {name!r} is not a flat integer list") from exc
-    if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
-        raise DataError(f"container field {name!r} is not a flat integer list")
-    return array.astype(np.int64)
-
-
-def _node_arrays(d, keys):
-    """The per-node arrays ``d[k]`` as float64: 1-D lists of numbers (no NaN), all of one length."""
+def number_lists(d, keys, dtype=np.float64):
+    """The lists ``d[k]`` of a checked container as ``dtype`` arrays (int64: integers,
+    float64: numbers), all of one length. Anything else, a bool or NaN entry included,
+    is a DataError ``<format> container: <key> must be <kind>, got <value>``."""
+    what = f"{d['format']} container"
+    kinds, kind = (("iu", "a list of integers") if dtype == np.int64
+                   else ("iuf", "a list of numbers"))
     arrays = []
-    for k in keys:
-        try:
-            a = np.asarray(d[k])
+    for key in keys:
+        v = d[key]
+        try:  # np.asarray reads a JSON true/false as 1/0
+            a = np.asarray(v) if isinstance(v, list) and bool not in map(type, v) else np.empty(())
         except ValueError:  # ragged nesting
             a = np.empty(())
-        if a.ndim != 1 or (a.size and (a.dtype.kind not in "iuf" or np.isnan(a).any())):
-            raise DataError(f"{d['format']} container: per-node arrays must be number lists, "
-                            f"{k} is not")
-        arrays.append(a.astype(np.float64, copy=False))
-    if any(a.size != arrays[0].size for a in arrays):
-        raise DataError(f"{d['format']} container: per-node arrays {', '.join(keys)} "
-                        "differ in length")
+        if a.ndim != 1 or a.size and (a.dtype.kind not in kinds or np.isnan(a).any()):
+            raise DataError(f"{what}: {key} must be {kind}, got {reprlib.repr(v)}")
+        if arrays and a.size != arrays[0].size:
+            raise DataError(f"{what}: {key} must be {kind} as long as {keys[0]} "
+                            f"({arrays[0].size}), got {a.size}")
+        arrays.append(a.astype(dtype, copy=False))
     return arrays
 
 
@@ -245,12 +241,14 @@ class SignedDigraph(JsonContainer):
             raise DataError("src, dst and labels must be 1-D with identical length")
         m = src.size
         if validate:
-            if m and (src.min() < 0 or dst.min() < 0):
-                raise DataError("negative node id")
-            if m and max(src.max(), dst.max()) >= node_count:
-                raise DataError("node id out of range")
-            if m and np.any(src == dst):
-                raise DataError("self-loop present; clean the edge list first")
+            for name, ends in (("src", src), ("dst", dst)):
+                if m and (ends.min() < 0 or ends.max() >= node_count):
+                    raise DataError(f"graph: {name} must be node ids in [0, {node_count}), "
+                                    f"got ids {ends.min()} to {ends.max()}")
+            loop = src == dst
+            if loop.any():
+                raise DataError(f"graph: dst must differ from src, got a self-loop at edge "
+                                f"{loop.argmax()}; clean the edge list first")
             if not np.all((labels == 1) | (labels == -1)):
                 raise DataError("labels must be +1 or -1")
             if sorted_unique(src * np.int64(node_count) + dst).size != m:
@@ -309,10 +307,10 @@ class SignedDigraph(JsonContainer):
                                   values={"node_count": COUNT, "node_ids": _NODE_IDS})
         n, node_ids = d["node_count"], d["node_ids"]
         if version == 1:
-            arrays = [_int_list(d[name], name) for name in _PACKED]
+            arrays = number_lists(d, tuple(_PACKED), np.int64)
         else:
             check_container(d, GRAPH_FORMAT, (2,), values={"edge_count": COUNT})
-            arrays = [_unpack(d[name], tag, d["edge_count"], name) for name, tag in _PACKED.items()]
+            arrays = [_unpack(d, name, tag) for name, tag in _PACKED.items()]
         return cls(n, *arrays, node_ids=node_ids)
 
 
@@ -507,7 +505,7 @@ class EdgeSplit(JsonContainer):
         check_container(d, SPLIT_FORMAT, keys=("training_edges",),
                         values={"edge_count": COUNT, "seed": COUNT, "fraction": NUMBER})
         m = d["edge_count"]
-        train = _int_list(d["training_edges"], "training_edges")
+        (train,) = number_lists(d, ("training_edges",), np.int64)
         if train.size and (train.min() < 0 or train.max() >= m):
             raise DataError(f"{SPLIT_FORMAT} container: training_edges index out of range [0, {m})")
         if sorted_unique(train).size != train.size:

@@ -533,9 +533,7 @@ def adversary_expected_mistakes(budget, r_max):
 
 
 def _mrc_fraction(r, c):
-    """Exact m(r, c): rising factorial over (c−1)! · 2^r."""
-    if r < c:
-        return Fraction(0)
+    """Exact m(r, c) for r ≥ c: rising factorial over (c−1)! · 2^r."""
     num = 1
     for t in range(c - 1):
         num *= (r - c + 1) + t

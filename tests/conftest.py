@@ -43,20 +43,3 @@ def run_python(args, **kwargs):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [source, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
-
-
-def dataset_path(name):
-    """Resolve a user-supplied benchmark dataset, or None if not present."""
-    base = os.environ.get("EDGESIGN_DATA_DIR", os.path.join(os.path.dirname(__file__), "..", "data"))
-    for candidate in (f"{name}.tsv", f"{name}.txt", f"{name}.edges"):
-        path = os.path.join(base, candidate)
-        if os.path.exists(path):
-            return path
-    return None
-
-
-def requires_dataset(name):
-    path = dataset_path(name)
-    return pytest.mark.skipif(
-        path is None,
-        reason=f"benchmark dataset {name!r} not supplied (set EDGESIGN_DATA_DIR)")

@@ -195,8 +195,8 @@ class TestPredictChecksTheModel:
         cases = {"edgesign-tree": {**d, "format": "edgesign-tree"},
                  "version 2": {**d, "version": 2},
                  "lacks q": {k: v for k, v in d.items() if k != "q"},
-                 "differ in length": {**d, "q": d["q"][:-1]},
-                 "number lists": {**d, "p": ["x"] * len(d["p"])}}
+                 "q must be a list of numbers as long as p": {**d, "q": d["q"][:-1]},
+                 "p must be a list of numbers": {**d, "p": ["x"] * len(d["p"])}}
         for expected, payload in cases.items():
             model.write_text(json.dumps(payload))
             with pytest.raises(DataError, match=expected):
@@ -259,6 +259,47 @@ class TestGraphFiles:
                                      "fraction": 0.3, "seed": 1, "training_edges": [0, m]}))
         assert run_cli("train", graph_path, "--method", "blc", "--split", split,
                        "-o", tmp_path / "m.json") == cli.EXIT_DATA
+
+    def test_split_of_another_edge_count_is_a_data_error(self, graph_path, tmp_path, capsys):
+        m = SignedDigraph.load(graph_path).edge_count
+        split, model = tmp_path / "s.json", tmp_path / "m.json"
+        EdgeSplit(np.arange(m + 1) % 2 == 0, 0.5, 1).save(split)
+        capsys.readouterr()
+        assert run_cli("train", graph_path, "--method", "blc", "--split", split,
+                       "-o", model) == cli.EXIT_DATA
+        assert capsys.readouterr().err == "error: split does not match the graph's edge count\n"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--fraction", "0.3"], ["--seed", "1"]],
+                             ids=["neither", "no-seed", "no-fraction"])
+    def test_train_needs_a_split_or_a_fraction_and_a_seed(self, graph_path, tmp_path, capsys,
+                                                          flags):
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run_cli("train", graph_path, "--method", "blc", *flags,
+                       "-o", model) == cli.EXIT_DATA
+        assert "either --split or both --fraction and --seed" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("key", ["training_edges", "src"])
+    def test_a_boolean_in_an_integer_list_is_a_data_error_naming_its_key(self, graph_path,
+                                                                         tmp_path, capsys, key):
+        g = SignedDigraph.load(graph_path)
+        graph, split, model = tmp_path / "v1.json", tmp_path / "s.json", tmp_path / "m.json"
+        graph.write_text(json.dumps({"format": "edgesign-graph", "version": 1,
+                                     "node_count": g.node_count, "src": g.src.tolist(),
+                                     "dst": g.dst.tolist(), "labels": g.labels.tolist(),
+                                     "node_ids": g.node_ids}))
+        sample_split(g, 0.3, 1).save(split)
+        damaged = {"training_edges": split, "src": graph}[key]
+        d = json.loads(damaged.read_text())
+        d[key] = [True] + d[key][1:]
+        damaged.write_text(json.dumps(d))
+        capsys.readouterr()
+        assert run_cli("train", graph, "--method", "blc", "--split", split,
+                       "-o", model) == cli.EXIT_DATA
+        assert f"{key} must be a list of integers, got [True, " in capsys.readouterr().err
+        assert not model.exists()
 
     def test_sweep_reads_an_edge_list_dataset(self, graph_path, tmp_path):
         g = SignedDigraph.load(graph_path)

@@ -147,8 +147,7 @@ class TestPsi2:
         g = random_graph(30, 120, seed=4)
         with pytest.raises(ConvergenceError) as err:
             minimize_edge_quadratic(g, tol=0.0, max_iter=2)
-        assert err.value.best_value is not None
-        assert err.value.best_value <= g.edge_count / 4 + 1e-9
+        assert err.value.state.value <= g.edge_count / 4 + 1e-9
 
 
 class TestRegularityReport:

@@ -16,6 +16,9 @@ from edgesign.metrics import confusion, mcc
     ((), (0.5,), "methods must not be empty"),
     (("blc",), (), "fractions must not be empty"),
     ((), (), "methods must not be empty"),
+    (("blc",), (0.0,), "fractions must lie strictly in"),
+    (("blc",), (0.5, 1.0), "fractions must lie strictly in"),
+    (("blc", "tree"), (0.5,), "unknown methods: .'tree'."),
 ])
 def test_spec_rejects_repeated_or_empty_methods_and_fractions(methods, fractions, message):
     spec = ExperimentSpec(source=SyntheticSpec(20, TwoPointPrior(0.1, 0.9), seed=5),
@@ -24,6 +27,26 @@ def test_spec_rejects_repeated_or_empty_methods_and_fractions(methods, fractions
         spec.validate()
     with pytest.raises(ValueError, match=message):
         run_experiment(spec)
+
+
+def test_spec_rejects_zero_repetitions():
+    spec = ExperimentSpec(source=SyntheticSpec(20, TwoPointPrior(0.1, 0.9), seed=5),
+                          methods=("blc",), fractions=(0.5,), repetitions=0)
+    with pytest.raises(ValueError, match="repetitions must be at least 1"):
+        spec.validate()
+
+
+def test_bayes_oracle_on_a_dataset_fails_in_its_cell_and_the_other_methods_run(tmp_path):
+    path = tmp_path / "g.json"
+    make_synthetic(60, TwoPointPrior(0.1, 0.9), 6, seed=2)[0].save(path)
+    report = run_experiment(ExperimentSpec(source=str(path), methods=("blc", "bayes-oracle"),
+                                           fractions=(0.5,), repetitions=2, include_psi2=False))
+    cells = {c.method: c for c in report.cells}
+    assert cells["bayes-oracle"].failures == [
+        f"rep {r}: DataError: bayes-oracle needs generative parameters (synthetic runs only)"
+        for r in range(2)]
+    assert cells["bayes-oracle"].mcc_values == []
+    assert len(cells["blc"].mcc_values) == 2 and cells["blc"].failures == []
 
 
 def test_sweep_cells_are_the_method_tables_predictions():

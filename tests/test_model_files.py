@@ -91,6 +91,8 @@ ARRAY_DAMAGE = {"missing": DELETE, "text": "x", "null": None, "true": True,
                 "nested": lambda v: [[x] for x in v],
                 "strings": lambda v: [str(x) for x in v],
                 "booleans": lambda v: [x > 0.5 for x in v],
+                "leading-true": lambda v: [True] + v[1:],
+                "ragged": lambda v: [[v[0]]] + v[1:],
                 "nan": lambda v: [float("nan")] + v[1:],
                 "shorter": lambda v: v[:-1]}
 DAMAGE_CASES = [(method, name, kind) for method in METHODS

@@ -362,6 +362,23 @@ class TestStateRounds:
             state.update(edge, -1)
         assert state.to_json_dict() == before
 
+    def test_second_prediction_before_the_reveal_is_a_protocol_error(self):
+        state = OnlineState(3)
+        rng = np.random.default_rng(4)
+        state.predict((0, 1), rng)
+        before = state.to_json_dict()
+        with pytest.raises(ProtocolError, match="already has a pending prediction"):
+            state.predict((0, 1), rng)
+        assert state.to_json_dict() == before
+
+    def test_update_with_label_zero_is_a_value_error(self):
+        state = OnlineState(3)
+        state.predict((0, 1), np.random.default_rng(4))
+        before = state.to_json_dict()
+        with pytest.raises(ValueError, match="label must be"):
+            state.update((0, 1), 0)
+        assert state.to_json_dict() == before
+
     def test_expected_mistake_increment_is_the_predicted_probability(self):
         # for a -1 label both sides add w_out·p_out + (1−w_out)·p_in; for +1 the
         # tally adds w_out·(1−p_out) + (1−w_out)·(1−p_in) and predict returns
