@@ -70,10 +70,7 @@ def cmd_split(args):
 
 def _get_split(g, args):
     if args.split:
-        split = EdgeSplit.load(args.split)
-        if split.training_mask.size != g.edge_count:
-            raise DataError("split does not match the graph's edge count")
-        return split
+        return EdgeSplit.load(args.split, g.edge_count)
     if args.fraction is None or args.seed is None:
         raise DataError("either --split or both --fraction and --seed are required")
     return sample_split(g, args.fraction, args.seed)

@@ -500,8 +500,17 @@ class EdgeSplit(JsonContainer):
         }
 
     @classmethod
-    def from_json_dict(cls, d):
-        """Read a split container; training indices must be distinct and in range."""
+    def load(cls, path, edge_count=None):
+        """Read a split file (:meth:`from_json_dict`)."""
+        return cls.from_json_dict(read_json(path), edge_count)
+
+    @classmethod
+    def from_json_dict(cls, d, edge_count=None):
+        """Read a split container; training indices must be distinct and in range.
+
+        With ``edge_count``, a split of another edge count is a DataError,
+        raised before any array of the size the container claims is allocated.
+        """
         check_container(d, SPLIT_FORMAT, keys=("training_edges",),
                         values={"edge_count": COUNT, "seed": COUNT, "fraction": NUMBER})
         m = d["edge_count"]
@@ -510,6 +519,8 @@ class EdgeSplit(JsonContainer):
             raise DataError(f"{SPLIT_FORMAT} container: training_edges index out of range [0, {m})")
         if sorted_unique(train).size != train.size:
             raise DataError(f"{SPLIT_FORMAT} container: training_edges lists an edge twice")
+        if edge_count is not None and m != edge_count:
+            raise DataError("split does not match the graph's edge count")
         mask = np.zeros(m, dtype=bool)
         mask[train] = True
         return cls(mask, float(d["fraction"]), d["seed"])

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import subprocess
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -268,6 +269,29 @@ class TestGraphFiles:
         assert run_cli("train", graph_path, "--method", "blc", "--split", split,
                        "-o", model) == cli.EXIT_DATA
         assert capsys.readouterr().err == "error: split does not match the graph's edge count\n"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("edge_count, message", [
+        (20_000_000, "split does not match the graph's edge count"),
+        (2.5, "edgesign-split container: edge_count must be a non-negative integer, got 2.5"),
+    ])
+    def test_a_split_claiming_many_edges_is_refused_before_its_mask_is_allocated(
+            self, graph_path, tmp_path, capsys, edge_count, message):
+        split, model = tmp_path / "s.json", tmp_path / "m.json"
+        split.write_text(json.dumps({"format": "edgesign-split", "version": 1,
+                                     "edge_count": edge_count, "fraction": 0.5, "seed": 1,
+                                     "training_edges": [0, 1]}))
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run_cli("train", graph_path, "--method", "blc", "--split", split, "-o", model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # a mask, its copy and the test indices for 2e7 edges would take about 220 MB
+        assert peak < 4 * 2**20, peak
         assert not model.exists()
 
     @pytest.mark.parametrize("flags", [[], ["--fraction", "0.3"], ["--seed", "1"]],

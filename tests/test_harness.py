@@ -1,12 +1,24 @@
+import threading
+
 import numpy as np
 import pytest
 
+from edgesign import features, harness
 from edgesign.batch import METHODS
+from edgesign.errors import ConvergenceError
 from edgesign.features import troll_trust
 from edgesign.genmodel import TwoPointPrior, bayes_scores, eq1_rates, make_synthetic, sign_with_tie
 from edgesign.graph import sample_split
 from edgesign.harness import Cell, ExperimentReport, ExperimentSpec, SyntheticSpec, run_experiment
 from edgesign.metrics import confusion, mcc
+
+
+def untimed(report):
+    """The report's JSON dict without the one timed entry, ``seconds_mean``."""
+    d = report.to_json_dict()
+    for c in d["cells"]:
+        del c["seconds_mean"]
+    return d
 
 
 @pytest.mark.parametrize("methods, fractions, message", [
@@ -67,14 +79,71 @@ def test_sweep_cells_are_the_method_tables_predictions():
                 labels = METHODS[cell.method].fit(g, split).predict_split(g, split).labels
             expected.append(mcc(confusion(labels, g.labels[test])))
         assert cell.mcc_values == expected, cell.method
-
-    def untimed(r):
-        d = r.to_json_dict()
-        for c in d["cells"]:
-            del c["seconds_mean"]
-        return d
-
     assert untimed(run_experiment(spec, threads=2)) == untimed(report)
+
+
+OVERLAP_SPEC = ExperimentSpec(source=SyntheticSpec(300, TwoPointPrior(0.1, 0.9), seed=5),
+                              methods=("blc", "lprop", "unreg"), fractions=(0.1, 0.3),
+                              repetitions=3, base_seed=7)
+#: the edge count of OVERLAP_SPEC's graph
+SMALL_EDGES = make_synthetic(300, TwoPointPrior(0.1, 0.9), 10, 5)[0].edge_count
+
+
+def force_overlap(monkeypatch, on):
+    """Make the small sweep take the overlapped path (``on``) or the serial one."""
+    monkeypatch.setattr(harness, "OVERLAP_EDGES", SMALL_EDGES if on else SMALL_EDGES + 1)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2 if on else 1)
+
+
+@pytest.mark.parametrize("threshold, cpus, include_psi2, overlapped", [
+    (SMALL_EDGES, 2, True, True),
+    (SMALL_EDGES + 1, 2, True, False),
+    (SMALL_EDGES, 1, True, False),
+    (SMALL_EDGES, 2, False, False),
+], ids=["overlapped", "below-threshold", "one-cpu", "no-psi2"])
+def test_report_overlaps_the_cells_only_with_psi2_on_a_large_graph_and_two_cpus(
+        monkeypatch, threshold, cpus, include_psi2, overlapped):
+    monkeypatch.setattr(harness, "OVERLAP_EDGES", threshold)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+    seen = []
+
+    def spy(g, include_psi2=True):
+        seen.append((threading.current_thread() is threading.main_thread(), include_psi2))
+        return features.regularity_report(g, include_psi2=include_psi2)
+
+    monkeypatch.setattr(harness, "regularity_report", spy)
+    spec = ExperimentSpec(source=OVERLAP_SPEC.source, methods=("blc",), fractions=(0.3,),
+                          repetitions=1, include_psi2=include_psi2)
+    report = run_experiment(spec)
+    assert seen == [(not overlapped, include_psi2)]
+    assert (report.regularity.psi2 is not None) == include_psi2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_overlapped_and_serial_sweeps_report_the_same_and_stop_their_threads(monkeypatch,
+                                                                           threads):
+    before = threading.active_count()
+    reports = []
+    for on in (True, False):
+        force_overlap(monkeypatch, on)
+        reports.append(untimed(run_experiment(OVERLAP_SPEC, threads=threads)))
+        assert threading.active_count() == before
+    assert reports[0] == reports[1]
+    assert reports[0]["regularity"]["psi2"] is not None
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["overlapped", "serial"])
+def test_a_failing_report_leaves_the_sweep_and_stops_its_thread(monkeypatch, on):
+    force_overlap(monkeypatch, on)
+
+    def stuck(g, include_psi2=True):
+        raise ConvergenceError("edge-quadratic fit not stationary")
+
+    monkeypatch.setattr(harness, "regularity_report", stuck)
+    before = threading.active_count()
+    with pytest.raises(ConvergenceError, match="not stationary"):
+        run_experiment(OVERLAP_SPEC)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("seed", range(3))
