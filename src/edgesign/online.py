@@ -313,9 +313,9 @@ def run_online(g, labeling=None, order="random", seed=0):
             edges = edges.astype(np.int64)
             order_name = "permutation"
         round_labels = labels[edges]
+        if not np.all((round_labels == 1) | (round_labels == -1)):
+            raise ValueError("labels must be +1 or -1")
         headline = m
-    if not np.all((round_labels == 1) | (round_labels == -1)):
-        raise ValueError("labels must be +1 or -1")
 
     plus = round_labels == 1
     state = _PassState(g.node_count)
@@ -343,7 +343,7 @@ def run_online(g, labeling=None, order="random", seed=0):
 
 
 def _sequence_rounds(seq, m):
-    """Check an adversary sequence against a graph with m edges.
+    """Check an adversary sequence against a graph with m edges and its own labeling.
 
     Returns (labeling, edge id per round, label per round) for the forced
     prefix followed by the tail, if the sequence has one.
@@ -362,8 +362,20 @@ def _sequence_rounds(seq, m):
     repeated = np.flatnonzero(np.bincount(edges, minlength=m) > 1)
     if repeated.size:
         raise ProtocolError(f"edge {int(repeated[0])} is revealed more than once")
+    if not np.all((forced[:, 1] == 1) | (forced[:, 1] == -1)):
+        raise ValueError("labels must be +1 or -1")
     labels = seq.labels()
-    return labels, edges, np.concatenate([forced[:, 1], labels[tail]])
+    negatives = int(np.count_nonzero(labels == -1))
+    truth = labels[forced_edges]
+    if seq.budget != negatives:
+        raise ProtocolError(f"budget is {seq.budget}, the labeling has {negatives} negative edges")
+    if not np.array_equal(forced[:, 1], truth):
+        raise ProtocolError("a forced label differs from the sequence's labeling")
+    if np.count_nonzero(truth == -1) != negatives or not truth.size or truth[-1] != -1:
+        raise ProtocolError("the forced rounds must reveal every negative edge and end on one")
+    if seq.tail is not None and edges.size != m:
+        raise ProtocolError("the forced rounds and the tail must cover every edge")
+    return labels, edges, np.concatenate([truth, labels[tail]])
 
 
 #: Rounds that :func:`run_online` computes at once; its temporaries grow with this, not |E|.
@@ -470,47 +482,33 @@ class AdversarySequence:
 def adversary_generate(g, budget, seed, include_tail=False):
     """Draw the lower-bound adversary's labeling and reveal sequence.
 
-    A labeling with exactly ``budget`` negative edges is drawn uniformly;
-    then rounds repeat: flip a fair coin for a sign, reveal a uniformly
-    random unrevealed edge of that sign (falling back to the other sign if
-    that class is exhausted), until every negative edge is revealed.
+    One shuffle of the edges puts the ``budget`` negative edges first and the
+    positive ones after, each in reveal order. One fair coin per round then
+    picks the sign of the next edge revealed (negative once the positives are
+    used up) until every negative is out. So a labeling with exactly
+    ``budget`` negatives is drawn uniformly, and each round reveals a
+    uniformly random unrevealed edge of a uniformly chosen sign.
 
-    ``include_tail=True`` additionally shuffles the untouched edges into
-    ``tail`` so the materialized sequence covers E.
+    ``include_tail=True`` keeps the rest of the shuffle, the positive edges
+    no round revealed, as ``tail`` so the materialized sequence covers E.
     """
     m = g.edge_count
     if not 1 <= budget <= m // 2:
         raise ValueError(f"budget must lie in [1, |E|/2] = [1, {m // 2}], got {budget}")
     rng = np.random.default_rng(seed)
-    negs = rng.choice(m, size=budget, replace=False)
-    neg_set = set(int(e) for e in negs)
-    revealed = set()
-    neg_left = sorted(neg_set)
-    forced = []
-    while neg_left:
-        want_negative = bool(rng.integers(2))
-        pos_left = m - len(revealed) - len(neg_left)
-        if want_negative or pos_left == 0:
-            k = int(rng.integers(len(neg_left)))
-            edge = neg_left.pop(k)
-            label = -1
-        else:
-            # rejection sampling keeps this O(1) while few edges are revealed
-            while True:
-                edge = int(rng.integers(m))
-                if edge not in revealed and edge not in neg_set:
-                    break
-            label = 1
-        revealed.add(edge)
-        forced.append((edge, label))
-    seq = AdversarySequence(edge_count=m, budget=int(budget), seed=int(seed),
-                            negative_edges=np.asarray(sorted(neg_set), dtype=np.int64),
-                            forced=forced)
-    if include_tail:
-        rest = np.setdiff1d(np.arange(m, dtype=np.int64),
-                            np.asarray(sorted(revealed), dtype=np.int64))
-        seq.tail = rng.permutation(rest)
-    return seq
+    order = rng.permutation(m)
+    negatives, positives = order[:budget], order[budget:]
+    heads = rng.integers(2, size=m, dtype=bool)
+    negative = heads | (np.cumsum(~heads) > positives.size)
+    rounds = int(np.flatnonzero(negative)[budget - 1]) + 1  # ends on the last negative
+    negative = negative[:rounds]
+    edges = np.empty(rounds, dtype=np.int64)
+    edges[negative] = negatives
+    edges[~negative] = positives[:rounds - budget]
+    return AdversarySequence(
+        edge_count=m, budget=int(budget), seed=int(seed), negative_edges=np.sort(negatives),
+        forced=list(zip(edges.tolist(), np.where(negative, -1, 1).tolist())),
+        tail=positives[rounds - budget:] if include_tail else None)
 
 
 def adversary_expected_mistakes(budget, r_max):

@@ -188,16 +188,26 @@ def test_run_online_report_does_not_depend_on_the_block_size(n, edges, graph_see
     assert blocks.to_json_dict() == one_block.to_json_dict()
 
 
-def test_run_online_peak_memory_per_edge():
-    # measured: 26 bytes per edge, 147 when the pass held every round's arrays at once
+def peak_bytes_per_edge(call):
+    """``tracemalloc`` peak of ``call(g)`` per edge of a 10k-node two-point graph."""
     g, _ = make_synthetic(10000, TwoPointPrior(0.1, 0.9), 10, seed=3)
     tracemalloc.start()
     try:
-        run_online(g, g.labels, "random", seed=3)
+        call(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / g.edge_count <= 40
+    return peak / g.edge_count
+
+
+def test_run_online_peak_memory_per_edge():
+    # measured: 26 bytes per edge, 147 when the pass held every round's arrays at once
+    assert peak_bytes_per_edge(lambda g: run_online(g, g.labels, "random", seed=3)) <= 40
+
+
+def test_adversary_generate_stays_under_the_pass_peak_memory():
+    # measured: 26 bytes per edge; drawn before a pass, it must not raise the pass's peak
+    assert peak_bytes_per_edge(lambda g: adversary_generate(g, g.edge_count // 40, 3)) <= 40
 
 
 class TestRunOnlineRejects:
@@ -244,6 +254,17 @@ class TestRunOnlineRejects:
         tail = np.array([seq.forced[0][0]])
         with pytest.raises(ProtocolError, match="more than once"):
             run_online(self.g, order=dataclasses.replace(seq, tail=tail), seed=0)
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda seq: {"forced": [(e, -y) for e, y in seq.forced]}, "forced label differs"),
+        (lambda seq: {"forced": seq.forced[:-1]}, "reveal every negative edge"),
+        (lambda seq: {"budget": 3}, "budget is 3, the labeling has 5"),
+        (lambda seq: {"tail": seq.tail[:-1]}, "cover every edge"),
+    ], ids=["flipped-labels", "short-prefix", "wrong-budget", "short-tail"])
+    def test_sequence_that_contradicts_its_labeling(self, damage, message):
+        seq = adversary_generate(self.g, 5, seed=2, include_tail=True)
+        with pytest.raises(ProtocolError, match=message):
+            run_online(self.g, order=dataclasses.replace(seq, **damage(seq)), seed=0)
 
     @pytest.mark.parametrize("other_edges", [60, 8])
     def test_sequence_drawn_for_another_graph(self, other_edges):
@@ -444,6 +465,28 @@ def test_adversary_pass_reports_psi_g_of_the_sequence_labels(seed):
     seq = adversary_generate(g, 8, seed, include_tail=seed == 2)
     assert psi_g(g, seq.labels()) != psi_g(g)  # the graph's own labels would not pass
     assert run_online(g, order=seq, seed=seed).psi_g == psi_g(g, seq.labels())[2]
+
+
+def test_adversary_draws_the_documented_process():
+    # 6 edges, budget 3: the third negative comes in round 3, 4, 5 or 6 with
+    # probability 1/8, 3/16, 3/16 and 1/2 (round 6 once the three positives are out)
+    g = SignedDigraph(4, np.array([0, 1, 2, 3, 0, 1]), np.array([1, 2, 3, 0, 2, 3]),
+                      np.ones(6, dtype=np.int8))
+    budget, draws = 3, 4000
+    lengths, first, negative = np.zeros(7), np.zeros(6), np.zeros(6)
+    for seed in range(draws):
+        seq = adversary_generate(g, budget, seed, include_tail=True)
+        forced = [e for e, _ in seq.forced]
+        assert sorted(forced + seq.tail.tolist()) == list(range(6))
+        assert seq.forced[-1][1] == -1
+        assert psi_g(g, seq.labels())[2] <= budget
+        lengths[len(forced)] += 1
+        first[forced[0]] += 1
+        negative[seq.negative_edges] += 1
+    for counts, p in ((lengths, [0, 0, 0, 1 / 8, 3 / 16, 3 / 16, 1 / 2]),
+                      (first, 1 / 6), (negative, 1 / 2)):
+        p = np.broadcast_to(p, counts.shape)
+        assert np.all(np.abs(counts / draws - p) <= 5 * np.sqrt(p * (1 - p) / draws)), counts
 
 
 def test_adversary_closed_form_tends_to_budget():
