@@ -31,8 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConvergenceError, DataError, DegenerateFitError
-from .features import box_fit_edges, troll_trust
-from .genmodel import sign_with_tie
+from .features import box_fit_edges, label_targets, troll_trust
 from .graph import NUMBER, check_container, number_lists, read_json, write_json, write_text
 
 
@@ -164,7 +163,8 @@ class _FittedModel:
     def _tune_threshold(self, g, split):
         """Set ``threshold`` by :func:`tune_threshold` on the split's training-edge scores."""
         train = split.training_indices()
-        self.threshold = tune_threshold(self.score(g.src[train], g.dst[train]), g.labels[train])
+        self.threshold = tune_threshold(_edge_scores(self.score, g.src, g.dst, train),
+                                        g.labels[train])
         return self
 
 
@@ -175,10 +175,46 @@ def _predict(model, g, split):
                         f"this graph has {g.node_count}")
     test = split.test_indices()
     src, dst = g.src[test], g.dst[test]
-    scores = model.score(src, dst)
-    return Prediction(edge_indices=test, src=src, dst=dst, scores=scores,
-                      labels=sign_with_tie(scores - model.threshold).astype(np.int8),
+    scores = _edge_scores(model.score, src, dst)
+    # sgn(score − threshold) with sgn(0) = +1, as int8: for doubles (NaN too)
+    # x − t >= 0 holds exactly when x >= t
+    labels = np.greater_equal(scores, model.threshold, out=np.empty(scores.size, np.int8))
+    labels *= 2
+    labels -= 1
+    return Prediction(edge_indices=test, src=src, dst=dst, scores=scores, labels=labels,
                       threshold=float(model.threshold), method=model.method)
+
+
+#: Edges per block of :func:`_edge_scores`; its temporaries grow with this, not |E|.
+_SCORE_BLOCK = 1 << 13
+
+
+def _edge_scores(score, src, dst, edges=None):
+    """``score(src[edges], dst[edges])`` (of all of src and dst without ``edges``),
+    scored one block of edges at a time.
+
+    Only the result is edge-sized: the endpoints and the score's own
+    temporaries are made per block.
+    """
+    scores = np.empty(src.size if edges is None else edges.size)
+    for start in range(0, scores.size, _SCORE_BLOCK):
+        block = (slice(start, start + _SCORE_BLOCK) if edges is None
+                 else edges[start:start + _SCORE_BLOCK])
+        scores[start:start + _SCORE_BLOCK] = score(src[block], dst[block])
+    return scores
+
+
+def _gather_sum(a, src, b, dst):
+    """a[src] + b[dst] as a new array (a scalar for scalar endpoints).
+
+    The sum is taken in the gathered a[src], and each score goes on in
+    place, so a score costs two arrays of the endpoints' size whatever its
+    formula. Per-node terms are formed before the gather: (1 − tr)[src]
+    holds the same doubles as 1 − tr[src].
+    """
+    total = a.take(src)
+    total += b.take(dst)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +238,10 @@ class BlcModel(_FittedModel):
         return blc_fit(g, split)
 
     def score(self, src, dst):
-        return (1.0 - self.tr[src]) + (1.0 - self.un[dst]) - 0.5 - self.tau
+        scores = _gather_sum(1.0 - self.tr, src, 1.0 - self.un, dst)
+        scores -= 0.5
+        scores -= self.tau
+        return scores
 
     def predict_split(self, g, split):
         return blc_predict_split(self, g, split)
@@ -250,7 +289,8 @@ class LogRegModel(_FittedModel):
         return logreg_fit(g, split)
 
     def score(self, src, dst):
-        return self.w0 + self.w1 * (1.0 - self.tr[src]) + self.w2 * (1.0 - self.un[dst])
+        return _gather_sum(self.w0 + self.w1 * (1.0 - self.tr), src,
+                           self.w2 * (1.0 - self.un), dst)
 
     def predict_split(self, g, split):
         return logreg_predict_split(self, g, split)
@@ -386,10 +426,9 @@ def lp_run(g, split, opt=None):
     opt = opt or LpOptions()
     n = g.node_count
     train, test = split.training_indices(), split.test_indices()
-    pull = (np.bincount(g.src, minlength=n), np.bincount(g.dst, minlength=n))
-    fit = box_fit_edges(n, g.src[train], g.dst[train], (1.0 + g.labels[train]) / 2.0,
-                        pull=pull, box=False, tol=opt.tol, max_iter=opt.max_iter)
-    return replace(fit, y_soft=0.5 * (fit.p[g.src[test]] + fit.q[g.dst[test]]))
+    fit = box_fit_edges(n, g.src[train], g.dst[train], label_targets(g.labels[train]),
+                        pull=g.degrees, box=False, tol=opt.tol, max_iter=opt.max_iter)
+    return replace(fit, y_soft=_edge_scores(LpModel(fit.p, fit.q, 0.0).score, g.src, g.dst, test))
 
 
 @dataclass
@@ -414,7 +453,9 @@ class LpModel(_PQModel):
         return cls(fit.p, fit.q, 0.0)._tune_threshold(g, split)
 
     def score(self, src, dst):
-        return 0.5 * (self.p[src] + self.q[dst])
+        scores = _gather_sum(self.p, src, self.q, dst)
+        scores *= 0.5
+        return scores
 
     def predict_split(self, g, split):
         return lp_predict(self, g, split)
@@ -455,9 +496,10 @@ def unreg_solve(g, split, opt=None):
     """
     opt = opt or UnregOptions()
     train, test = split.training_indices(), split.test_indices()
-    fit = box_fit_edges(g.node_count, g.src[train], g.dst[train],
-                        (1.0 + g.labels[train]) / 2.0, tol=opt.tol, max_iter=opt.max_iter)
-    return replace(fit, y_soft=fit.p[g.src[test]] + fit.q[g.dst[test]] - 1.0)
+    fit = box_fit_edges(g.node_count, g.src[train], g.dst[train], label_targets(g.labels[train]),
+                        tol=opt.tol, max_iter=opt.max_iter)
+    return replace(fit, y_soft=_edge_scores(UnregModel(fit.p, fit.q, 0.0).score,
+                                            g.src, g.dst, test))
 
 
 class UnregModel(_PQModel):
@@ -473,7 +515,9 @@ class UnregModel(_PQModel):
         return cls(fit.p, fit.q, 0.0)._tune_threshold(g, split)
 
     def score(self, src, dst):
-        return self.p[src] + self.q[dst] - 1.0
+        scores = _gather_sum(self.p, src, self.q, dst)
+        scores -= 1.0
+        return scores
 
     def predict_split(self, g, split):
         return unreg_predict(self, g, split)

@@ -67,6 +67,14 @@ class EdgeFit:
     y_soft: np.ndarray | None = None
 
 
+def label_targets(labels):
+    """The fit target (1+y)/2 of each ±1 label y, as a new float array."""
+    targets = labels.astype(np.float64)
+    targets += 1.0
+    targets /= 2.0
+    return targets
+
+
 def box_fit_edges(n, src, dst, targets, pull=None, box=True, tol=1e-8, max_iter=10000,
                   callback=None):
     """Minimize Σ_e (t_e − (p_i+q_j)/2)² + ½Σ_i [w_out(i)p_i² + w_in(i)q_i²] over p, q.
@@ -89,6 +97,10 @@ def box_fit_edges(n, src, dst, targets, pull=None, box=True, tol=1e-8, max_iter=
     carrying the last iterate and its value as an :class:`EdgeFit`
     (``state``) if ``max_iter`` sweeps are exhausted.
     """
+    # np.bincount and np.take copy an index array they cannot write to on every
+    # call; a graph's own ids are read-only, so they are copied once here instead
+    src = np.require(src, np.intp, "W")
+    dst = np.require(dst, np.intp, "W")
     # denominators of the block steps: fitted degree plus twice the pull
     den_p = np.bincount(src, minlength=n).astype(np.float64)
     den_q = np.bincount(dst, minlength=n).astype(np.float64)
@@ -99,9 +111,19 @@ def box_fit_edges(n, src, dst, targets, pull=None, box=True, tol=1e-8, max_iter=
     has_in = den_q > 0
     p = np.full(n, 0.5)
     q = np.full(n, 0.5)
+    # every gather of p[src] or q[dst] lands in this one buffer, so the sweeps
+    # allocate no edge-sized array; mode="wrap" never wraps the ids (all below n),
+    # and unlike the default "raise" it writes into ``out`` without a buffered copy
+    gathered = np.empty(len(src))
+
+    def gather(values, ids):
+        return values.take(ids, out=gathered, mode="wrap")
 
     def value():
-        r = targets - 0.5 * (p[src] + q[dst])
+        r = q.take(dst, mode="wrap")
+        r += gather(p, src)
+        r *= 0.5
+        np.subtract(targets, r, out=r)
         if pull is None:
             return float(r @ r)
         return float(r @ r + 0.5 * (pull[0] @ (p * p) + pull[1] @ (q * q)))
@@ -109,26 +131,37 @@ def box_fit_edges(n, src, dst, targets, pull=None, box=True, tol=1e-8, max_iter=
     if not (has_out.any() or has_in.any()):
         return EdgeFit(p, q, value(), 0, 0.0)
     sum_out_t = np.bincount(src, weights=targets, minlength=n)
-    sum_in_t = np.bincount(dst, weights=targets, minlength=n)
-    sum_out_q = np.bincount(src, weights=q[dst], minlength=n)
+    twice_out_t = 2.0 * sum_out_t
+    twice_in_t = 2.0 * np.bincount(dst, weights=targets, minlength=n)
+    sum_out_q = np.bincount(src, weights=gather(q, dst), minlength=n)
+    # node-sized work arrays, filled in place; p and q are new arrays every
+    # sweep, so an iterate the callback keeps is never overwritten
+    num = np.empty(n)
+    grad = np.empty(n)
     pg = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        num_p = 2.0 * sum_out_t - sum_out_q
-        np.divide(num_p, den_p, out=num_p, where=has_out)
+        np.subtract(twice_out_t, sum_out_q, out=num)
+        np.divide(num, den_p, out=num, where=has_out)
         if box:
-            np.clip(num_p, 0.0, 1.0, out=num_p)
-        p = np.where(has_out, num_p, p)
-        num_q = 2.0 * sum_in_t - np.bincount(dst, weights=p[src], minlength=n)
-        np.divide(num_q, den_q, out=num_q, where=has_in)
+            np.clip(num, 0.0, 1.0, out=num)
+        p = np.where(has_out, num, p)
+        np.subtract(twice_in_t, np.bincount(dst, weights=gather(p, src), minlength=n), out=num)
+        np.divide(num, den_q, out=num, where=has_in)
         if box:
-            np.clip(num_q, 0.0, 1.0, out=num_q)
-        q = np.where(has_in, num_q, q)
-        sum_out_q = np.bincount(src, weights=q[dst], minlength=n)
-        grad_p = 0.5 * (den_p * p + sum_out_q) - sum_out_t
+            np.clip(num, 0.0, 1.0, out=num)
+        q = np.where(has_in, num, q)
+        sum_out_q = np.bincount(src, weights=gather(q, dst), minlength=n)
+        # the p-block gradient 0.5·(den_p·p + Σ_out q) − Σ_out t, projected with ``box``
+        np.multiply(den_p, p, out=grad)
+        grad += sum_out_q
+        grad *= 0.5
+        grad -= sum_out_t
         if box:
-            grad_p = p - np.clip(p - grad_p, 0.0, 1.0)
-        pg = np.abs(grad_p).max()
+            np.subtract(p, grad, out=grad)
+            np.clip(grad, 0.0, 1.0, out=grad)
+            np.subtract(p, grad, out=grad)
+        pg = np.abs(grad, out=grad).max()
         if callback is not None:
             callback(p, q)
         if pg <= tol:
@@ -143,8 +176,7 @@ def minimize_edge_quadratic(g, tol=1e-8, max_iter=10000, callback=None):
 
     :func:`box_fit_edges` on every edge of g with its label target.
     """
-    targets = (1.0 + g.labels.astype(np.float64)) / 2.0
-    return box_fit_edges(g.node_count, g.src, g.dst, targets, tol=tol,
+    return box_fit_edges(g.node_count, g.src, g.dst, label_targets(g.labels), tol=tol,
                          max_iter=max_iter, callback=callback)
 
 

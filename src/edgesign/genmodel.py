@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import (COUNT, NUMBER, JsonContainer, SignedDigraph, check_container, check_keys,
-                    check_known_keys, check_values, number_lists)
+                    check_known_keys, check_values, number_lists, sorted_unique)
 
 
 def sign_with_tie(x):
@@ -191,9 +191,10 @@ def eq1_rates(g, params):
     """
     n = g.node_count
     eta = 0.5 * (params.p[g.src] + params.q[g.dst])
+    out_degree, in_degree = g.degrees
     with np.errstate(invalid="ignore"):
-        return (np.bincount(g.src, weights=eta, minlength=n) / np.bincount(g.src, minlength=n),
-                np.bincount(g.dst, weights=eta, minlength=n) / np.bincount(g.dst, minlength=n))
+        return (np.bincount(g.src, weights=eta, minlength=n) / out_degree,
+                np.bincount(g.dst, weights=eta, minlength=n) / in_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,7 @@ def sample_topology(n, out_degree, seed, kind="fixed"):
         dst += dst >= src
     else:
         raise ValueError(f"unknown topology kind {kind!r}")
-    keys = np.unique(src * np.int64(n) + dst)
+    keys = sorted_unique(src * np.int64(n) + dst)
     return keys // n, keys % n
 
 

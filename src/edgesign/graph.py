@@ -33,6 +33,7 @@ import reprlib
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -206,6 +207,8 @@ def sorted_unique(keys):
 
     A sort and an adjacent-difference mask; for int64 keys this is many
     times faster than ``np.unique`` under NumPy 2.x, with the same result.
+    Callers: :func:`genmodel.sample_topology` (deduplicating drawn pairs),
+    the graph's duplicate-pair check and the split's repeated-edge check.
     """
     keys = np.sort(keys)
     keep = np.ones(keys.size, dtype=bool)
@@ -231,6 +234,7 @@ class SignedDigraph(JsonContainer):
     src, dst : read-only int64 arrays of length |E|
     labels : read-only int8 array of ±1, one per edge
     node_ids : list of original node identifiers (index = compact id)
+    degrees : (out, in) read-only int64 arrays of per-node edge counts, counted once
     """
 
     def __init__(self, node_count, src, dst, labels, node_ids=None, validate=True):
@@ -264,6 +268,13 @@ class SignedDigraph(JsonContainer):
     @property
     def edge_count(self):
         return self.src.size
+
+    @cached_property
+    def degrees(self):
+        # np.bincount copies a read-only index array on every call, so the
+        # counts are kept rather than recounted by each caller
+        return tuple(_read_only(np.bincount(ends, minlength=self.node_count))
+                     for ends in (self.src, self.dst))
 
     @property
     def positive_fraction(self):

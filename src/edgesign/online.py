@@ -428,7 +428,7 @@ class _PassState:
         block's rounds grouped by node, kept in reveal order by a stable sort.
         """
         rounds, pluses = self.rounds[side], self.pluses[side]
-        by_node = np.argsort(nodes, kind="stable")
+        by_node = _stable_order(nodes, rounds.size)
         grouped = nodes[by_node]
         # where each node's run of rounds starts in the grouped block, and its length
         starts = np.flatnonzero(np.diff(grouped, prepend=-1))
@@ -445,6 +445,22 @@ class _PassState:
         rounds[hosts] += sizes
         pluses[hosts] += np.add.reduceat(plus_grouped, starts, dtype=np.int64)
         return p_plus
+
+
+def _stable_order(ids, id_count):
+    """``np.argsort(ids, kind="stable")`` for ids in [0, id_count), sorted as 16-bit keys.
+
+    NumPy sorts keys of 16 bits or fewer with a radix sort, about ten times
+    faster than int64 keys. Ids below 2**16 take one pass; larger ones take
+    one more stable pass per further 16-bit digit, least significant first.
+    """
+    order = np.argsort(ids.astype(np.uint16), kind="stable")  # the low digit; astype wraps
+    shift = 16
+    while id_count > 1 << shift:
+        digit = (ids[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
 
 
 def _running_sums(start, x):

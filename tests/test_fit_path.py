@@ -3,20 +3,27 @@
 ``degree_stats`` counts with one keyed ``bincount`` per side, ``logreg_fit``
 runs Newton on the distinct feature rows of the training edges, and
 ``EdgeSplit`` computes its index arrays once; ``tests/oracles.py`` holds the
-mask-compacting counts and the per-edge logistic fit they replace.
+mask-compacting counts and the per-edge logistic fit they replace. The
+models score in place and label with one comparison; the plain expressions
+and ``sign_with_tie`` here are the references.
 """
+
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesign.batch import LogRegModel, _distinct_rows, logreg_fit, logreg_predict_split
-from edgesign.features import troll_trust
-from edgesign.genmodel import TwoPointPrior, UniformPrior, make_synthetic
+from edgesign import batch
+from edgesign.batch import (BlcModel, LogRegModel, LpModel, UnregModel, _distinct_rows,
+                            logreg_fit, logreg_predict_split, lp_run, unreg_solve)
+from edgesign.features import box_fit_edges, label_targets, minimize_edge_quadratic, troll_trust
+from edgesign.genmodel import TwoPointPrior, UniformPrior, make_synthetic, sign_with_tie
 from edgesign.graph import EdgeSplit, degree_stats, sample_split
 
-from conftest import random_graph
+from conftest import make_split, random_graph
 from oracles import degree_stats_reference, logreg_fit_reference
 
 
@@ -121,3 +128,125 @@ class TestEdgeSplit:
         assert np.array_equal(split.training_indices(), np.flatnonzero(split.training_mask))
         assert np.array_equal(split.test_indices(), np.flatnonzero(~split.training_mask))
         assert split.n_training == split.training_indices().size
+
+
+def models_on(n, rng):
+    """One model of each method with per-node values from a small grid, so
+    that many scores tie exactly, and a NaN on node 0's out-side."""
+    def grid():
+        values = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], n)
+        values[0] = np.nan
+        return values
+
+    return [BlcModel(tr=grid(), un=grid(), tau=0.25),
+            LogRegModel(w0=-0.5, w1=1.5, w2=0.5, threshold=0.0, tr=grid(), un=grid()),
+            LpModel(grid(), grid(), 0.0),
+            UnregModel(grid(), grid(), 0.0)]
+
+
+def reference_scores(model, src, dst):
+    """Each method's score as the plain expression of its docstring."""
+    if isinstance(model, BlcModel):
+        return (1.0 - model.tr[src]) + (1.0 - model.un[dst]) - 0.5 - model.tau
+    if isinstance(model, LogRegModel):
+        return model.w0 + model.w1 * (1.0 - model.tr[src]) + model.w2 * (1.0 - model.un[dst])
+    if isinstance(model, LpModel):
+        return 0.5 * (model.p[src] + model.q[dst])
+    return model.p[src] + model.q[dst] - 1.0
+
+
+class TestPredictPath:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scores_equal_the_plain_expressions_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(40, 300, seed)
+        for model in models_on(g.node_count, rng):
+            scores = model.score(g.src, g.dst)
+            assert scores.dtype == np.float64
+            assert np.array_equal(scores, reference_scores(model, g.src, g.dst), equal_nan=True)
+
+    def test_score_takes_scalar_endpoints(self):
+        rng = np.random.default_rng(4)
+        g = random_graph(12, 60, 4)
+        for model in models_on(g.node_count, rng):
+            scores = model.score(g.src, g.dst)
+            for e in range(g.edge_count):
+                one = model.score(int(g.src[e]), int(g.dst[e]))
+                assert np.ndim(one) == 0
+                assert np.array_equal(one, scores[e], equal_nan=True)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_labels_are_the_sign_of_score_minus_threshold(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(40, 300, seed)
+        split = make_split(rng.random(g.edge_count) < 0.3)
+        for model in models_on(g.node_count, rng):
+            scores = model.score(g.src, g.dst)
+            finite = np.unique(scores[np.isfinite(scores)])
+            # every score as a cut, so each one ties with some test edge, plus the sentinels
+            cuts = [*finite, 0.0, sys.float_info.max, -sys.float_info.max]
+            for cut in cuts:
+                model.threshold = float(cut)
+                pred = model.predict_split(g, split)
+                assert pred.labels.dtype == np.int8
+                expected = sign_with_tie(pred.scores - model.threshold).astype(np.int8)
+                assert np.array_equal(pred.labels, expected)
+            assert np.isnan(pred.scores).any() and pred.labels[np.isnan(pred.scores)].max() == -1
+
+    def test_predictions_do_not_depend_on_the_score_block(self):
+        rng = np.random.default_rng(5)
+        g = random_graph(40, 300, seed=5)
+        split = make_split(rng.random(g.edge_count) < 0.3)
+        for model in models_on(g.node_count, rng):
+            model.threshold = 0.25
+            whole = model.predict_split(g, split)
+            with mock.patch.object(batch, "_SCORE_BLOCK", 7):
+                blocks = model.predict_split(g, split)
+            test = split.test_indices()
+            reference = reference_scores(model, g.src[test], g.dst[test])
+            for pred in (whole, blocks):
+                assert np.array_equal(pred.scores, reference, equal_nan=True)
+                assert np.array_equal(pred.src, g.src[test])
+                assert np.array_equal(pred.dst, g.dst[test])
+            assert np.array_equal(whole.labels, blocks.labels)
+
+    @pytest.mark.parametrize("solver", [lp_run, unreg_solve])
+    def test_soft_values_and_cut_do_not_depend_on_the_score_block(self, solver):
+        g, _ = make_synthetic(300, TwoPointPrior(0.1, 0.9), 6, seed=2)
+        split = sample_split(g, 0.2, seed=3)
+        method = LpModel if solver is lp_run else UnregModel
+        whole = solver(g, split)
+        model = method.fit(g, split)
+        with mock.patch.object(batch, "_SCORE_BLOCK", 7):
+            blocks = solver(g, split)
+            assert method.fit(g, split).threshold == model.threshold
+        test = split.test_indices()
+        reference = reference_scores(method(whole.p, whole.q, 0.0), g.src[test], g.dst[test])
+        assert np.array_equal(whole.y_soft, reference)
+        assert np.array_equal(blocks.y_soft, reference)
+
+
+class TestKernelIterates:
+    @pytest.mark.parametrize("box", [True, False])
+    def test_callback_iterates_stay_as_they_were_seen(self, box):
+        g = random_graph(30, 200, seed=5)
+        seen, copies = [], []
+
+        def record(p, q):
+            seen.append((p, q))
+            copies.append((p.copy(), q.copy()))
+
+        pull = (np.bincount(g.src, minlength=30), np.bincount(g.dst, minlength=30))
+        fit = box_fit_edges(g.node_count, g.src, g.dst, label_targets(g.labels),
+                            pull=None if box else pull, box=box, callback=record)
+        assert len(seen) == fit.iterations > 2
+        for (p, q), (p0, q0) in zip(seen, copies):
+            assert np.array_equal(p, p0) and np.array_equal(q, q0)
+        assert np.array_equal(seen[-1][0], fit.p) and np.array_equal(seen[-1][1], fit.q)
+
+    def test_read_only_and_writable_ids_fit_alike(self):
+        g = random_graph(30, 200, seed=6)
+        assert not g.src.flags.writeable
+        fit = minimize_edge_quadratic(g)
+        again = box_fit_edges(g.node_count, g.src.copy(), g.dst.copy(), label_targets(g.labels))
+        assert np.array_equal(fit.p, again.p) and fit.value == again.value

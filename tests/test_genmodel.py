@@ -181,6 +181,24 @@ class TestEq1Rates:
                 assert np.isnan(in_rate)
 
 
+def unique_topology(n, out_degree, seed, kind):
+    """sample_topology's draws, deduplicated with ``np.unique``: the reference."""
+    rng = np.random.default_rng(seed)
+    if kind == "ring":
+        src = np.repeat(np.arange(n, dtype=np.int64), out_degree)
+        return src, (src + np.tile(np.arange(1, out_degree + 1, dtype=np.int64), n)) % n
+    if kind == "fixed":
+        src = np.repeat(np.arange(n, dtype=np.int64), out_degree)
+        dst = rng.integers(0, n - 1, size=src.size, dtype=np.int64)
+    else:
+        m = rng.binomial(n * (n - 1), min(1.0, out_degree / (n - 1)))
+        src = rng.integers(0, n, size=m, dtype=np.int64)
+        dst = rng.integers(0, n - 1, size=m, dtype=np.int64)
+    dst += dst >= src
+    keys = np.unique(src * np.int64(n) + dst)
+    return keys // n, keys % n
+
+
 class TestTopology:
     def test_ring_exact_degrees(self):
         src, dst = sample_topology(50, 7, seed=0, kind="ring")
@@ -193,6 +211,25 @@ class TestTopology:
             assert np.all(src != dst)
             keys = src * 60 + dst
             assert np.unique(keys).size == keys.size
+
+    @pytest.mark.parametrize("kind", ["fixed", "er", "ring"])
+    @pytest.mark.parametrize("n,out_degree", [(2, 1), (3, 1), (3, 2), (4, 3), (57, 9),
+                                              (400, 12), (3000, 10)])
+    def test_equals_the_np_unique_dedup(self, kind, n, out_degree):
+        for seed in range(4):
+            src, dst = sample_topology(n, out_degree, seed, kind=kind)
+            ref_src, ref_dst = unique_topology(n, out_degree, seed, kind)
+            assert src.dtype == ref_src.dtype == np.int64
+            assert np.array_equal(src, ref_src) and np.array_equal(dst, ref_dst)
+
+    @pytest.mark.parametrize("kind", ["fixed", "er", "ring"])
+    def test_make_synthetic_does_not_call_np_unique(self, kind, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        g, _ = make_synthetic(500, UniformPrior(), 8, seed=2, kind=kind)
+        assert g.edge_count > 0
 
     def test_make_synthetic_replayable(self):
         prior = UniformPrior()

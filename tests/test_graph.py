@@ -297,6 +297,17 @@ class TestSignedDigraph:
         keys = rng.integers(-50, 50, size=rng.integers(0, 300))
         assert np.array_equal(sorted_unique(keys), np.unique(keys))
 
+    def test_degrees_are_counted_once_and_read_only(self, hand_graph):
+        out, into = hand_graph.degrees
+        assert np.array_equal(out, [2, 1, 1]) and np.array_equal(into, [0, 2, 2])
+        assert out.dtype == into.dtype == np.int64
+        assert hand_graph.degrees[0] is out and hand_graph.degrees[1] is into
+        with pytest.raises(ValueError):
+            out[0] = 0
+        g = random_graph(25, 100, seed=4)
+        for counts, ends in zip(g.degrees, (g.src, g.dst)):
+            assert np.array_equal(counts, np.bincount(ends, minlength=g.node_count))
+
 
 class TestDegreeStats:
     def test_hand_graph_counts(self, hand_graph):

@@ -188,6 +188,24 @@ def test_run_online_report_does_not_depend_on_the_block_size(n, edges, graph_see
     assert blocks.to_json_dict() == one_block.to_json_dict()
 
 
+@pytest.mark.parametrize("node_count", [2 ** 16, 2 ** 17 + 5])
+def test_run_online_on_node_ids_that_share_their_low_16_bits(node_count):
+    # hub ids that agree in their low 16 bits (mod node_count), so a block sorted on
+    # those bits alone would interleave different nodes' rounds
+    rng = np.random.default_rng(21)
+    low = rng.choice(2 ** 16, 12, replace=False)
+    hubs = np.unique(np.concatenate([low, (low + 2 ** 16) % node_count, [node_count - 1]]))
+    src, dst = (a.ravel() for a in np.meshgrid(hubs, hubs))
+    keep = src != dst
+    g = SignedDigraph(node_count, src[keep], dst[keep],
+                      np.where(rng.random(keep.sum()) < 0.3, -1, 1).astype(np.int8))
+    report, _, state = run_and_replay(g, "random", seed=5)
+    assert report.realized_mistakes == state.realized_mistakes
+    assert report.expected_mistakes == pytest.approx(state.expected_mistakes, rel=1e-12)
+    with mock.patch.object(online, "_ROUND_BLOCK", 37):
+        assert run_online(g, g.labels, "random", 5).to_json_dict() == report.to_json_dict()
+
+
 def peak_bytes_per_edge(call):
     """``tracemalloc`` peak of ``call(g)`` per edge of a 10k-node two-point graph."""
     g, _ = make_synthetic(10000, TwoPointPrior(0.1, 0.9), 10, seed=3)
