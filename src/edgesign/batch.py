@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError, DegenerateFitError
 from .features import box_fit_edges, label_targets, troll_trust
-from .graph import NUMBER, check_container, number_lists, read_json, write_json, write_text
+from .graph import (NUMBER, check_container, number_lists, read_json, run_heads, write_json,
+                    write_text)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +117,7 @@ def _text_column(values, keys, fmt):
     grouped by a sort and an adjacent-difference mask.
     """
     order = np.argsort(keys)
-    ordered = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    first = run_heads(keys[order])
     inverse = np.empty(keys.size, dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     texts = list(map(fmt, values[order[first]].tolist()))

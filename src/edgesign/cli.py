@@ -24,8 +24,8 @@ from .errors import ConvergenceError, DataError
 from .features import regularity_report
 from .genmodel import PRIORS, make_synthetic, prior_from_json_dict
 from .graph import (COUNT, SIGN_TOKENS, EdgeSplit, check_keys, check_known_keys, check_values,
-                    is_number, json_number, load_edge_list, load_graph, read_json, sample_split,
-                    write_json)
+                    find_spans, is_number, json_number, load_edge_list, load_graph, read_json,
+                    sample_split, span_signs, write_json)
 from .metrics import accuracy, confusion, mcc
 
 EXIT_ARGUMENT = 2
@@ -101,14 +101,17 @@ def cmd_predict(args):
     return 0
 
 
-def _read_predictions(path):
-    """(src ids, dst ids, labels) columns of a ``src,dst,score,label`` file."""
+PREDICTION_HEADER = ["src", "dst", "score", "label"]
+
+
+def _read_predictions_csv(path, node_ids):
+    """:func:`_read_predictions` by the ``csv`` module, one ``str`` per field."""
     src, dst, tokens = [], [], []
     add_src, add_dst, add_token = src.append, dst.append, tokens.append
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         try:
-            if next(reader, None) != ["src", "dst", "score", "label"]:
+            if next(reader, None) != PREDICTION_HEADER:
                 raise DataError("prediction file lacks the src,dst,score,label header")
             for row in reader:
                 try:
@@ -125,18 +128,73 @@ def _read_predictions(path):
     bad = np.flatnonzero(labels == 0)
     if bad.size:
         raise DataError(f"prediction file row {bad[0] + 1}: bad label {tokens[bad[0]]!r}")
-    return src, dst, labels
+    index = dict(zip(node_ids, range(len(node_ids))))
+    u, v = (np.fromiter(map(index.get, ids, repeat(-1)), np.int64, len(ids)) for ids in (src, dst))
+    return u, v, labels
+
+
+def _read_predictions(path, node_ids):
+    """(u, v, labels) of a ``src,dst,score,label`` file: each row's src and dst
+    as indices into ``node_ids`` (-1 for an id it lacks), and its ±1 label.
+
+    The file is read as bytes: ``\\n`` and ``,`` positions give the rows and
+    fields, labels are read from their bytes (:func:`graph.span_signs`) and ids
+    are found with one ``searchsorted`` over the packed ``node_ids``
+    (:func:`graph.find_spans`); no field becomes a ``str``. A file holding a
+    ``"``, a ``\\r`` or a NUL byte, one that is not UTF-8, and one with a line
+    longer than ``csv.field_size_limit()`` bytes are read by the ``csv`` module
+    instead, with the same results and errors.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    b = np.frombuffer(data, dtype=np.uint8)
+    breaks = np.flatnonzero(b == ord("\n"))
+    starts, ends = np.append(0, breaks + 1), np.append(breaks, b.size)
+    if not data or data.endswith(b"\n"):  # no row after the last line break
+        starts, ends = starts[:-1], ends[:-1]
+    if (any(c in data for c in (b'"', b"\r", b"\0")) or not _is_utf8(data)
+            or (ends - starts).max(initial=0) > csv.field_size_limit()):
+        return _read_predictions_csv(path, node_ids)
+    if not starts.size or data[:ends[0]] != ",".join(PREDICTION_HEADER).encode():
+        raise DataError("prediction file lacks the src,dst,score,label header")
+    starts, ends = starts[1:], ends[1:]
+    cuts = np.flatnonzero(b == ord(","))
+    # commas before a row's end, less those before the previous row's (the header has three)
+    fields = np.diff(np.searchsorted(cuts, ends), prepend=3) + 1
+    fields[starts == ends] = 0  # the csv module reads an empty line as no field
+    cuts = cuts[3:]
+    bad = np.flatnonzero(fields != 4)
+    if bad.size:
+        raise DataError(f"prediction file line {bad[0] + 2}: "
+                        f"expected 4 fields, got {fields[bad[0]]}")
+    cuts = cuts.reshape(-1, 3)
+    labels = span_signs(data, cuts[:, 2] + 1, ends)
+    bad = np.flatnonzero(labels == 0)
+    if bad.size:
+        token = data[cuts[bad[0], 2] + 1:ends[bad[0]]].decode("utf-8")
+        raise DataError(f"prediction file row {bad[0] + 1}: bad label {token!r}")
+    found = find_spans(data, np.concatenate((starts, cuts[:, 0] + 1)),
+                       np.concatenate((cuts[:, 0], cuts[:, 1])), node_ids)
+    return found[:starts.size], found[starts.size:], labels
+
+
+def _is_utf8(data):
+    """Whether the bytes decode as UTF-8."""
+    if data.isascii():
+        return True
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def cmd_eval(args):
     g = load_graph(args.graph)
     split = _get_split(g, args)
     test = split.test_indices()
-    src, dst, labels = _read_predictions(args.predictions)
+    u, v, labels = _read_predictions(args.predictions, g.node_ids)
     n = g.node_count
-    index = dict(zip(g.node_ids, range(n)))
-    u = np.fromiter(map(index.get, src, repeat(-1)), np.int64, len(src))
-    v = np.fromiter(map(index.get, dst, repeat(-1)), np.int64, len(dst))
     # rows naming a node the graph lacks get key -1 and cover no test edge
     have = np.where((u >= 0) & (v >= 0), u * np.int64(n) + v, -1)
     order = np.argsort(have, kind="stable")
@@ -144,7 +202,8 @@ def cmd_eval(args):
     repeated = np.flatnonzero((have[1:] == have[:-1]) & (have[1:] >= 0))
     if repeated.size:
         k = order[repeated[0] + 1]
-        raise DataError(f"prediction file lists edge {(src[k], dst[k])!r} twice")
+        pair = (g.node_ids[u[k]], g.node_ids[v[k]])
+        raise DataError(f"prediction file lists edge {pair!r} twice")
     want = g.src[test] * np.int64(n) + g.dst[test]
     # a sentinel above every key keeps each position inside the array
     padded = np.append(have, np.iinfo(np.int64).max)

@@ -211,9 +211,7 @@ def sorted_unique(keys):
     the graph's duplicate-pair check and the split's repeated-edge check.
     """
     keys = np.sort(keys)
-    keep = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
+    return keys[run_heads(keys)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +332,210 @@ class LoadReport:
     conflicts_dropped: int = 0
 
 
-def _read_lines(source):
+# ---------------------------------------------------------------------------
+# Text fields as byte spans
+
+#: The characters beyond ASCII that ``str.split`` and ``str.strip`` take as
+#: whitespace; U+0085, U+2028 and U+2029 also end a line for ``str.splitlines``.
+UNICODE_SPACES = ("\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B)))
+                  + "\u2028\u2029\u202f\u205f\u3000")
+#: Mask of the low k bytes of a uint64 word, k = 0..8.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def run_heads(ordered):
+    """True at each entry of a sorted 1-D array that differs from the entry before it."""
+    head = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    return head
+
+
+def _dense_rank(keys):
+    """Rank of each key among the distinct keys, as uint64 (0 for the smallest)."""
+    order = np.argsort(keys)
+    rank = np.empty(keys.size, dtype=np.uint64)
+    rank[order] = np.cumsum(run_heads(keys[order])) - 1
+    return rank
+
+
+def _word_window(data):
+    """A uint64 view of the 8 bytes from each position of ``data`` followed by 8 zero bytes,
+    so every read of 8 bytes from inside a span stays in the buffer."""
+    buf = data + bytes(8)
+    return np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+
+
+def _span_word(window, starts, length, w):
+    """Bytes 8w to 8w+7 of each span as a little-endian uint64, zero past the span's end.
+
+    A word that starts past its span's end is masked to 0 wherever its clipped read lands.
+    """
+    at = np.minimum(starts + 8 * w, window.size - 1)
+    return window[at] & _LOW_BYTES.take(length - 8 * w, mode="clip")
+
+
+def span_keys(data, starts, ends):
+    """One uint64 key per byte span ``data[s:e]``, equal exactly where the spans' bytes are.
+
+    Each span is read as little-endian uint64 words, and its length is part of
+    the key, so ``a`` and ``a\\0`` differ. When the longest span is under 256
+    bytes and not a whole number of words, the length takes the top byte of the
+    last word, which lies past every span; otherwise it is a word of its own.
+    Spans of at most 7 bytes thus make one word. Longer ones fold their words
+    into one key, pair by pair: the dense rank of the key so far times the
+    span count, plus the dense rank of the next word.
+    """
+    length = ends - starts
+    longest = int(length.max(initial=0))
+    window = _word_window(data)
+    words = [_span_word(window, starts, length, w) for w in range(-(-longest // 8))]
+    if longest % 8 and longest < 256:
+        words[-1] |= length.astype(np.uint64) << np.uint64(56)
+    else:
+        words.append(length.astype(np.uint64))
+    keys = words[0]
+    for word in words[1:]:
+        keys = _dense_rank(keys) * np.uint64(keys.size) + _dense_rank(word)
+    return keys
+
+
+def span_signs(data, starts, ends):
+    """The :data:`SIGN_TOKENS` value of each byte span ``data[s:e]``, 0 for any other token."""
+    length = ends - starts
+    word = _span_word(_word_window(data), starts, length, 0)
+    signs = np.zeros(starts.size, dtype=np.int8)
+    for token, sign in SIGN_TOKENS.items():
+        packed = int.from_bytes(token.encode("ascii"), "little")
+        signs[(length == len(token)) & (word == packed)] = sign
+    return signs
+
+
+def find_spans(data, starts, ends, names):
+    """Index in ``names`` (distinct strings) of each byte span of the UTF-8 text ``data``,
+    or -1 where no name equals the span's text.
+
+    The names are encoded with ``surrogatepass``, so one holding a lone surrogate
+    gets bytes no UTF-8 text holds and matches nothing. Names and spans are keyed
+    together (:func:`span_keys`), then one ``searchsorted`` over the sorted name
+    keys finds each span.
+    """
+    if not names:
+        return np.full(starts.size, -1, dtype=np.int64)
+    encoded = [name.encode("utf-8", "surrogatepass") for name in names]
+    name_ends = len(data) + np.cumsum(np.fromiter(map(len, encoded), np.int64, len(encoded)))
+    name_starts = np.append(len(data), name_ends[:-1])
+    keys = span_keys(data + b"".join(encoded), np.concatenate((name_starts, starts)),
+                     np.concatenate((name_ends, ends)))
+    order = np.argsort(keys[:len(names)])
+    known, wanted = keys[order], keys[len(names):]
+    asked = np.argsort(wanted)  # a search in sorted order runs from where the last one ended
+    at = np.empty(wanted.size, dtype=np.int64)
+    at[asked] = np.searchsorted(known, wanted[asked])
+    at = at.clip(max=known.size - 1)
+    return np.where(known[at] == wanted, order[at], -1)
+
+
+def _runs(mask):
+    """Start and end positions of the runs of True in a 1-D bool array."""
+    bounds = np.concatenate(([0], np.flatnonzero(mask[1:] != mask[:-1]) + 1, [mask.size]))
+    first = 0 if mask.size and mask[0] else 1
+    return bounds[first:-1:2], bounds[first + 1::2]
+
+
+def _intern(keys):
+    """First-seen compact id of each key, and the position of each id's first occurrence."""
+    order = np.argsort(keys)
+    head = run_heads(keys[order])
+    first = np.minimum.reduceat(order, np.flatnonzero(head)) if keys.size else order
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    ids = np.empty(keys.size, dtype=np.int64)
+    ids[order] = rank[np.cumsum(head) - 1]
+    return ids, np.sort(first)
+
+
+def _edge_list_input(source):
+    """An edge list's UTF-8 bytes (None when a lone surrogate cannot be encoded),
+    and its text (None for a file of ASCII bytes)."""
     if isinstance(source, str) and "\n" in source:
-        return source.splitlines()
-    with nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8") as f:
-        return f.read().splitlines()
+        text = source
+    elif hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source, "rb") as f:
+            data = f.read()
+        if data.isascii():
+            return data, None
+        try:
+            return data, data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+            raise EdgeListParseError(line, f"not UTF-8 text: byte {data[exc.start]:#04x} "
+                                           f"({exc.reason})") from None
+    try:
+        return text.encode("utf-8"), text
+    except UnicodeEncodeError:
+        return None, text
+
+
+def _edge_records_bytes(data, delimiter):
+    """(u, v, signs, node_ids) of an edge list's records, read from its UTF-8 bytes.
+
+    Tokens are the runs of bytes that are not ASCII whitespace (9–13, 28–32),
+    and lines end at each ``\\n``, ``\\v``, ``\\f``, ``\\r`` or 28–30 byte,
+    ``\\r\\n`` counting once, as ``str.split`` and ``str.splitlines`` define
+    them on ASCII. A record line's first token does not start with ``#``; its
+    fields are its tokens, or the cuts of the span from its first token to its
+    last at each ``delimiter`` byte.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    starts, ends = _runs(((b - 9) > 4) & ((b - 28) > 4))
+    breaks = np.flatnonzero(((b - 10) <= 3) | ((b - 28) <= 2))
+    head = np.zeros(starts.size + 1, dtype=bool)
+    head[np.searchsorted(starts, breaks)] = True  # the first token after each line break
+    head[0] = True
+    head = np.flatnonzero(head[:-1])  # first token of each non-blank line
+    width = np.diff(head, append=starts.size)
+    record = b[starts[head]] != ord("#")
+    first = starts[head[record]]  # where each record line's text starts
+    if delimiter is None:
+        counts = width[record]
+        fields = np.repeat(record, width)
+        starts, ends = starts[fields], ends[fields]
+    else:
+        last = ends[(head + width - 1)[record]]
+        cuts = np.flatnonzero(b == ord(delimiter))
+        owner = np.searchsorted(first, cuts, side="right") - 1
+        # a cut before the first record has owner -1, which reads the appended 0
+        inside = (owner >= 0) & (cuts < np.append(last, 0)[owner])
+        cuts, owner = cuts[inside], owner[inside]
+        counts = np.bincount(owner, minlength=first.size) + 1
+        starts = np.sort(np.concatenate((first, cuts + 1)))
+        ends = np.sort(np.concatenate((cuts, last)))
+
+    def line_number(k):
+        """1-based line of record k: one more than the line breaks before it, \\r\\n once."""
+        before = breaks[:np.searchsorted(breaks, first[k])]
+        crlf = (b[before] == 10) & (b[before - 1] == 13) & (before > 0)
+        return before.size - int(np.count_nonzero(crlf)) + 1
+
+    bad_count = np.flatnonzero(counts != 3)
+    whole = int(bad_count[0]) if bad_count.size else counts.size
+    at = (np.cumsum(counts) - counts)[:whole] + 2  # sign field of each whole record
+    signs = span_signs(data, starts[at], ends[at])
+    bad_sign = np.flatnonzero(signs == 0)
+    if bad_sign.size:
+        k = int(bad_sign[0])
+        token = data[starts[at[k]]:ends[at[k]]].decode("utf-8")
+        raise EdgeListParseError(line_number(k), f"bad sign token {token!r}")
+    if whole < counts.size:
+        raise EdgeListParseError(line_number(whole), f"expected 3 fields, got {counts[whole]}")
+
+    starts, ends = (a.reshape(-1, 3)[:, :2].ravel() for a in (starts, ends))
+    ids, first = _intern(span_keys(data, starts, ends))
+    node_ids = [data[s:e].decode("utf-8")
+                for s, e in zip(starts[first].tolist(), ends[first].tolist())]
+    return ids[0::2], ids[1::2], signs, node_ids
 
 
 def _record_line_number(lines, k):
@@ -348,36 +545,9 @@ def _record_line_number(lines, k):
     return next(islice(numbers, k, None))
 
 
-def load_edge_list(source, delimiter=None):
-    """Parse a signed edge list into a cleaned :class:`SignedDigraph`.
-
-    One edge per line, ``src dst sign`` with sign token ``1``, ``+1`` or
-    ``-1``; fields separated by tabs or spaces (``delimiter=None`` accepts any
-    whitespace run). Lines starting with ``#`` and blank lines are skipped.
-
-    Cleaning rules: self-loops are dropped; duplicate (src, dst) records of
-    the same sign are merged into one edge; (src, dst) pairs recorded with
-    *both* signs are dropped entirely and counted as conflicts. Node ids are
-    compacted to ``0..n-1`` in first-seen order; endpoints of dropped records
-    still register as nodes.
-
-    The records are parsed as whole columns, without a Python object per
-    record: field counts per line, one split into a flat token list, signs
-    looked up in one pass, ids interned with ``dict.fromkeys``, and merges
-    and conflicts found by a stable sort of the ``src·n+dst`` keys.
-
-    Parameters
-    ----------
-    source : path, text file object, or str content. A str holding a line
-        break is content and any other str a path, so a one-record
-        ``"a b 1"`` is opened as a file.
-    delimiter : explicit field separator, or None for any whitespace
-
-    Returns
-    -------
-    SignedDigraph with a ``load_report`` attribute (:class:`LoadReport`).
-    """
-    lines = _read_lines(source)
+def _edge_records_text(text, delimiter):
+    """(u, v, signs, node_ids) of an edge list's records, read from its text by ``str`` methods."""
+    lines = text.splitlines()
     records = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
     r = len(records)
     if delimiter is None:
@@ -402,10 +572,57 @@ def load_edge_list(source, delimiter=None):
 
     del tokens[2::3]  # endpoints left, u0 v0 u1 v1 ...: first-seen order
     node_ids = list(dict.fromkeys(tokens))
-    n = len(node_ids)
-    index = dict(zip(node_ids, range(n)))
+    index = dict(zip(node_ids, range(len(node_ids))))
     ends = np.fromiter(map(index.__getitem__, tokens), np.int64, 2 * r)
-    u, v = ends[0::2], ends[1::2]
+    return ends[0::2], ends[1::2], signs, node_ids
+
+
+def load_edge_list(source, delimiter=None):
+    """Parse a signed edge list into a cleaned :class:`SignedDigraph`.
+
+    One edge per line, ``src dst sign`` with sign token ``1``, ``+1`` or
+    ``-1``; fields separated by tabs or spaces (``delimiter=None`` accepts any
+    whitespace run). Lines starting with ``#`` and blank lines are skipped.
+    Lines and whitespace are those of ``str.splitlines`` and ``str.split``.
+    A file that is not UTF-8 is an :class:`EdgeListParseError` naming the line
+    of the first undecodable byte.
+
+    Cleaning rules: self-loops are dropped; duplicate (src, dst) records of
+    the same sign are merged into one edge; (src, dst) pairs recorded with
+    *both* signs are dropped entirely and counted as conflicts. Node ids are
+    compacted to ``0..n-1`` in first-seen order; endpoints of dropped records
+    still register as nodes.
+
+    The text is read as bytes, with no Python object per field: masks of the
+    whitespace and line-break bytes give the tokens and lines, signs are read
+    from their bytes, and each id span is packed into a uint64 key
+    (:func:`span_keys`) whose one sort interns the ids in first-seen order.
+    Merges and conflicts are found by a stable sort of the ``src·n+dst`` keys.
+    Three inputs are read by ``str`` methods instead, record by record: text
+    holding a whitespace or line-break character beyond ASCII
+    (:data:`UNICODE_SPACES`), a ``delimiter`` that is not one ASCII
+    character, and text with a lone surrogate.
+
+    Parameters
+    ----------
+    source : path, text file object, or str content. A str holding a line
+        break is content and any other str a path, so a one-record
+        ``"a b 1"`` is opened as a file.
+    delimiter : explicit field separator, or None for any whitespace
+
+    Returns
+    -------
+    SignedDigraph with a ``load_report`` attribute (:class:`LoadReport`).
+    """
+    data, text = _edge_list_input(source)
+    one_byte = delimiter is None or len(delimiter) == 1 and delimiter.isascii()
+    ascii_spaces = text is None or text.isascii() or not any(map(text.__contains__, UNICODE_SPACES))
+    if data is not None and one_byte and ascii_spaces:
+        u, v, signs, node_ids = _edge_records_bytes(data, delimiter)
+    else:
+        u, v, signs, node_ids = _edge_records_text(data.decode("utf-8") if text is None else text,
+                                                   delimiter)
+    n = len(node_ids)
 
     report = LoadReport()
     loop = u == v
@@ -414,8 +631,7 @@ def load_edge_list(source, delimiter=None):
     keys = u[rec] * np.int64(n) + v[rec]
     order = np.argsort(keys, kind="stable")  # a pair's records stay in file order
     keys, sign = keys[order], signs[rec[order]]
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = run_heads(keys)
     group = np.cumsum(first) - 1
     differs = sign != sign[first][group]  # differs from the pair's first sign
     seen = np.cumsum(differs)

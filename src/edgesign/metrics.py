@@ -24,17 +24,32 @@ class ConfusionCounts:
         return self.tp + self.tn + self.fp + self.fn
 
 
+def _plus_mask(labels, name):
+    """``labels == 1`` and its count; a label other than +1 or -1 is a DataError."""
+    plus = labels == 1
+    count = int(np.count_nonzero(plus))
+    if count + np.count_nonzero(labels == -1) != labels.size:
+        stray = labels[(labels != 1) & (labels != -1)].flat[0].item()
+        raise DataError(f"{name} labels must be +1 or -1, got {stray!r}")
+    return plus, count
+
+
 def confusion(predicted_labels, true_labels):
-    """Count tp/tn/fp/fn between two ±1 label arrays of equal length."""
+    """Count tp/tn/fp/fn between two ±1 label arrays of equal length.
+
+    The +1 masks of both arrays and their ``&`` give tp, and the other counts
+    follow by subtraction. A label other than +1 or -1 would then count as
+    -1, so it is a DataError.
+    """
     pred = np.asarray(predicted_labels)
     truth = np.asarray(true_labels)
     if pred.shape != truth.shape:
         raise DataError(f"prediction covers {pred.size} edges, truth has {truth.size}")
-    tp = int(np.count_nonzero((pred == 1) & (truth == 1)))
-    tn = int(np.count_nonzero((pred == -1) & (truth == -1)))
-    fp = int(np.count_nonzero((pred == 1) & (truth == -1)))
-    fn = int(np.count_nonzero((pred == -1) & (truth == 1)))
-    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
+    pred_plus, n_pred_plus = _plus_mask(pred, "predicted")
+    true_plus, n_true_plus = _plus_mask(truth, "true")
+    tp = int(np.count_nonzero(pred_plus & true_plus))
+    fp, fn = n_pred_plus - tp, n_true_plus - tp
+    return ConfusionCounts(tp=tp, tn=pred.size - tp - fp - fn, fp=fp, fn=fn)
 
 
 def mcc(c):

@@ -253,6 +253,14 @@ class TestGraphFiles:
         assert capsys.readouterr().err == "error: line 4: bad sign token 'x'\n"
         assert not out.exists()
 
+    def test_an_edge_list_that_is_not_utf8_is_a_data_error_naming_its_line(self, tmp_path, capsys):
+        edges, out = tmp_path / "g.tsv", tmp_path / "g.json"
+        edges.write_bytes(b"a b 1\r\nb c -1\n# \xe2\x80\xa8\n\xffc a 1\n")
+        assert run_cli("ingest", edges, out) == cli.EXIT_DATA
+        assert capsys.readouterr().err == ("error: line 5: not UTF-8 text: "
+                                           "byte 0xff (invalid start byte)\n")
+        assert not out.exists()
+
     def test_split_with_bad_indices_is_a_data_error(self, graph_path, tmp_path):
         m = SignedDigraph.load(graph_path).edge_count
         split = tmp_path / "s.json"
@@ -553,9 +561,11 @@ class TestPredictionFiles:
         expected = prediction_csv_reference(pred, node_ids).encode("utf-8")
         assert path.read_bytes() == expected
         names = [str(k) for k in range(20)] if node_ids is None else node_ids
-        src, dst, labels = cli._read_predictions(path)
-        assert src == [names[k] for k in pred.src.tolist()]
-        assert dst == [names[k] for k in pred.dst.tolist()]
+        u, v, labels = cli._read_predictions(path, names)
+        # drawn names may repeat: each row must point at a node of its own name
+        for found, ends in ((u, pred.src), (v, pred.dst)):
+            assert found.min(initial=0) >= 0
+            assert [names[k] for k in found.tolist()] == [names[k] for k in ends.tolist()]
         assert labels.tolist() == pred.labels.tolist()
         buffer = io.StringIO(newline="")
         pred.to_csv(buffer, node_ids=node_ids)
@@ -573,12 +583,52 @@ class TestPredictionFiles:
                  "different edge set": [header, *rows, "nobody,0,0.5,1\n"],
                  "bad label": [header, rows[0].rsplit(",", 1)[0] + ",2\n", *rows[1:]],
                  "expected 4 fields": [header, "0,1,1\n", *rows],
+                 "line 3: expected 4 fields, got 0": [header, rows[0], "\n", *rows[1:]],
                  "header": [*rows]}
         for expected, lines in cases.items():
             pred.write_text("".join(lines))
             capsys.readouterr()
             assert run_cli("eval", graph_path, pred, *common) == cli.EXIT_DATA, expected
             assert expected in capsys.readouterr().err
+        pred.write_bytes(b"".join([header.encode(), *map(str.encode, rows[:2]), b"\xff",
+                                   *map(str.encode, rows[2:])]))
+        assert run_cli("eval", graph_path, pred, *common) == cli.EXIT_DATA
+        assert "not CSV text" in capsys.readouterr().err
+
+    def test_every_line_form_and_id_width_gives_the_same_eval(self, graph_path, tmp_path):
+        """The byte reader and the csv module agree, on every id width and on a
+        graph whose ids UTF-8 cannot encode."""
+        common = ["--fraction", "0.3", "--seed", "1"]
+        model = tmp_path / "m.json"
+        assert run_cli("train", graph_path, "--method", "blc", *common, "-o", model) == 0
+
+        def evaluate(graph, text, name):
+            pred, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            pred.write_bytes(text.encode("utf-8"))
+            assert run_cli("eval", graph, pred, *common, "-o", out) == 0, name
+            return out.read_bytes()
+
+        pred = tmp_path / "p.csv"
+        assert run_cli("predict", graph_path, model, *common, "-o", pred) == 0
+        text = pred.read_text(encoding="utf-8")
+        expected = evaluate(graph_path, text, "lf")
+        d = json.loads(graph_path.read_text())
+        # ids of 1 to 20 bytes: one key word, and several folded into one
+        widths = tmp_path / "widths.json"
+        widths.write_text(json.dumps({**d, "node_ids": [f"{k}" + "-" * (k % 19)
+                                                        for k in range(d["node_count"])]}))
+        wide = tmp_path / "wide.csv"
+        assert run_cli("predict", widths, model, *common, "-o", wide) == 0
+        # an isolated node "\ud800" that no prediction names
+        lone = tmp_path / "lone.json"
+        lone.write_text(json.dumps({**d, "node_count": d["node_count"] + 1,
+                                    "node_ids": [*d["node_ids"], "\ud800"]}))
+        cases = {"no final line break": (graph_path, text.rstrip("\n")),
+                 "CRLF line ends": (graph_path, text.replace("\n", "\r\n")),
+                 "ids over 8 bytes": (widths, wide.read_text(encoding="utf-8")),
+                 "a lone surrogate in the graph": (lone, text)}
+        for name, (graph, case) in cases.items():
+            assert evaluate(graph, case, name.replace(" ", "-")) == expected, name
 
 
 @pytest.mark.parametrize("method", list(METHODS))

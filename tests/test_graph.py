@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgesign import graph
 from edgesign.errors import DataError, EdgeListParseError
 from edgesign.graph import (EdgeSplit, SignedDigraph, degree_stats, load_edge_list,
                             sample_split, sorted_unique, write_edge_list)
@@ -15,31 +16,46 @@ from edgesign.graph import (EdgeSplit, SignedDigraph, degree_stats, load_edge_li
 from conftest import random_graph
 from oracles import load_edge_list_reference
 
-TOKENS = ["a", "b", "c", "d", "é", "1", "-1", "#h", "x y"]
+# "a\0" differs from "a" by a trailing NUL; the "node-id-" ids share their first 8 bytes
+TOKENS = ["a", "b", "c", "d", "é", "1", "-1", "#h", "a\x00", "node-id-0123", "node-id-0124",
+          "ü" * 5, "x y"]
 SIGNS = ["1", "+1", "-1"]
 BAD_SIGNS = ["2", "+", "--1", "1.0"]
+#: What ``str.splitlines`` ends a line at, below U+0080.
+LINE_ENDS = ["\n", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
 
 
 @st.composite
 def edge_list_texts(draw):
-    """Edge-list text with comments, blank lines, mixed separators,
-    self-loops, duplicates and conflicts, plus its delimiter; about half
-    the texts also hold malformed records."""
+    """Edge-list text with comments, blank lines, mixed separators and line
+    ends, self-loops, duplicates and conflicts, plus its delimiter. About half
+    the texts also hold malformed records, and about a quarter hold U+00A0 or
+    U+2028, which only the ``str`` reader reads."""
     delimiter = draw(st.sampled_from([None, None, ",", "\t", "::"]))
-    separators = [" ", "\t", "  ", " \t "] if delimiter is None else [delimiter]
     malformed = draw(st.booleans())
+    unicode = draw(st.sampled_from([False, False, False, True]))
+    spaces = ["", " ", "\t", "\x1f"] + ["\u00a0"] * unicode
+    line_ends = LINE_ENDS + ["\u2028"] * unicode
+    if delimiter is None:
+        separators = [" ", "\t", "  ", " \t ", "\x1f", "\t\x1f "] + ["\u00a0"] * unicode
+        if malformed:  # a line break inside a record cuts it in two
+            separators += LINE_ENDS[2:]
+    else:
+        separators = [delimiter]
     # with whitespace fields, "x y" is two fields: keep it for malformed texts
     tokens = TOKENS if malformed or delimiter is not None else TOKENS[:-1]
     kinds = ["record"] * 6 + ["blank", "comment"]
     if malformed:
         kinds += ["short", "long", "bad sign"]
-    lines = []
-    for _ in range(draw(st.integers(0, 30))):
+    text = ""
+    for k in range(draw(st.integers(0, 30))):
         kind = draw(st.sampled_from(kinds))
+        if k:
+            text += draw(st.sampled_from(line_ends))
         if kind == "blank":
-            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            text += draw(st.sampled_from(spaces))
         elif kind == "comment":
-            lines.append(draw(st.sampled_from(["# note", "  #indented", "#"])))
+            text += draw(st.sampled_from(["# note", "  #indented", "#"]))
         else:
             fields = [draw(st.sampled_from(tokens)) for _ in range(2)]
             fields.append(draw(st.sampled_from(BAD_SIGNS if kind == "bad sign" else SIGNS)))
@@ -47,12 +63,11 @@ def edge_list_texts(draw):
                 fields.pop(draw(st.integers(0, 2)))
             elif kind == "long":
                 fields.append(draw(st.sampled_from(tokens)))
-            text = fields[0]
+            text += draw(st.sampled_from(spaces)) + fields[0]
             for field in fields[1:]:
                 text += draw(st.sampled_from(separators)) + field
-            lines.append(draw(st.sampled_from(["", " ", "\t"])) + text
-                         + draw(st.sampled_from(["", " "])))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), delimiter
+            text += draw(st.sampled_from(spaces))
+    return text + draw(st.sampled_from(["", *line_ends])), delimiter
 
 
 def graph_over(ids):
@@ -131,22 +146,52 @@ class TestLoadEdgeList:
 
     @settings(max_examples=300, deadline=None)
     @given(edge_list_texts())
-    def test_matches_record_by_record_reference(self, case):
+    def test_matches_record_by_record_reference(self, tmp_path_factory, case):
         text, delimiter = case
+        path = tmp_path_factory.mktemp("edges") / "edges.txt"
+        path.write_bytes(text.encode("utf-8"))
         try:
             node_ids, edges, counts = load_edge_list_reference(text, delimiter)
         except EdgeListParseError as expected:
-            with pytest.raises(EdgeListParseError) as err:
-                load_edge_list(io.StringIO(text), delimiter=delimiter)
-            assert err.value.line_number == expected.line_number
-            assert str(err.value) == str(expected)
+            for source in (io.StringIO(text), path):
+                with pytest.raises(EdgeListParseError) as err:
+                    load_edge_list(source, delimiter=delimiter)
+                assert err.value.line_number == expected.line_number
+                assert str(err.value) == str(expected)
             return
-        g = load_edge_list(io.StringIO(text), delimiter=delimiter)
-        assert g.node_ids == node_ids and g.node_count == len(node_ids)
-        assert list(zip(g.src.tolist(), g.dst.tolist(), g.labels.tolist())) == edges
-        report = g.load_report
-        assert (report.self_loops_dropped, report.duplicates_merged,
-                report.conflicts_dropped) == counts
+        for source in (io.StringIO(text), path):
+            g = load_edge_list(source, delimiter=delimiter)
+            assert g.node_ids == node_ids and g.node_count == len(node_ids)
+            assert list(zip(g.src.tolist(), g.dst.tolist(), g.labels.tolist())) == edges
+            report = g.load_report
+            assert (report.self_loops_dropped, report.duplicates_merged,
+                    report.conflicts_dropped) == counts
+
+    @pytest.mark.parametrize("text, delimiter, reader", [
+        ("a b 1\r\nb\x1fc -1\x0c", None, "bytes"),
+        ("a,b,1\nb,c,-1\n", ",", "bytes"),
+        ("é ü 1\n", None, "bytes"),
+        ("a b 1\nb\u00a0c -1\n", None, "text"),
+        ("a b 1\u2028b c -1\n", None, "text"),
+        ("a::b::1\n", "::", "text"),
+        ("aébé1\n", "é", "text"),
+        ("a\ud800 b 1\n", None, "text"),
+    ])
+    def test_the_reader_is_chosen_from_the_text(self, monkeypatch, text, delimiter, reader):
+        other = {"bytes": "_edge_records_text", "text": "_edge_records_bytes"}[reader]
+        monkeypatch.setattr(graph, other, lambda *args: pytest.fail(f"{other} was called"))
+        assert load_edge_list(io.StringIO(text), delimiter=delimiter).edge_count >= 1
+
+    def test_unicode_spaces_are_every_space_beyond_ascii(self):
+        spaces = [c for c in map(chr, range(0x80, 0x110000)) if c.isspace()]
+        assert sorted(graph.UNICODE_SPACES) == spaces
+
+    def test_a_file_that_is_not_utf8_names_the_line_of_its_first_bad_byte(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_bytes("a b 1\r\né c -1\rc\x1ed 1\n".encode("utf-8") + b"\xffa 1\n")
+        with pytest.raises(EdgeListParseError) as err:
+            load_edge_list(path)
+        assert str(err.value) == "line 5: not UTF-8 text: byte 0xff (invalid start byte)"
 
     def test_cleaning_counts_on_a_busy_pair(self):
         # pair (a, b): +, +, -, +, - ; pair (b, c): -, -, - ; one self-loop
@@ -184,6 +229,44 @@ class TestLoadEdgeList:
         again = SignedDigraph.load(path)
         assert again == g
         assert again.src.dtype == np.int64 and again.labels.dtype == np.int8
+
+
+class TestByteSpans:
+    """The byte kernel under both readers: span keys, sign tokens and name lookup."""
+
+    @staticmethod
+    def spans(pieces):
+        lengths = np.fromiter(map(len, pieces), np.int64, len(pieces))
+        ends = np.cumsum(lengths)
+        return b"".join(pieces), ends - lengths, ends
+
+    # one key word; the length in the top byte; a whole word, so the length is a word
+    # of its own; two words; the length past one byte
+    @pytest.mark.parametrize("longest", [0, 1, 7, 8, 9, 16, 300])
+    def test_keys_are_equal_exactly_where_the_bytes_are(self, longest):
+        rng = np.random.default_rng(longest)
+        # few byte values, so spans repeat and differ by trailing NULs
+        pieces = [bytes(rng.integers(0, 3, size=rng.integers(0, longest + 1), dtype=np.uint8))
+                  for _ in range(300)] + [bytes(longest), b"\x01" * longest]
+        keys = graph.span_keys(*self.spans(pieces))
+        ids = np.array([{p: k for k, p in enumerate(dict.fromkeys(pieces))}[p] for p in pieces])
+        assert np.array_equal(keys[:, None] == keys[None, :], ids[:, None] == ids[None, :])
+
+    def test_signs_are_read_from_their_bytes(self):
+        tokens = ["1", "+1", "-1", "", "11", "+", "-", "1 ", "+1\x00", "-10", "0", "-1-1"]
+        signs = graph.span_signs(*self.spans([t.encode() for t in tokens]))
+        assert signs.tolist() == [graph.SIGN_TOKENS.get(t, 0) for t in tokens]
+
+    def test_find_spans_matches_a_dict_lookup(self):
+        names = ["a", "", "a\x00", "é", "\ud800", "node-id-0123", "node-id-0124", "x" * 300, "b"]
+        asked = ["a", "a\x00", "", "node-id-0124", "node-id-012", "x" * 300, "x" * 299, "é",
+                 "\udc80 ", "c", "b", "a"]
+        # "\udc80 " stands for bytes no name encodes to
+        pieces = [t.encode("utf-8", "surrogateescape") for t in asked]
+        index = dict(zip(names, range(len(names))))
+        found = graph.find_spans(*self.spans(pieces), names)
+        assert found.tolist() == [index.get(t, -1) for t in asked]
+        assert graph.find_spans(*self.spans(pieces), []).tolist() == [-1] * len(asked)
 
 
 def _v2_payload(g):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,26 @@ class TestConfusion:
         fn = sum(1 for a, b in zip(pred, truth) if a == -1 and b == 1)
         assert (c.tp, c.tn, c.fp, c.fn) == (tp, tn, fp, fn)
         assert c.total == 200
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_four_mask_definition(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(0, 400))
+        dtype = [np.int8, np.int64, np.float64][seed % 3]
+        pred, truth = (rng.choice([-1, 1], size=size).astype(dtype) for _ in range(2))
+        c = confusion(pred, truth)
+        expected = tuple(int(np.count_nonzero((pred == p) & (truth == t)))
+                         for p, t in ((1, 1), (-1, -1), (1, -1), (-1, 1)))
+        assert (c.tp, c.tn, c.fp, c.fn) == expected
+        assert all(type(count) is int for count in (c.tp, c.tn, c.fp, c.fn))
+
+    @pytest.mark.parametrize("stray", [0, 2, -2, math.nan])
+    def test_a_label_outside_plus_minus_one_is_refused(self, stray):
+        labels, truth = np.array([1.0, -1.0, stray]), np.array([1.0, -1.0, 1.0])
+        with pytest.raises(DataError, match="predicted labels must be"):
+            confusion(labels, truth)
+        with pytest.raises(DataError, match="true labels must be"):
+            confusion(truth, labels)
 
     def test_coverage_mismatch(self):
         with pytest.raises(DataError):
