@@ -240,8 +240,7 @@ class TestByteSpans:
         ends = np.cumsum(lengths)
         return b"".join(pieces), ends - lengths, ends
 
-    # one key word; the length in the top byte; a whole word, so the length is a word
-    # of its own; two words; the length past one byte
+    # no span; short spans only; the first that folds; one and two folds; many folds
     @pytest.mark.parametrize("longest", [0, 1, 7, 8, 9, 16, 300])
     def test_keys_are_equal_exactly_where_the_bytes_are(self, longest):
         rng = np.random.default_rng(longest)
@@ -251,6 +250,24 @@ class TestByteSpans:
         keys = graph.span_keys(*self.spans(pieces))
         ids = np.array([{p: k for k, p in enumerate(dict.fromkeys(pieces))}[p] for p in pieces])
         assert np.array_equal(keys[:, None] == keys[None, :], ids[:, None] == ids[None, :])
+
+    @pytest.mark.parametrize("twins", [1, 2])
+    def test_a_long_span_costs_its_own_words(self, monkeypatch, twins):
+        # one 20 KB span (or two equal ones) among thousands of short ones: only the
+        # spans of 8 bytes or more are ranked, and only while a twin prefix remains
+        ranked = []
+        rank = graph._dense_rank
+        monkeypatch.setattr(graph, "_dense_rank", lambda keys: ranked.append(keys.size) or rank(keys))
+        rng = np.random.default_rng(twins)
+        short = [b"n%d" % k for k in rng.integers(0, 3000, size=6000)]
+        long = bytes(rng.integers(97, 123, size=20_000, dtype=np.uint8))
+        pieces = short[:3000] + [long] * twins + short[3000:] + [long[:-1], long[:8], long[:9]]
+        keys = graph.span_keys(*self.spans(pieces)).tolist()
+        # equal keys exactly where the bytes are equal
+        assert len(set(zip(keys, pieces))) == len(set(keys)) == len(set(pieces))
+        # the first fold ranks the 3 + twins long spans; it leaves the twins alone only
+        # when there is one, else they fold on through their other 2499 words
+        assert sum(ranked) == (4 if twins == 1 else 5 + 2 * 2499)
 
     def test_signs_are_read_from_their_bytes(self):
         tokens = ["1", "+1", "-1", "", "11", "+", "-", "1 ", "+1\x00", "-10", "0", "-1-1"]
