@@ -34,7 +34,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -474,8 +474,8 @@ def _intern(keys):
 
 
 def _edge_list_input(source):
-    """An edge list's UTF-8 bytes (None when a lone surrogate cannot be encoded),
-    and its text (None for a file of ASCII bytes)."""
+    """An edge list's bytes: a path's, checked to be UTF-8, or a str's or text file's,
+    encoded with ``surrogatepass`` so a lone surrogate gets bytes no UTF-8 file holds."""
     if isinstance(source, str) and "\n" in source:
         text = source
     elif hasattr(source, "read"):
@@ -483,33 +483,48 @@ def _edge_list_input(source):
     else:
         with open(source, "rb") as f:
             data = f.read()
-        if data.isascii():
-            return data, None
-        try:
-            return data, data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-            raise EdgeListParseError(line, f"not UTF-8 text: byte {data[exc.start]:#04x} "
-                                           f"({exc.reason})") from None
-    try:
-        return text.encode("utf-8"), text
-    except UnicodeEncodeError:
-        return None, text
+        if not data.isascii():
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+                raise EdgeListParseError(line, f"not UTF-8 text: byte {data[exc.start]:#04x} "
+                                               f"({exc.reason})") from None
+        return data
+    return text.encode("utf-8", "surrogatepass")
 
 
 def _edge_records_bytes(data, delimiter):
     """(u, v, signs, node_ids) of an edge list's records, read from its UTF-8 bytes.
 
-    Tokens are the runs of bytes that are not ASCII whitespace (9–13, 28–32),
-    and lines end at each ``\\n``, ``\\v``, ``\\f``, ``\\r`` or 28–30 byte,
-    ``\\r\\n`` counting once, as ``str.split`` and ``str.splitlines`` define
-    them on ASCII. A record line's first token does not start with ``#``; its
+    Tokens are the runs of bytes that are not whitespace: ASCII 9–13 and 28–32,
+    and the bytes of each :data:`UNICODE_SPACES` character (U+0085, U+00A0,
+    U+1680, U+2000–U+200A, U+2028, U+2029, U+202F, U+205F, U+3000). Lines end at
+    each ``\\n``, ``\\v``, ``\\f``, ``\\r``, 28–30 byte, U+0085, U+2028 and
+    U+2029, ``\\r\\n`` counting once, as ``str.split`` and ``str.splitlines``
+    define them. A record line's first token does not start with ``#``; its
     fields are its tokens, or the cuts of the span from its first token to its
-    last at each ``delimiter`` byte.
+    last at each match of ``delimiter``'s UTF-8 bytes, which may be any number
+    of bytes. A match counts only when it ends inside that span, and of
+    overlapping matches (``::`` in ``a:::b``) the leftmost that do not overlap
+    count, as in ``str.split``.
     """
     b = np.frombuffer(data, dtype=np.uint8)
-    starts, ends = _runs(((b - 9) > 4) & ((b - 28) > 4))
-    breaks = np.flatnonzero(((b - 10) <= 3) | ((b - 28) <= 2))
+    in_token = ((b - 9) > 4) & ((b - 28) > 4)
+    breaks = ((b - 10) <= 3) | ((b - 28) <= 2)
+    if not data.isascii():
+        # each UNICODE_SPACES character starts at a lead byte 0xC2 or 0xE1–0xE3, and UTF-8
+        # is self-synchronizing: a match there is always a whole character
+        lead = np.flatnonzero((b == 0xC2) | ((b - 0xE1) <= 2))
+        word = _word_window(data)[lead]
+        for c in UNICODE_SPACES:
+            code = c.encode()
+            at = lead[(word & _LOW_BYTES[len(code)]) == int.from_bytes(code, "little")]
+            in_token[at[:, None] + np.arange(len(code))] = False
+            if c in "\x85\u2028\u2029":
+                breaks[at] = True
+    starts, ends = _runs(in_token)
+    breaks = np.flatnonzero(breaks)
     head = np.zeros(starts.size + 1, dtype=bool)
     head[np.searchsorted(starts, breaks)] = True  # the first token after each line break
     head[0] = True
@@ -523,13 +538,17 @@ def _edge_records_bytes(data, delimiter):
         starts, ends = starts[fields], ends[fields]
     else:
         last = ends[(head + width - 1)[record]]
-        cuts = np.flatnonzero(b == ord(delimiter))
-        owner = np.searchsorted(first, cuts, side="right") - 1
-        # a cut before the first record has owner -1, which reads the appended 0
-        inside = (owner >= 0) & (cuts < np.append(last, 0)[owner])
-        cuts, owner = cuts[inside], owner[inside]
-        counts = np.bincount(owner, minlength=first.size) + 1
-        starts = np.sort(np.concatenate((first, cuts + 1)))
+        sep = delimiter.encode("utf-8", "surrogatepass")
+        step = np.zeros(b.size + 1, dtype=np.int8)
+        step[first], step[last] = 1, -1
+        # no UTF-8 text holds byte 0xFE or 0xFF: 0xFE outside the record spans stops every
+        # match there, and bytes.replace marks with 0xFF where str.split would cut each span
+        spans = np.where(np.cumsum(step[:-1], dtype=np.int8) > 0, b, 0xFE).tobytes()
+        marked = spans.replace(sep, b"\xff".ljust(len(sep), b"\0"))
+        cuts = np.flatnonzero(np.frombuffer(marked, dtype=np.uint8) == 0xFF)
+        counts = np.bincount(np.searchsorted(first, cuts, side="right") - 1,
+                             minlength=first.size) + 1
+        starts = np.sort(np.concatenate((first, cuts + len(sep))))
         ends = np.sort(np.concatenate((cuts, last)))
 
     def line_number(k):
@@ -545,55 +564,16 @@ def _edge_records_bytes(data, delimiter):
     bad_sign = np.flatnonzero(signs == 0)
     if bad_sign.size:
         k = int(bad_sign[0])
-        token = data[starts[at[k]]:ends[at[k]]].decode("utf-8")
+        token = data[starts[at[k]]:ends[at[k]]].decode("utf-8", "surrogatepass")
         raise EdgeListParseError(line_number(k), f"bad sign token {token!r}")
     if whole < counts.size:
         raise EdgeListParseError(line_number(whole), f"expected 3 fields, got {counts[whole]}")
 
     starts, ends = (a.reshape(-1, 3)[:, :2].ravel() for a in (starts, ends))
     ids, first = _intern(span_keys(data, starts, ends))
-    node_ids = [data[s:e].decode("utf-8")
+    node_ids = [data[s:e].decode("utf-8", "surrogatepass")
                 for s, e in zip(starts[first].tolist(), ends[first].tolist())]
     return ids[0::2], ids[1::2], signs, node_ids
-
-
-def _record_line_number(lines, k):
-    """1-based line number of the k-th (0-based) record line."""
-    numbers = (lineno for lineno, line in enumerate(map(str.strip, lines), start=1)
-               if line and not line.startswith("#"))
-    return next(islice(numbers, k, None))
-
-
-def _edge_records_text(text, delimiter):
-    """(u, v, signs, node_ids) of an edge list's records, read from its text by ``str`` methods."""
-    lines = text.splitlines()
-    records = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
-    r = len(records)
-    if delimiter is None:
-        counts = np.fromiter(map(len, map(str.split, records)), np.int64, r)
-        # no record holds a line break, so this equals the per-line splits
-        tokens = "\n".join(records).split()
-    else:
-        counts = np.fromiter((line.count(delimiter) + 1 for line in records), np.int64, r)
-        # an explicit separator may straddle a join, so split line by line
-        tokens = list(chain.from_iterable(line.split(delimiter) for line in records))
-    bad_count = np.flatnonzero(counts != 3)
-    whole = int(bad_count[0]) if bad_count.size else r  # records before the first bad count
-    signs = np.fromiter(map(SIGN_TOKENS.get, tokens[2:3 * whole:3], repeat(0)), np.int8, whole)
-    bad_sign = np.flatnonzero(signs == 0)
-    if bad_sign.size:
-        k = int(bad_sign[0])
-        raise EdgeListParseError(_record_line_number(lines, k),
-                                 f"bad sign token {tokens[3 * k + 2]!r}")
-    if whole < r:
-        raise EdgeListParseError(_record_line_number(lines, whole),
-                                 f"expected 3 fields, got {counts[whole]}")
-
-    del tokens[2::3]  # endpoints left, u0 v0 u1 v1 ...: first-seen order
-    node_ids = list(dict.fromkeys(tokens))
-    index = dict(zip(node_ids, range(len(node_ids))))
-    ends = np.fromiter(map(index.__getitem__, tokens), np.int64, 2 * r)
-    return ends[0::2], ends[1::2], signs, node_ids
 
 
 def load_edge_list(source, delimiter=None):
@@ -602,9 +582,13 @@ def load_edge_list(source, delimiter=None):
     One edge per line, ``src dst sign`` with sign token ``1``, ``+1`` or
     ``-1``; fields separated by tabs or spaces (``delimiter=None`` accepts any
     whitespace run). Lines starting with ``#`` and blank lines are skipped.
-    Lines and whitespace are those of ``str.splitlines`` and ``str.split``.
-    A file that is not UTF-8 is an :class:`EdgeListParseError` naming the line
-    of the first undecodable byte.
+    Lines and whitespace are those of ``str.splitlines`` and ``str.split``,
+    the Unicode ones included: U+0085, U+2028 and U+2029 end a line, and
+    they, U+00A0, U+1680, U+2000–U+200A, U+202F, U+205F and U+3000 separate
+    fields (:data:`UNICODE_SPACES`). A ``delimiter`` of any length, such as
+    ``::`` or ``é``, cuts the fields as ``str.split`` does. A file that is not
+    UTF-8 is an :class:`EdgeListParseError` naming the line of the first
+    undecodable byte; a str or text-file source may hold lone surrogates.
 
     Cleaning rules: self-loops are dropped; duplicate (src, dst) records of
     the same sign are merged into one edge; (src, dst) pairs recorded with
@@ -619,30 +603,21 @@ def load_edge_list(source, delimiter=None):
     An id of at most 7 bytes is its own key; a longer one adds two sorts of
     the longer ids per 8 bytes it shares with another id of its length.
     Merges and conflicts are found by a stable sort of the ``src·n+dst`` keys.
-    Three inputs are read by ``str`` methods instead, record by record: text
-    holding a whitespace or line-break character beyond ASCII
-    (:data:`UNICODE_SPACES`), a ``delimiter`` that is not one ASCII
-    character, and text with a lone surrogate.
 
     Parameters
     ----------
     source : path, text file object, or str content. A str holding a line
         break is content and any other str a path, so a one-record
         ``"a b 1"`` is opened as a file.
-    delimiter : explicit field separator, or None for any whitespace
+    delimiter : explicit field separator, not empty, or None for any whitespace
 
     Returns
     -------
     SignedDigraph with a ``load_report`` attribute (:class:`LoadReport`).
     """
-    data, text = _edge_list_input(source)
-    one_byte = delimiter is None or len(delimiter) == 1 and delimiter.isascii()
-    ascii_spaces = text is None or text.isascii() or not any(map(text.__contains__, UNICODE_SPACES))
-    if data is not None and one_byte and ascii_spaces:
-        u, v, signs, node_ids = _edge_records_bytes(data, delimiter)
-    else:
-        u, v, signs, node_ids = _edge_records_text(data.decode("utf-8") if text is None else text,
-                                                   delimiter)
+    if delimiter == "":
+        raise ValueError("delimiter must not be empty")
+    u, v, signs, node_ids = _edge_records_bytes(_edge_list_input(source), delimiter)
     n = len(node_ids)
 
     report = LoadReport()

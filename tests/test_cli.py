@@ -21,7 +21,6 @@ from edgesign.genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior
                                prior_from_json_dict)
 from edgesign.features import psi_g
 from edgesign.graph import EdgeSplit, SignedDigraph, read_json, sample_split, write_edge_list
-from edgesign.online import OnlineState
 from edgesign.metrics import confusion, mcc
 from edgesign.online import adversary_generate, run_online
 
@@ -253,6 +252,14 @@ class TestGraphFiles:
         assert capsys.readouterr().err == "error: line 4: bad sign token 'x'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["# only a comment\n", "a b 1\n"])
+    def test_an_empty_delimiter_is_an_argument_error(self, tmp_path, capsys, text):
+        edges, out = tmp_path / "g.tsv", tmp_path / "g.json"
+        edges.write_text(text)
+        assert run_cli("ingest", edges, out, "--delimiter", "") == cli.EXIT_ARGUMENT
+        assert capsys.readouterr().err == "error: delimiter must not be empty\n"
+        assert not out.exists()
+
     def test_an_edge_list_that_is_not_utf8_is_a_data_error_naming_its_line(self, tmp_path, capsys):
         edges, out = tmp_path / "g.tsv", tmp_path / "g.json"
         edges.write_bytes(b"a b 1\r\nb c -1\n# \xe2\x80\xa8\n\xffc a 1\n")
@@ -380,18 +387,10 @@ def sweep_spec(path):
     return cli.cmd_sweep(cli.build_parser().parse_args(["sweep", str(path), "-o", report]))
 
 
-def read_state(path):
-    return OnlineState.from_json_dict(read_json(path))
-
-
 @pytest.mark.parametrize("payload, reader, key", [
     ({"format": "edgesign-genparams", "version": 1, "p": [0.5]}, GenParams.load, "seed"),
     ({"format": "edgesign-genparams", "version": 1, "p": [0.5], "q": [0.5], "prior": None,
       "seed": 1.5}, GenParams.load, "seed"),
-    ({"node_count": 3}, read_state, "format"),
-    ({"format": "edgesign-online-state", "version": 1, "node_count": 3}, read_state,
-     "out_loss_plus"),
-    ({**OnlineState(3).to_json_dict(), "edges_seen": True}, read_state, "edges_seen"),
     ({"kind": "two-point", "lo": 0.1}, lambda path: prior_from_json_dict(read_json(path)), "hi"),
     ({"synthetic": {"node_count": 10}}, sweep_spec, "prior"),
     ({"synthetic": {"node_count": 10, "prior": {"kind": "beta"}}}, sweep_spec, "a_p"),
@@ -421,8 +420,7 @@ def read_state(path):
     ({"format": "edgesign-genparams", "version": 1, "p": [0.5], "q": [0.5],
       "prior": {"kind": "beta", "a_p": 1, "b_p": 1, "a_q": 1, "b_q": 1, "a": 1}, "seed": 1},
      GenParams.load, "a"),
-], ids=["genparams", "genparams-seed-fraction", "online-untagged", "online-lacks-losses",
-        "online-edges-seen-true", "prior", "sweep-no-prior", "sweep-beta-no-shapes",
+], ids=["genparams", "genparams-seed-fraction", "prior", "sweep-no-prior", "sweep-beta-no-shapes",
         "sweep-no-source", "sweep-repetitions-text", "sweep-base-seed-text",
         "sweep-methods-text", "sweep-fractions-text", "sweep-psi2-text", "sweep-negative-seed",
         "sweep-node-count-text", "sweep-two-point-text", "sweep-beta-list",

@@ -16,9 +16,12 @@ from edgesign.graph import (EdgeSplit, SignedDigraph, degree_stats, load_edge_li
 from conftest import random_graph
 from oracles import load_edge_list_reference
 
-# "a\0" differs from "a" by a trailing NUL; the "node-id-" ids share their first 8 bytes
+# "a\0" differs from "a" by a trailing NUL; the "node-id-" ids share their first 8 bytes;
+# ":" makes runs of colons that "::" matches in overlapping places
 TOKENS = ["a", "b", "c", "d", "é", "1", "-1", "#h", "a\x00", "node-id-0123", "node-id-0124",
-          "ü" * 5, "x y"]
+          "ü" * 5, ":", "x y"]
+#: Tokens with a lone surrogate, which a str holds and no UTF-8 file does.
+SURROGATES = ["a\ud800", "\udc80"]
 SIGNS = ["1", "+1", "-1"]
 BAD_SIGNS = ["2", "+", "--1", "1.0"]
 #: What ``str.splitlines`` ends a line at, below U+0080.
@@ -29,11 +32,12 @@ LINE_ENDS = ["\n", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
 def edge_list_texts(draw):
     """Edge-list text with comments, blank lines, mixed separators and line
     ends, self-loops, duplicates and conflicts, plus its delimiter. About half
-    the texts also hold malformed records, and about a quarter hold U+00A0 or
-    U+2028, which only the ``str`` reader reads."""
+    the texts also hold malformed records, about a quarter hold U+00A0 or
+    U+2028, and about a quarter hold lone surrogates."""
     delimiter = draw(st.sampled_from([None, None, ",", "\t", "::"]))
     malformed = draw(st.booleans())
     unicode = draw(st.sampled_from([False, False, False, True]))
+    surrogates = draw(st.sampled_from([False, False, False, True]))
     spaces = ["", " ", "\t", "\x1f"] + ["\u00a0"] * unicode
     line_ends = LINE_ENDS + ["\u2028"] * unicode
     if delimiter is None:
@@ -43,7 +47,7 @@ def edge_list_texts(draw):
     else:
         separators = [delimiter]
     # with whitespace fields, "x y" is two fields: keep it for malformed texts
-    tokens = TOKENS if malformed or delimiter is not None else TOKENS[:-1]
+    tokens = TOKENS if malformed or delimiter is not None else TOKENS[:-1] + SURROGATES * surrogates
     kinds = ["record"] * 6 + ["blank", "comment"]
     if malformed:
         kinds += ["short", "long", "bad sign"]
@@ -77,6 +81,37 @@ def graph_over(ids):
     edges = [(k, k + 1) for k in range(n - 1)] + ([(n - 1, 0)] if n > 2 else [])
     src, dst = np.array(edges).T
     return SignedDigraph(n, src, dst, [(-1) ** k for k in range(len(edges))], node_ids=ids)
+
+
+def assert_reads_as_reference(text, delimiter, directory):
+    """``load_edge_list`` reads ``text`` as a StringIO, and as a UTF-8 file in ``directory``
+    unless it holds a lone surrogate, as :func:`load_edge_list_reference` reads it: the
+    same graph and counts, or the same error at the same line."""
+    sources = [io.StringIO(text)]
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        pass
+    else:
+        path = directory / "edges.txt"
+        path.write_bytes(data)
+        sources.append(path)
+    try:
+        node_ids, edges, counts = load_edge_list_reference(text, delimiter)
+    except EdgeListParseError as expected:
+        for source in sources:
+            with pytest.raises(EdgeListParseError) as err:
+                load_edge_list(source, delimiter=delimiter)
+            assert err.value.line_number == expected.line_number
+            assert str(err.value) == str(expected)
+        return
+    for source in sources:
+        g = load_edge_list(source, delimiter=delimiter)
+        assert g.node_ids == node_ids and g.node_count == len(node_ids)
+        assert list(zip(g.src.tolist(), g.dst.tolist(), g.labels.tolist())) == edges
+        report = g.load_report
+        assert (report.self_loops_dropped, report.duplicates_merged,
+                report.conflicts_dropped) == counts
 
 
 class TestLoadEdgeList:
@@ -148,39 +183,26 @@ class TestLoadEdgeList:
     @given(edge_list_texts())
     def test_matches_record_by_record_reference(self, tmp_path_factory, case):
         text, delimiter = case
-        path = tmp_path_factory.mktemp("edges") / "edges.txt"
-        path.write_bytes(text.encode("utf-8"))
-        try:
-            node_ids, edges, counts = load_edge_list_reference(text, delimiter)
-        except EdgeListParseError as expected:
-            for source in (io.StringIO(text), path):
-                with pytest.raises(EdgeListParseError) as err:
-                    load_edge_list(source, delimiter=delimiter)
-                assert err.value.line_number == expected.line_number
-                assert str(err.value) == str(expected)
-            return
-        for source in (io.StringIO(text), path):
-            g = load_edge_list(source, delimiter=delimiter)
-            assert g.node_ids == node_ids and g.node_count == len(node_ids)
-            assert list(zip(g.src.tolist(), g.dst.tolist(), g.labels.tolist())) == edges
-            report = g.load_report
-            assert (report.self_loops_dropped, report.duplicates_merged,
-                    report.conflicts_dropped) == counts
+        assert_reads_as_reference(text, delimiter, tmp_path_factory.mktemp("edges"))
 
-    @pytest.mark.parametrize("text, delimiter, reader", [
-        ("a b 1\r\nb\x1fc -1\x0c", None, "bytes"),
-        ("a,b,1\nb,c,-1\n", ",", "bytes"),
-        ("é ü 1\n", None, "bytes"),
-        ("a b 1\nb\u00a0c -1\n", None, "text"),
-        ("a b 1\u2028b c -1\n", None, "text"),
-        ("a::b::1\n", "::", "text"),
-        ("aébé1\n", "é", "text"),
-        ("a\ud800 b 1\n", None, "text"),
+    # overlapping "::" and "aa" matches, repeated U+0085 line breaks, an id holding U+3000
+    @pytest.mark.parametrize("text, delimiter", [
+        ("a b 1\r\nb\x1fc -1\x0c", None),
+        ("a,b,1\nb,c,-1\n", ","),
+        ("é ü 1\n", None),
+        ("a b 1\nb\u00a0c -1\n", None),
+        ("a b 1\u2028b c -1\n", None),
+        ("a::b::1\n", "::"),
+        ("aébé1\n", "é"),
+        ("a\ud800 b 1\n", None),
+        ("a:::b::1", "::"),
+        ("a::::b::1", "::"),
+        ("aaaabaa1", "aa"),
+        ("a\x85\x85b 1", None),
+        ("x\u3000y\tb\t1\n\u3000b\tx\u3000y\t-1\u3000", "\t"),
     ])
-    def test_the_reader_is_chosen_from_the_text(self, monkeypatch, text, delimiter, reader):
-        other = {"bytes": "_edge_records_text", "text": "_edge_records_bytes"}[reader]
-        monkeypatch.setattr(graph, other, lambda *args: pytest.fail(f"{other} was called"))
-        assert load_edge_list(io.StringIO(text), delimiter=delimiter).edge_count >= 1
+    def test_cases_match_the_reference(self, tmp_path, text, delimiter):
+        assert_reads_as_reference(text, delimiter, tmp_path)
 
     def test_unicode_spaces_are_every_space_beyond_ascii(self):
         spaces = [c for c in map(chr, range(0x80, 0x110000)) if c.isspace()]

@@ -1,5 +1,5 @@
+import copy
 import dataclasses
-import json
 import tracemalloc
 from unittest import mock
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesign import online
-from edgesign.errors import DataError, ProtocolError
+from edgesign.errors import ProtocolError
 from edgesign.features import psi_g
 from edgesign.genmodel import TwoPointPrior, make_synthetic
 from edgesign.graph import SignedDigraph
@@ -30,6 +30,11 @@ def stream(g, rounds, rng):
         online.online_predict(state, edge, rng)
         online.online_update(state, edge, int(y))
     return state
+
+
+def snapshot(state):
+    """A deep copy of a state's attributes, to show that a refused call changed none."""
+    return copy.deepcopy(vars(state))
 
 
 def run_and_replay(g, kind, seed, budget=1):
@@ -308,84 +313,6 @@ class TestRunOnlineRejects:
             run_online(self.g, order=seq, seed=0)
 
 
-class TestStatePersistence:
-    def test_pending_prediction_survives_json(self):
-        g = random_graph(6, 12, seed=3)
-        rng = np.random.default_rng(0)
-        state = online.online_init(g)
-        edges = [(int(g.src[e]), int(g.dst[e])) for e in range(3)]
-        online.online_predict(state, edges[0], rng)
-        online.online_update(state, edges[0], int(g.labels[0]))
-        online.online_predict(state, edges[1], rng)
-        online.online_predict(state, edges[2], rng)
-        again = OnlineState.from_json_dict(json.loads(json.dumps(state.to_json_dict())))
-        for s in (state, again):
-            online.online_update(s, edges[2], int(g.labels[2]))
-            online.online_update(s, edges[1], int(g.labels[1]))
-        assert again.to_json_dict() == state.to_json_dict()
-        assert again.realized_mistakes == state.realized_mistakes
-
-    def test_numpy_edge_ids_serialize(self):
-        state = OnlineState(3)
-        rng = np.random.default_rng(1)
-        edge = (np.int64(0), np.int64(2))
-        state.predict(edge, rng)
-        json.dumps(state.to_json_dict())
-        state.update(edge, -1)
-        assert json.loads(json.dumps(state.to_json_dict()))["revealed"] == [[0, 2]]
-
-    def test_missing_key_is_a_data_error(self):
-        d = OnlineState(3).to_json_dict()
-        for key in set(d) - {"format", "version", "pending"}:
-            damaged = {k: v for k, v in d.items() if k != key}
-            with pytest.raises(DataError, match=key):
-                OnlineState.from_json_dict(damaged)
-
-    @pytest.mark.parametrize("change", [
-        {"out_loss_plus": [1]}, {"out_loss_minus": [0.7, 1.9, 2.2]}, {"in_loss_plus": [0, -1, 0]},
-        {"in_loss_minus": [[0], [0], [0]]}, {"out_loss_plus": "x"}, {"in_loss_plus": [0, 0, 0, 0]},
-        {"node_count": "3"}, {"node_count": -1}, {"node_count": 2.5},
-        {"meta_loss_out": "x"}, {"meta_loss_in": -0.5}, {"expected_mistakes": None},
-        {"realized_mistakes": 1.5}, {"edges_seen": -1}, {"edges_seen": True},
-        {"revealed": [[0]]}, {"revealed": [0, 1]}, {"revealed": [[0, 1, 2]]},
-        {"revealed": [[0, 3]]}, {"revealed": [[0.5, 1]]}, {"revealed": "x"},
-        {"pending": [[1, 2]]}, {"pending": [[1, 2, 0]]}, {"pending": [[1, 3, 1]]},
-        {"pending": [[-1, 2, 1]]}, {"pending": [[1, 2, 1], [0, 1]]},
-        {"revealed": [[0, 1], [0, 1]]}, {"pending": [[1, 2, 1], [1, 2, -1]]},
-        {"pending": [[0, 1, 1], [1, 2, 1]]}, {"edges_seen": 2},
-    ], ids=["loss-one-entry", "loss-fractions", "loss-negative", "loss-nested", "loss-text",
-            "loss-too-long", "node-count-text", "node-count-negative", "node-count-fraction",
-            "meta-loss-text", "meta-loss-negative", "expected-null", "realized-fraction",
-            "edges-seen-negative", "edges-seen-true", "revealed-single", "revealed-flat",
-            "revealed-triple", "revealed-out-of-range", "revealed-fraction", "revealed-text",
-            "pending-pair", "pending-guess-zero", "pending-out-of-range", "pending-negative-id",
-            "pending-ragged", "revealed-twice", "pending-twice", "revealed-and-pending",
-            "edges-seen-not-revealed-count"])
-    def test_damaged_value_is_a_data_error(self, change):
-        state = OnlineState(3)
-        rng = np.random.default_rng(2)
-        state.predict((0, 1), rng)
-        state.update((0, 1), -1)
-        state.predict((1, 2), rng)
-        d = state.to_json_dict()
-        assert OnlineState.from_json_dict(d).to_json_dict() == d
-        (key,) = change
-        with pytest.raises(DataError, match=rf"\b{key}\b"):
-            OnlineState.from_json_dict({**d, **change})
-
-    def test_reads_files_without_pending_key(self):
-        state = OnlineState(4)
-        rng = np.random.default_rng(2)
-        state.predict((0, 1), rng)
-        state.update((0, 1), 1)
-        d = state.to_json_dict()
-        del d["pending"]
-        again = OnlineState.from_json_dict(d)
-        assert again.edges_seen == 1
-        with pytest.raises(ProtocolError, match="already revealed"):
-            again.predict((0, 1), rng)
-
-
 class TestStateRounds:
     @pytest.mark.parametrize("edge", [(-1, 0), (0, -1), (5, 0), (0, 3), (1.5, 0), (0, 1.0),
                                       ("1", 0), (True, 0), (np.int64(3), 0)])
@@ -394,29 +321,29 @@ class TestStateRounds:
         rng = np.random.default_rng(4)
         state.predict((1, 2), rng)
         state.update((1, 2), -1)
-        before = state.to_json_dict()
+        before = snapshot(state)
         with pytest.raises(ProtocolError):
             state.predict(edge, rng)
         with pytest.raises(ProtocolError):
             state.update(edge, -1)
-        assert state.to_json_dict() == before
+        assert snapshot(state) == before
 
     def test_second_prediction_before_the_reveal_is_a_protocol_error(self):
         state = OnlineState(3)
         rng = np.random.default_rng(4)
         state.predict((0, 1), rng)
-        before = state.to_json_dict()
+        before = snapshot(state)
         with pytest.raises(ProtocolError, match="already has a pending prediction"):
             state.predict((0, 1), rng)
-        assert state.to_json_dict() == before
+        assert snapshot(state) == before
 
     def test_update_with_label_zero_is_a_value_error(self):
         state = OnlineState(3)
         state.predict((0, 1), np.random.default_rng(4))
-        before = state.to_json_dict()
+        before = snapshot(state)
         with pytest.raises(ValueError, match="label must be"):
             state.update((0, 1), 0)
-        assert state.to_json_dict() == before
+        assert snapshot(state) == before
 
     def test_expected_mistake_increment_is_the_predicted_probability(self):
         # for a -1 label both sides add w_out·p_out + (1−w_out)·p_in; for +1 the
@@ -509,6 +436,27 @@ def test_adversary_draws_the_documented_process():
 
 def test_adversary_closed_form_tends_to_budget():
     assert adversary_expected_mistakes(5, 300) == pytest.approx(5.0, abs=1e-9)
+
+
+def adversary_tallies(g, budget, seeds):
+    """Expected mistakes of run_online over the forced prefix, one pass per seed."""
+    return np.array([run_online(g, order=adversary_generate(g, budget, s), seed=s)
+                     .expected_mistakes for s in range(seeds)])
+
+
+@pytest.mark.parametrize("budget", [5, 20])
+def test_adversary_forces_the_closed_form_when_the_budget_is_small(budget):
+    # 1,954 edges; at this seed count the means read 4.95 ± 0.08 and 20.04 ± 0.17
+    g, _ = make_synthetic(200, TwoPointPrior(0.1, 0.9), 10, 0)
+    tallies = adversary_tallies(g, budget, 400)
+    sigma = tallies.std(ddof=1) / np.sqrt(tallies.size)
+    assert abs(tallies.mean() - adversary_expected_mistakes(budget, g.edge_count)) <= 5 * sigma
+
+
+def test_adversary_forces_half_its_budget_at_the_largest_budget():
+    g, _ = make_synthetic(200, TwoPointPrior(0.1, 0.9), 10, 0)
+    budget = g.edge_count // 2
+    assert adversary_tallies(g, budget, 20).mean() >= budget / 2
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
