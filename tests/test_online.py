@@ -345,6 +345,20 @@ class TestStateRounds:
             state.update((0, 1), 0)
         assert snapshot(state) == before
 
+    def test_pending_predictions_on_numpy_ids_reveal_in_any_order(self):
+        state = OnlineState(3)
+        rng = np.random.default_rng(1)
+        first, second = (np.int64(0), np.int64(2)), (np.int64(2), np.int64(1))
+        state.predict(first, rng)
+        state.predict(second, rng)
+        state.update(second, 1)
+        state.update(first, -1)
+        assert state.edges_seen == 2
+        assert (state.out_loss_plus, state.in_loss_minus) == ([1, 0, 0], [0, 1, 0])
+        for edge in (first, second):
+            with pytest.raises(ProtocolError, match="already revealed"):
+                state.predict(edge, rng)
+
     def test_expected_mistake_increment_is_the_predicted_probability(self):
         # for a -1 label both sides add w_out·p_out + (1−w_out)·p_in; for +1 the
         # tally adds w_out·(1−p_out) + (1−w_out)·(1−p_in) and predict returns
