@@ -511,21 +511,20 @@ def _edge_records_bytes(data, delimiter):
     """
     b = np.frombuffer(data, dtype=np.uint8)
     in_token = ((b - 9) > 4) & ((b - 28) > 4)
-    breaks = ((b - 10) <= 3) | ((b - 28) <= 2)
+    breaks = np.flatnonzero(((b - 10) <= 3) | ((b - 28) <= 2))
     # each UNICODE_SPACES character starts at a lead byte 0xC2 or 0xE1–0xE3, and UTF-8 is
     # self-synchronizing: a match there is always a whole character. A byte search (memchr)
     # for the four skips the mask on text that holds none, such as ASCII or Latin-1 ids.
-    if any(byte in data for byte in b"\xc2\xe1\xe2\xe3"):
+    if not data.isascii() and any(byte in data for byte in b"\xc2\xe1\xe2\xe3"):
         lead = np.flatnonzero((b == 0xC2) | ((b - 0xE1) <= 2))
         word = _word_window(data)[lead]
         for c in UNICODE_SPACES:
             code = c.encode()
             at = lead[(word & _LOW_BYTES[len(code)]) == int.from_bytes(code, "little")]
             in_token[at[:, None] + np.arange(len(code))] = False
-            if c in "\x85\u2028\u2029":
-                breaks[at] = True
+            if at.size and c in "\x85\u2028\u2029":
+                breaks = np.sort(np.concatenate((breaks, at)))
     starts, ends = _runs(in_token)
-    breaks = np.flatnonzero(breaks)
     head = np.zeros(starts.size + 1, dtype=bool)
     head[np.searchsorted(starts, breaks)] = True  # the first token after each line break
     head[0] = True
