@@ -525,6 +525,7 @@ def _edge_records_bytes(data, delimiter):
             if at.size and c in "\x85\u2028\u2029":
                 breaks = np.sort(np.concatenate((breaks, at)))
     starts, ends = _runs(in_token)
+    del in_token  # one byte per input byte: free it before the id work allocates
     head = np.zeros(starts.size + 1, dtype=bool)
     head[np.searchsorted(starts, breaks)] = True  # the first token after each line break
     head[0] = True
