@@ -47,7 +47,8 @@ def edge_list_texts(draw):
     else:
         separators = [delimiter]
     # with whitespace fields, "x y" is two fields: keep it for malformed texts
-    tokens = TOKENS if malformed or delimiter is not None else TOKENS[:-1] + SURROGATES * surrogates
+    tokens = ((TOKENS if malformed or delimiter is not None else TOKENS[:-1])
+              + SURROGATES * surrogates)
     kinds = ["record"] * 6 + ["blank", "comment"]
     if malformed:
         kinds += ["short", "long", "bad sign"]
