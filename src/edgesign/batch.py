@@ -23,17 +23,15 @@ bound the lprop and unreg solvers; blc and logreg ignore them.
 
 from __future__ import annotations
 
-import re
 import sys
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
 
 import numpy as np
 
 from .errors import ConvergenceError, DataError, DegenerateFitError
 from .features import box_fit_edges, label_targets, troll_trust
-from .graph import (NUMBER, check_container, number_lists, read_json, run_heads, write_json,
-                    write_text)
+from .graph import (BLOCK, NUMBER, check_container, number_lists, read_json, write_json,
+                    write_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -84,54 +82,29 @@ class Prediction:
     method: str
 
     def to_csv(self, path_or_file, node_ids=None):
-        """Write `src,dst,score,label` rows.
+        """Write `src,dst,score,label` rows, assembled as bytes (:func:`graph.write_rows`).
 
-        Endpoints are written as ``node_ids`` entries when given, else as
-        compact ids. An id holding a comma, a double quote or a line break is
-        quoted as in RFC 4180, so the ``csv`` module reads it back intact.
-        A score is written as its shortest round-trip ``repr``, so it reads
-        back as the same float64.
-
-        The file is built column by column. blc and logreg scores are
-        functions of two per-node rates, so they take few distinct values;
-        ``repr`` runs once per distinct float64 bit pattern (which keeps
-        ``-0.0`` apart from ``0.0``), and every row is index lookups and one
-        join.
+        Endpoints are ``node_ids`` entries when given, else compact ids. Each id
+        is encoded once, a lone surrogate with ``surrogatepass`` (a path refuses
+        it only when a row names it). When the ids' bytes hold a comma, a double
+        quote or a line break, each id holding one is quoted as in RFC 4180, so
+        the ``csv`` module reads it back intact. A score is its shortest
+        round-trip ``repr``, made once per distinct float64 bit pattern (which
+        keeps ``-0.0`` apart from ``0.0``), so it reads back as the same float64.
         """
         if node_ids is None:
             node_ids = range(max(self.src.max(initial=-1), self.dst.max(initial=-1)) + 1)
-        names = list(map(_csv_field, map(str, node_ids)))
+        names = [str(t).encode("utf-8", "surrogatepass") for t in node_ids]
+        ids = b"".join(names)
+        if any(c in ids for c in (b",", b'"', b"\r", b"\n")):
+            names = [b'"' + t.replace(b'"', b'""') + b'"' if t.translate(None, b',"\r\n') != t
+                     else t for t in names]
         scores = np.ascontiguousarray(self.scores, dtype=np.float64)
-        columns = (list(map(names.__getitem__, self.src.tolist())),
-                   list(map(names.__getitem__, self.dst.tolist())),
-                   _text_column(scores, scores.view(np.int64), repr),
-                   _text_column(self.labels, self.labels, str))
-        rows = map(",".join, zip(*columns))
-        write_text(path_or_file, "\n".join(chain(("src,dst,score,label",), rows, ("",))))
-
-
-def _text_column(values, keys, fmt):
-    """``fmt(x)`` for each ``x`` of ``values.tolist()``, called once per distinct key.
-
-    Rows with equal ``keys`` (an integer array) share one text; the keys are
-    grouped by a sort and an adjacent-difference mask.
-    """
-    order = np.argsort(keys)
-    first = run_heads(keys[order])
-    inverse = np.empty(keys.size, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    texts = list(map(fmt, values[order[first]].tolist()))
-    return list(map(texts.__getitem__, inverse.tolist()))
-
-
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
-
-
-def _csv_field(token):
-    """``token`` as one CSV field: quoted, inner quotes doubled, when it needs it."""
-    if _NEEDS_QUOTES.search(token) is None:
-        return token
-    return '"' + token.replace('"', '""') + '"'
+        bits, score_index = np.unique(scores.view(np.int64), return_inverse=True)
+        texts = [repr(x).encode("ascii") for x in bits.view(np.float64).tolist()]
+        write_rows(path_or_file, [(names, self.src), (names, self.dst), (texts, score_index),
+                                  ([b"-1", b"1"], (self.labels > 0).view(np.int8))],
+                   b",", head=b"src,dst,score,label\n")
 
 
 class _FittedModel:
@@ -184,10 +157,6 @@ def _predict(model, g, split):
                       threshold=float(model.threshold), method=model.method)
 
 
-#: Edges per block of :func:`_edge_scores`; its temporaries grow with this, not |E|.
-_SCORE_BLOCK = 1 << 13
-
-
 def _edge_scores(score, src, dst, edges=None):
     """``score(src[edges], dst[edges])`` (of all of src and dst without ``edges``),
     scored one block of edges at a time.
@@ -196,10 +165,9 @@ def _edge_scores(score, src, dst, edges=None):
     temporaries are made per block.
     """
     scores = np.empty(src.size if edges is None else edges.size)
-    for start in range(0, scores.size, _SCORE_BLOCK):
-        block = (slice(start, start + _SCORE_BLOCK) if edges is None
-                 else edges[start:start + _SCORE_BLOCK])
-        scores[start:start + _SCORE_BLOCK] = score(src[block], dst[block])
+    for start in range(0, scores.size, BLOCK):
+        block = slice(start, start + BLOCK) if edges is None else edges[start:start + BLOCK]
+        scores[start:start + BLOCK] = score(src[block], dst[block])
     return scores
 
 

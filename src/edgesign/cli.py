@@ -25,7 +25,7 @@ from .features import regularity_report
 from .genmodel import PRIORS, make_synthetic, prior_from_json_dict
 from .graph import (COUNT, SIGN_TOKENS, EdgeSplit, check_keys, check_known_keys, check_values,
                     find_spans, is_number, json_number, load_edge_list, load_graph, read_json,
-                    sample_split, span_signs, write_json)
+                    sample_split, span_signs, utf8_error, write_json)
 from .metrics import accuracy, confusion, mcc
 
 EXIT_ARGUMENT = 2
@@ -148,7 +148,7 @@ def _read_predictions(path, node_ids):
     with open(path, "rb") as f:
         data = f.read()
     # the csv module reads a file faster than the same text from an io.StringIO
-    if any(c in data for c in (b'"', b"\r", b"\0")) or not _is_utf8(data):
+    if any(c in data for c in (b'"', b"\r", b"\0")) or utf8_error(data):
         return _read_predictions_csv(path, node_ids)
     b = np.frombuffer(data, dtype=np.uint8)
     breaks = np.flatnonzero(b == ord("\n"))
@@ -178,17 +178,6 @@ def _read_predictions(path, node_ids):
     found = find_spans(data, np.concatenate((starts, cuts[:, 0] + 1)),
                        np.concatenate((cuts[:, 0], cuts[:, 1])), node_ids)
     return found[:starts.size], found[starts.size:], labels
-
-
-def _is_utf8(data):
-    """Whether the bytes decode as UTF-8."""
-    if data.isascii():
-        return True
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError:
-        return False
-    return True
 
 
 def cmd_eval(args):

@@ -31,10 +31,8 @@ import json
 import math
 import reprlib
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -57,12 +55,17 @@ _NODE_IDS = (lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v
 # JSON containers
 
 
-def write_text(path_or_file, text):
-    """Write ``text`` to a text file object, or as UTF-8 to a path opened with
-    ``newline=""``: every ``\\n`` is written as is, on every platform."""
-    with (nullcontext(path_or_file) if hasattr(path_or_file, "write")
-          else open(path_or_file, "w", encoding="utf-8", newline="")) as f:
-        f.write(text)
+def write_text(path_or_file, data):
+    """Write UTF-8 bytes to a path opened ``"wb"`` (every ``\\n`` as is), or decoded
+    with ``surrogatepass`` to a text file object. For a path, the bytes of a lone
+    surrogate (lead byte 0xED) raise :class:`UnicodeEncodeError` before it is opened."""
+    if hasattr(path_or_file, "write"):
+        path_or_file.write(data.decode("utf-8", "surrogatepass"))
+        return
+    if b"\xed" in data:
+        data.decode("utf-8", "surrogatepass").encode("utf-8")
+    with open(path_or_file, "wb") as f:
+        f.write(data)
 
 
 def write_json(payload, path):
@@ -71,7 +74,39 @@ def write_json(payload, path):
     ``json.dumps`` encodes the whole payload in C; ``json.dump`` to a file
     runs the pure-Python encoder chunk by chunk, several times slower.
     """
-    write_text(path, json.dumps(payload, separators=(",", ":")))
+    write_text(path, json.dumps(payload, separators=(",", ":")).encode("ascii"))
+
+
+#: Rows per block of the block-wise kernels (edge scores, text rows): their
+#: temporaries grow with this, not with |E|.
+BLOCK = 1 << 13
+
+
+def write_rows(path_or_file, columns, sep, head=b""):
+    """Write ``head``, then one line per row, assembled as bytes.
+
+    ``columns`` are ``(fields, index)`` pairs, a list of bytes and an integer
+    array over the rows: row r is each column's ``fields[index[r]]`` in turn,
+    joined by ``sep`` and ended by ``\\n``. The fields are laid out once in
+    one byte table, each with the separator or line end after it; a block of
+    rows is one ``take`` from it, at positions made from the pieces' lengths
+    by a ``cumsum`` and an ``np.repeat``. Only the output grows with the rows.
+    """
+    ends = [sep] * (len(columns) - 1) + [b"\n"]
+    table = b"".join(end.join([*f, b""]) for (f, _), end in zip(columns, ends))
+    sizes = np.concatenate([np.fromiter(map(len, f), np.intp, len(f)) + len(end)
+                            for (f, _), end in zip(columns, ends)])
+    starts = np.cumsum(sizes) - sizes
+    bases = np.cumsum([0] + [len(f) for f, _ in columns[:-1]])
+    chunks = [head]
+    for first in range(0, len(columns[0][1]), BLOCK):
+        pieces = np.stack([index[first:first + BLOCK] for _, index in columns], axis=1) + bases
+        size = sizes[pieces.ravel()]
+        # each output byte's table position: its piece's start, shifted by its offset in the piece
+        at = np.repeat(starts[pieces.ravel()] - np.cumsum(size) + size, size)
+        at += np.arange(at.size)
+        chunks.append(np.frombuffer(table, np.uint8).take(at, mode="wrap"))
+    write_text(path_or_file, b"".join(chunks))
 
 
 def json_number(value):
@@ -474,24 +509,33 @@ def _intern(keys):
 
 
 def _edge_list_input(source):
-    """An edge list's bytes: a path's, checked to be UTF-8, or a str's or text file's,
-    encoded with ``surrogatepass`` so a lone surrogate gets bytes no UTF-8 file holds."""
+    """An edge list's bytes: a path's or a binary file's, checked to be UTF-8, or a
+    str's or text file's, encoded with ``surrogatepass`` so a lone surrogate gets
+    bytes no UTF-8 file holds."""
     if isinstance(source, str) and "\n" in source:
-        text = source
+        data = source
     elif hasattr(source, "read"):
-        text = source.read()
+        data = source.read()
     else:
         with open(source, "rb") as f:
             data = f.read()
-        if not data.isascii():
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-                raise EdgeListParseError(line, f"not UTF-8 text: byte {data[exc.start]:#04x} "
-                                               f"({exc.reason})") from None
-        return data
-    return text.encode("utf-8", "surrogatepass")
+    if isinstance(data, str):
+        return data.encode("utf-8", "surrogatepass")
+    exc = utf8_error(data)
+    if exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise EdgeListParseError(line, f"not UTF-8 text: byte {data[exc.start]:#04x} "
+                                       f"({exc.reason})")
+    return data
+
+
+def utf8_error(data):
+    """The :class:`UnicodeDecodeError` of bytes that are not UTF-8, None for UTF-8."""
+    try:
+        data.isascii() or data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc
+    return None
 
 
 def _edge_records_bytes(data, delimiter):
@@ -588,8 +632,9 @@ def load_edge_list(source, delimiter=None):
     they, U+00A0, U+1680, U+2000–U+200A, U+202F, U+205F and U+3000 separate
     fields (:data:`UNICODE_SPACES`). A ``delimiter`` of any length, such as
     ``::`` or ``é``, cuts the fields as ``str.split`` does. A file that is not
-    UTF-8 is an :class:`EdgeListParseError` naming the line of the first
-    undecodable byte; a str or text-file source may hold lone surrogates.
+    UTF-8 (a path or a binary file) is an :class:`EdgeListParseError` naming
+    the line of the first undecodable byte; a str or text-file source may
+    hold lone surrogates.
 
     Cleaning rules: self-loops are dropped; duplicate (src, dst) records of
     the same sign are merged into one edge; (src, dst) pairs recorded with
@@ -607,9 +652,10 @@ def load_edge_list(source, delimiter=None):
 
     Parameters
     ----------
-    source : path, text file object, or str content. A str holding a line
-        break is content and any other str a path, so a one-record
-        ``"a b 1"`` is opened as a file.
+    source : path, text or binary file object, or str content. A str holding
+        a line break is content and any other str a path, so a one-record
+        ``"a b 1"`` is opened as a file. A binary file's bytes are checked
+        to be UTF-8 as a path's are.
     delimiter : explicit field separator, not empty, or None for any whitespace
 
     Returns
@@ -662,17 +708,17 @@ def write_edge_list(g, path_or_file):
     The file reads back with ``load_edge_list(path, delimiter="\\t")``. A
     node id that reader cannot return intact raises :class:`DataError`: an
     empty id, one starting with ``#``, one holding a tab or any character
-    ``str.splitlines`` breaks on, and one with whitespace at either end.
+    ``str.splitlines`` breaks on, and one with whitespace at either end. The
+    lines are assembled as bytes (:func:`write_rows`).
     """
     names = list(map(str, g.node_ids))
     for name in names:
         if (name.splitlines() != [name] or name != name.strip()
                 or name.startswith("#") or "\t" in name):
             raise DataError(f"node id {name!r} cannot be written to a tab-separated edge list")
-    rows = map("\t".join, zip(map(names.__getitem__, g.src.tolist()),
-                               map(names.__getitem__, g.dst.tolist()),
-                               map(("-1", "1").__getitem__, (g.labels > 0).tolist())))
-    write_text(path_or_file, "\n".join(chain(rows, ("",))))
+    names = [name.encode("utf-8", "surrogatepass") for name in names]
+    signs = ([b"-1", b"1"], (g.labels > 0).view(np.int8))
+    write_rows(path_or_file, [(names, g.src), (names, g.dst), signs], b"\t")
 
 
 @dataclass(frozen=True, eq=False)

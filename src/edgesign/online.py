@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -475,25 +474,17 @@ def adversary_generate(g, budget, seed, include_tail=False):
 def adversary_expected_mistakes(budget, r_max):
     """Closed-form expected mistakes forced as the negative budget fills.
 
-    Sums m(r, c) = rising(r−c+1, c−1) / ((c−1)!·2^r) over c = 1..budget and
-    r = c..r_max, evaluated in exact rational arithmetic (safe for budgets
-    up to 50 and beyond). Each inner sum tends to 1, so the total tends to
-    the budget as r_max grows.
+    The sum of m(r, c) = rising(r−c+1, c−1) / ((c−1)!·2^r) = C(r−1, c−1)/2^r
+    over c = 1..budget and r = c..r_max. m(r, c) is the chance that the c-th
+    head of fair coin flips comes at flip r, so the inner sum over r is the
+    chance of at least c heads in r_max flips, and the total is E[min(H,
+    budget)], H ~ Binomial(r_max, 1/2): budget − Σ_{h<budget} (budget − h)·
+    C(r_max, h)/2^r_max. That is budget terms, summed in exact integers, and
+    one correctly rounded division. The total tends to the budget as r_max grows.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if r_max < 1:
         raise ValueError(f"r_max must be at least 1, got {r_max}")
-    total = Fraction(0)
-    for c in range(1, budget + 1):
-        for r in range(c, r_max + 1):
-            total += _mrc_fraction(r, c)
-    return float(total)
-
-
-def _mrc_fraction(r, c):
-    """Exact m(r, c) for r ≥ c: rising factorial over (c−1)! · 2^r."""
-    num = 1
-    for t in range(c - 1):
-        num *= (r - c + 1) + t
-    return Fraction(num, math.factorial(c - 1) * (1 << r))
+    deficit = sum((budget - h) * math.comb(r_max, h) for h in range(budget))
+    return ((budget << r_max) - deficit) / (1 << r_max)

@@ -20,7 +20,8 @@ from edgesign.errors import DataError
 from edgesign.genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior, make_synthetic,
                                prior_from_json_dict)
 from edgesign.features import psi_g
-from edgesign.graph import EdgeSplit, SignedDigraph, read_json, sample_split, write_edge_list
+from edgesign.graph import (BLOCK, EdgeSplit, SignedDigraph, read_json, sample_split,
+                            write_edge_list)
 from edgesign.metrics import confusion, mcc
 from edgesign.online import adversary_generate, run_online
 
@@ -568,6 +569,44 @@ class TestPredictionFiles:
         buffer = io.StringIO(newline="")
         pred.to_csv(buffer, node_ids=node_ids)
         assert buffer.getvalue().encode("utf-8") == expected
+
+    def test_writer_matches_the_per_row_reference_beyond_one_block(self, tmp_path):
+        """More rows than two blocks: lprop scores (nearly all distinct), ids of 1 to
+        40 characters, some needing quotes, and an isolated "\\ud800" no row names."""
+        g, _ = make_synthetic(2500, UniformPrior(), 10, seed=24)
+        split = sample_split(g, 0.15, 24)
+        pred = METHODS["lprop"].fit(g, split).predict_split(g, split)
+        assert pred.scores.size > 2 * BLOCK
+        assert np.unique(pred.scores).size > pred.scores.size // 2
+        rng = np.random.default_rng(24)
+        chars = list('abz09-é,"\r\n ')
+        node_ids = ["".join(rng.choice(chars, size)) for size in rng.integers(1, 41, g.node_count)]
+        node_ids.append("\ud800")
+        assert sum(any(c in t for c in ',"\r\n') for t in node_ids) > 100
+        expected = prediction_csv_reference(pred, node_ids)
+        path, buffer = tmp_path / "p.csv", io.StringIO(newline="")
+        pred.to_csv(path, node_ids=node_ids)
+        assert path.read_bytes() == expected.encode("utf-8")
+        pred.to_csv(buffer, node_ids=node_ids)
+        assert buffer.getvalue() == expected
+        # a row naming "\ud800": a path refuses it before the file is opened, text takes it
+        pred.dst[-1] = g.node_count
+        named, buffer = tmp_path / "named.csv", io.StringIO(newline="")
+        with pytest.raises(UnicodeEncodeError):
+            pred.to_csv(named, node_ids=node_ids)
+        assert not named.exists()
+        pred.to_csv(buffer, node_ids=node_ids)
+        assert buffer.getvalue() == prediction_csv_reference(pred, node_ids)
+
+    def test_predict_refuses_to_write_a_lone_surrogate_id(self, graph_path, tmp_path):
+        common = ["--fraction", "0.3", "--seed", "1"]
+        d = json.loads(graph_path.read_text())
+        lone = tmp_path / "lone.json"
+        lone.write_text(json.dumps({**d, "node_ids": ["\ud800", *d["node_ids"][1:]]}))
+        model, pred = tmp_path / "m.json", tmp_path / "p.csv"
+        assert run_cli("train", lone, "--method", "blc", *common, "-o", model) == 0
+        assert run_cli("predict", lone, model, *common, "-o", pred) == cli.EXIT_ARGUMENT
+        assert not pred.exists()
 
     def test_malformed_prediction_files_are_data_errors(self, graph_path, tmp_path, capsys):
         common = ["--fraction", "0.3", "--seed", "1"]

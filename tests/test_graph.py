@@ -149,6 +149,21 @@ class TestLoadEdgeList:
         assert g.edge_count == 1
         assert g.node_ids == ["x", "y"]
 
+    def test_binary_file_source(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_bytes("x\té\t-1\n".encode("utf-8"))
+        with open(path, "rb") as f:
+            g = load_edge_list(f)
+        assert g.edge_count == 1
+        assert g.node_ids == ["x", "é"]
+
+    def test_binary_file_that_is_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(b"a\tb\t1\nb\t\xff\t-1\n")
+        with open(path, "rb") as f, pytest.raises(EdgeListParseError, match="not UTF-8") as err:
+            load_edge_list(f)
+        assert err.value.line_number == 2
+
     def test_roundtrip_identical(self, tmp_path, hand_graph):
         path = tmp_path / "g.tsv"
         write_edge_list(hand_graph, path)
@@ -160,6 +175,14 @@ class TestLoadEdgeList:
         path = tmp_path / "g.tsv"
         write_edge_list(g, path)
         assert load_edge_list(path, delimiter="\t") == g
+
+    def test_lines_beyond_one_block_match_the_per_row_text(self, tmp_path):
+        g = random_graph(300, 3 * graph.BLOCK, seed=24)
+        path = tmp_path / "g.tsv"
+        write_edge_list(g, path)
+        ids = g.node_ids
+        assert path.read_text(encoding="utf-8") == "".join(
+            f"{ids[u]}\t{ids[v]}\t{y}\n" for u, v, y in zip(g.src, g.dst, g.labels.tolist()))
 
     @pytest.mark.parametrize("bad", ["", "#a", "a\tb", "a\nb", "a\rb", "a\x0bb", "a\x85b",
                                      "a\u2028b", " a", "a ", "a\u00a0", "\u3000a"])

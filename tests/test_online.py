@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -416,6 +418,25 @@ def test_base_instance_matches_hand_simulated_two_expert_rwm():
 def test_adversary_closed_form_matches_recurrence(budget, r_max):
     table = mrc_recurrence_table(r_max, budget)
     assert adversary_expected_mistakes(budget, r_max) == float(sum(table.values()))
+
+
+def test_closed_form_is_bit_equal_to_the_uncut_double_sum():
+    """E[min(H, budget)] against every m(r, c) term summed in exact rationals: budgets
+    1–20 at every r_max up to 400, and the adversary tests' 1,954 rounds, summed as
+    integers over 2^1954."""
+    table = mrc_recurrence_table(400, 20)
+    inner = [Fraction(0)] * 21  # inner[c]: m(r, c) summed over r ≤ r_max
+    for r_max in range(1, 401):
+        for c in range(1, min(r_max, 20) + 1):
+            inner[c] += table[(r_max, c)]
+        uncut = Fraction(0)
+        for budget in range(1, 21):
+            uncut += inner[budget]
+            assert adversary_expected_mistakes(budget, r_max) == float(uncut), (budget, r_max)
+    for budget in (5, 20):
+        uncut = sum(math.comb(r - 1, c - 1) << (1954 - r)
+                    for c in range(1, budget + 1) for r in range(c, 1955))
+        assert adversary_expected_mistakes(budget, 1954) == float(Fraction(uncut, 1 << 1954))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
