@@ -30,8 +30,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError, DegenerateFitError
 from .features import box_fit_edges, label_targets, troll_trust
-from .graph import (BLOCK, NUMBER, check_container, number_lists, read_json, write_json,
-                    write_rows)
+from .graph import NUMBER, check_container, number_lists, read_json, write_json, write_rows
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +156,10 @@ def _predict(model, g, split):
                       threshold=float(model.threshold), method=model.method)
 
 
+#: Edges per block of :func:`_edge_scores`; its temporaries grow with this, not |E|.
+_SCORE_BLOCK = 1 << 13
+
+
 def _edge_scores(score, src, dst, edges=None):
     """``score(src[edges], dst[edges])`` (of all of src and dst without ``edges``),
     scored one block of edges at a time.
@@ -165,9 +168,10 @@ def _edge_scores(score, src, dst, edges=None):
     temporaries are made per block.
     """
     scores = np.empty(src.size if edges is None else edges.size)
-    for start in range(0, scores.size, BLOCK):
-        block = slice(start, start + BLOCK) if edges is None else edges[start:start + BLOCK]
-        scores[start:start + BLOCK] = score(src[block], dst[block])
+    for start in range(0, scores.size, _SCORE_BLOCK):
+        block = (slice(start, start + _SCORE_BLOCK) if edges is None
+                 else edges[start:start + _SCORE_BLOCK])
+        scores[start:start + _SCORE_BLOCK] = score(src[block], dst[block])
     return scores
 
 

@@ -77,9 +77,10 @@ def write_json(payload, path):
     write_text(path, json.dumps(payload, separators=(",", ":")).encode("ascii"))
 
 
-#: Rows per block of the block-wise kernels (edge scores, text rows): their
-#: temporaries grow with this, not with |E|.
-BLOCK = 1 << 13
+#: Rows per block of :func:`write_rows`. A block's byte positions take 8 bytes
+#: per output byte, about 0.5 MB for prediction-file rows of 32 bytes: near a
+#: core's L2 cache, where larger blocks measured slower.
+_ROW_BLOCK = 1 << 11
 
 
 def write_rows(path_or_file, columns, sep, head=b""):
@@ -99,8 +100,8 @@ def write_rows(path_or_file, columns, sep, head=b""):
     starts = np.cumsum(sizes) - sizes
     bases = np.cumsum([0] + [len(f) for f, _ in columns[:-1]])
     chunks = [head]
-    for first in range(0, len(columns[0][1]), BLOCK):
-        pieces = np.stack([index[first:first + BLOCK] for _, index in columns], axis=1) + bases
+    for first in range(0, len(columns[0][1]), _ROW_BLOCK):
+        pieces = np.stack([index[first:first + _ROW_BLOCK] for _, index in columns], axis=1) + bases
         size = sizes[pieces.ravel()]
         # each output byte's table position: its piece's start, shifted by its offset in the piece
         at = np.repeat(starts[pieces.ravel()] - np.cumsum(size) + size, size)

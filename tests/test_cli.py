@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from edgesign import cli
+from edgesign import batch, cli, graph
 from edgesign.batch import (METHODS, Prediction, UnregModel, UnregOptions, blc_fit,
                             blc_predict_split, load_model, save_model, unreg_predict,
                             unreg_solve)
@@ -20,8 +20,7 @@ from edgesign.errors import DataError
 from edgesign.genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior, make_synthetic,
                                prior_from_json_dict)
 from edgesign.features import psi_g
-from edgesign.graph import (BLOCK, EdgeSplit, SignedDigraph, read_json, sample_split,
-                            write_edge_list)
+from edgesign.graph import EdgeSplit, SignedDigraph, read_json, sample_split, write_edge_list
 from edgesign.metrics import confusion, mcc
 from edgesign.online import adversary_generate, run_online
 
@@ -576,7 +575,7 @@ class TestPredictionFiles:
         g, _ = make_synthetic(2500, UniformPrior(), 10, seed=24)
         split = sample_split(g, 0.15, 24)
         pred = METHODS["lprop"].fit(g, split).predict_split(g, split)
-        assert pred.scores.size > 2 * BLOCK
+        assert pred.scores.size > 2 * max(batch._SCORE_BLOCK, graph._ROW_BLOCK)
         assert np.unique(pred.scores).size > pred.scores.size // 2
         rng = np.random.default_rng(24)
         chars = list('abz09-é,"\r\n ')

@@ -200,7 +200,7 @@ class TestPredictPath:
         for model in models_on(g.node_count, rng):
             model.threshold = 0.25
             whole = model.predict_split(g, split)
-            with mock.patch.object(batch, "BLOCK", 7):
+            with mock.patch.object(batch, "_SCORE_BLOCK", 7):
                 blocks = model.predict_split(g, split)
             test = split.test_indices()
             reference = reference_scores(model, g.src[test], g.dst[test])
@@ -217,7 +217,7 @@ class TestPredictPath:
         method = LpModel if solver is lp_run else UnregModel
         whole = solver(g, split)
         model = method.fit(g, split)
-        with mock.patch.object(batch, "BLOCK", 7):
+        with mock.patch.object(batch, "_SCORE_BLOCK", 7):
             blocks = solver(g, split)
             assert method.fit(g, split).threshold == model.threshold
         test = split.test_indices()

@@ -177,7 +177,7 @@ class TestLoadEdgeList:
         assert load_edge_list(path, delimiter="\t") == g
 
     def test_lines_beyond_one_block_match_the_per_row_text(self, tmp_path):
-        g = random_graph(300, 3 * graph.BLOCK, seed=24)
+        g = random_graph(300, 3 * graph._ROW_BLOCK, seed=24)
         path = tmp_path / "g.tsv"
         write_edge_list(g, path)
         ids = g.node_ids
