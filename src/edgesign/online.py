@@ -477,10 +477,11 @@ def adversary_expected_mistakes(budget, r_max):
     The sum of m(r, c) = rising(r−c+1, c−1) / ((c−1)!·2^r) = C(r−1, c−1)/2^r
     over c = 1..budget and r = c..r_max. m(r, c) is the chance that the c-th
     head of fair coin flips comes at flip r, so the inner sum over r is the
-    chance of at least c heads in r_max flips, and the total is E[min(H,
-    budget)], H ~ Binomial(r_max, 1/2): budget − Σ_{h<budget} (budget − h)·
-    C(r_max, h)/2^r_max. That is budget terms, summed in exact integers, and
-    one correctly rounded division. The total tends to the budget as r_max grows.
+    chance of at least c heads in r_max flips, and with H ~ Binomial(r_max,
+    1/2) the total is E[min(H, budget)] =
+    budget − Σ_{h<budget} (budget − h)·C(r_max, h)/2^r_max: budget terms,
+    summed in exact integers, and one correctly rounded division. The total
+    tends to the budget as r_max grows.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
