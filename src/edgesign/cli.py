@@ -25,7 +25,7 @@ from .features import regularity_report
 from .genmodel import PRIORS, make_synthetic, prior_from_json_dict
 from .graph import (COUNT, SIGN_TOKENS, EdgeSplit, check_keys, check_known_keys, check_values,
                     find_spans, is_number, json_number, load_edge_list, load_graph, read_json,
-                    sample_split, span_signs, utf8_error, write_json)
+                    sample_split, utf8_error, write_json)
 from .metrics import accuracy, confusion, mcc
 
 EXIT_ARGUMENT = 2
@@ -96,7 +96,15 @@ def cmd_predict(args):
     split = _get_split(g, args)
     model = batch.load_model(args.model)
     pred = model.predict_split(g, split)
-    pred.to_csv(args.output, node_ids=g.node_ids)
+    try:
+        pred.to_csv(args.output, node_ids=g.node_ids)
+    except UnicodeEncodeError:
+        # UTF-8 encodes every character but a lone surrogate, which a JSON graph may hold
+        lone = [any("\ud800" <= c <= "\udfff" for c in name) for name in g.node_ids]
+        ends = np.stack((pred.src, pred.dst), axis=1).ravel()
+        name = g.node_ids[ends[np.asarray(lone)[ends]][0]]
+        raise DataError(f"{args.output}: node id {name!r} holds a lone surrogate, "
+                        f"which UTF-8 cannot write") from None
     print(f"predictions\t{args.output}")
     return 0
 
@@ -133,51 +141,69 @@ def _read_predictions_csv(path, node_ids):
     return u, v, labels
 
 
+#: The separators of a well-formed file: the header's, then each row's.
+_ROW_SEPARATORS = int.from_bytes(b",,,\n", "little")
+
+
 def _read_predictions(path, node_ids):
     """(u, v, labels) of a ``src,dst,score,label`` file: each row's src and dst
     as indices into ``node_ids`` (-1 for an id it lacks), and its ±1 label.
 
-    The file is read as bytes: ``\\n`` and ``,`` positions give the rows and
-    fields, labels are read from their bytes (:func:`graph.span_signs`) and ids
-    are found with one ``searchsorted`` over the packed ``node_ids``
-    (:func:`graph.find_spans`); no field becomes a ``str``. A file holding a
-    ``"``, a ``\\r`` or a NUL byte, one that is not UTF-8, and one with a line
-    longer than ``csv.field_size_limit()`` bytes are read by the ``csv`` module
-    instead, with the same results and errors.
+    The file is read as bytes. One scan finds every ``\\n`` and ``,``; when
+    they repeat as ``,,,\\n`` from the header on, they are the rows and fields.
+    Otherwise each line's field count is counted to word the error. The ids
+    and labels are keyed together, from one word buffer: ids are found with
+    one ``searchsorted`` over the packed ``node_ids`` and labels read from
+    their keys (:func:`graph.find_spans`); no field becomes a ``str``. A file
+    holding a ``"``, a ``\\r`` or a NUL byte, one that is not UTF-8, and one
+    with a line longer than ``csv.field_size_limit()`` bytes are read by the
+    ``csv`` module instead, with the same results and errors.
     """
     with open(path, "rb") as f:
         data = f.read()
     # the csv module reads a file faster than the same text from an io.StringIO
     if any(c in data for c in (b'"', b"\r", b"\0")) or utf8_error(data):
         return _read_predictions_csv(path, node_ids)
+    if not data.endswith(b"\n"):  # the last line's break is optional
+        data += b"\n"
     b = np.frombuffer(data, dtype=np.uint8)
-    breaks = np.flatnonzero(b == ord("\n"))
-    starts, ends = np.append(0, breaks + 1), np.append(breaks, b.size)
-    if not data or data.endswith(b"\n"):  # no row after the last line break
-        starts, ends = starts[:-1], ends[:-1]
+    cuts = np.flatnonzero((b == ord("\n")) | (b == ord(",")))
+    seps = b[cuts]
+    header = ",".join(PREDICTION_HEADER).encode() + b"\n"
+    if not (data.startswith(header) and seps.size % 4 == 0
+            and (seps.view("<u4") == _ROW_SEPARATORS).all()):
+        _refuse_lines(data, cuts[seps == ord("\n")], cuts[seps == ord(",")])
+        return _read_predictions_csv(path, node_ids)
+    cuts = cuts.reshape(-1, 4)
+    starts, cuts = cuts[:-1, 3] + 1, cuts[1:]
+    ends = cuts[:, 3]
     if (ends - starts).max(initial=0) > csv.field_size_limit():
         return _read_predictions_csv(path, node_ids)
-    if not starts.size or data[:ends[0]] != ",".join(PREDICTION_HEADER).encode():
-        raise DataError("prediction file lacks the src,dst,score,label header")
-    starts, ends = starts[1:], ends[1:]
-    cuts = np.flatnonzero(b == ord(","))
-    # commas before a row's end, less those before the previous row's (the header has three)
-    fields = np.diff(np.searchsorted(cuts, ends), prepend=3) + 1
-    fields[starts == ends] = 0  # the csv module reads an empty line as no field
-    cuts = cuts[3:]
-    bad = np.flatnonzero(fields != 4)
-    if bad.size:
-        raise DataError(f"prediction file line {bad[0] + 2}: "
-                        f"expected 4 fields, got {fields[bad[0]]}")
-    cuts = cuts.reshape(-1, 3)
-    labels = span_signs(data, cuts[:, 2] + 1, ends)
+    found, labels = find_spans(data, np.concatenate((starts, cuts[:, 0] + 1)),
+                               np.concatenate((cuts[:, 0], cuts[:, 1])), node_ids,
+                               signs=(cuts[:, 2] + 1, ends))
     bad = np.flatnonzero(labels == 0)
     if bad.size:
         token = data[cuts[bad[0], 2] + 1:ends[bad[0]]].decode("utf-8")
         raise DataError(f"prediction file row {bad[0] + 1}: bad label {token!r}")
-    found = find_spans(data, np.concatenate((starts, cuts[:, 0] + 1)),
-                       np.concatenate((cuts[:, 0], cuts[:, 1])), node_ids)
     return found[:starts.size], found[starts.size:], labels
+
+
+def _refuse_lines(data, breaks, commas):
+    """Raise the DataError of a prediction file (ending in ``\\n``) whose separators
+    are not the header's and each row's ``,,,\\n``. Return if a line is longer than
+    ``csv.field_size_limit()`` bytes, for the ``csv`` module to read the file."""
+    starts, ends = np.append(0, breaks[:-1] + 1), breaks
+    if (ends - starts).max(initial=0) > csv.field_size_limit():
+        return
+    if data[:ends[0]] != ",".join(PREDICTION_HEADER).encode():
+        raise DataError("prediction file lacks the src,dst,score,label header")
+    # commas before a row's end, less those before the previous row's (the header has three)
+    fields = np.diff(np.searchsorted(commas, ends[1:]), prepend=3) + 1
+    fields[starts[1:] == ends[1:]] = 0  # the csv module reads an empty line as no field
+    bad = np.flatnonzero(fields != 4)
+    raise DataError(f"prediction file line {bad[0] + 2}: "
+                    f"expected 4 fields, got {fields[bad[0]]}")
 
 
 def cmd_eval(args):
@@ -185,28 +211,26 @@ def cmd_eval(args):
     split = _get_split(g, args)
     test = split.test_indices()
     u, v, labels = _read_predictions(args.predictions, g.node_ids)
-    n = g.node_count
-    # rows naming a node the graph lacks get key -1 and cover no test edge
-    have = np.where((u >= 0) & (v >= 0), u * np.int64(n) + v, -1)
-    order = np.argsort(have, kind="stable")
-    have = have[order]
+    n = np.int64(g.node_count)
+    # rows naming a node the graph lacks get key -1 and match no test edge
+    have = np.where((u >= 0) & (v >= 0), u * n + v, -1)
+    rows = np.argsort(have)
+    have = have[rows]
     repeated = np.flatnonzero((have[1:] == have[:-1]) & (have[1:] >= 0))
     if repeated.size:
-        k = order[repeated[0] + 1]
-        pair = (g.node_ids[u[k]], g.node_ids[v[k]])
+        key = have[repeated[0]]
+        pair = (g.node_ids[key // n], g.node_ids[key % n])
         raise DataError(f"prediction file lists edge {pair!r} twice")
-    want = g.src[test] * np.int64(n) + g.dst[test]
-    # a sentinel above every key keeps each position inside the array
-    padded = np.append(have, np.iinfo(np.int64).max)
-    pos = np.searchsorted(padded, want)
-    missing = np.flatnonzero(padded[pos] != want)
-    if missing.size:
-        e = test[missing[0]]
-        pair = (g.node_ids[g.src[e]], g.node_ids[g.dst[e]])
-        raise DataError(f"prediction file does not cover test edge {pair!r}")
-    if have.size != test.size:
+    want = g.src[test] * n + g.dst[test]
+    edges = np.argsort(want)
+    if not np.array_equal(have, want[edges]):
+        missing = np.flatnonzero(~np.isin(want, have))
+        if missing.size:
+            e = test[missing[0]]
+            pair = (g.node_ids[g.src[e]], g.node_ids[g.dst[e]])
+            raise DataError(f"prediction file does not cover test edge {pair!r}")
         raise DataError("prediction file covers a different edge set than the split")
-    c = confusion(labels[order[pos]], g.labels[test])
+    c = confusion(labels[rows], g.labels[test[edges]])
     payload = {"tp": c.tp, "tn": c.tn, "fp": c.fp, "fn": c.fn,
                "mcc": mcc(c), "accuracy": json_number(accuracy(c))}
     if args.output:

@@ -198,17 +198,21 @@ def _pack(array, tag):
     return {"dtype": tag, "data": base64.b64encode(data).decode("ascii")}
 
 
+def _b64decode(what, name, text, kind):
+    """The bytes of the base64 ``text`` of container key ``name``, decoded strictly."""
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise DataError(f"{what}: {name} must be {kind}, got bad base64 ({exc})") from exc
+
+
 def _unpack(d, name, tag):
     """A read-only array of ``edge_count`` values from the packed entry ``d[name]``, checked."""
     what, entry, length = f"{GRAPH_FORMAT} container", d[name], d["edge_count"]
     if not (isinstance(entry, dict) and entry.get("dtype") == tag
             and isinstance(entry.get("data"), str)):
         raise DataError(f"{what}: {name} must be packed {tag} data, got {reprlib.repr(entry)}")
-    try:
-        raw = base64.b64decode(entry["data"], validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise DataError(f"{what}: {name} must be packed {tag} data, "
-                        f"got bad base64 ({exc})") from exc
+    raw = _b64decode(what, name, entry["data"], f"packed {tag} data")
     if len(raw) != length * np.dtype(tag).itemsize:
         raise DataError(f"{what}: {name} must be edge_count = {length} {tag} values, "
                         f"got {len(raw)} bytes")
@@ -452,42 +456,58 @@ def span_keys(data, starts, ends):
     return keys
 
 
-def span_signs(data, starts, ends):
-    """The :data:`SIGN_TOKENS` value of each byte span ``data[s:e]``, 0 for any other token."""
-    length = ends - starts
-    word = _span_word(_word_window(data), starts, length, 0)
-    signs = np.zeros(starts.size, dtype=np.int8)
-    for token, sign in SIGN_TOKENS.items():
-        packed = int.from_bytes(token.encode("ascii"), "little")
-        signs[(length == len(token)) & (word == packed)] = sign
+#: The :func:`span_keys` key of each :data:`SIGN_TOKENS` token, a span of under 8 bytes.
+_SIGN_KEYS = {int.from_bytes(token.encode("ascii"), "little") | len(token) << 56: sign
+              for token, sign in SIGN_TOKENS.items()}
+
+
+def _key_signs(keys):
+    """The :data:`SIGN_TOKENS` value of each :func:`span_keys` key, 0 for any other span."""
+    signs = np.zeros(keys.size, dtype=np.int8)
+    for key, sign in _SIGN_KEYS.items():
+        signs[keys == np.uint64(key)] = sign
     return signs
 
 
-def find_spans(data, starts, ends, names):
-    """Index in ``names`` (distinct strings) of each byte span of the UTF-8 text ``data``,
-    or -1 where no name equals the span's text.
+def span_signs(data, starts, ends):
+    """The :data:`SIGN_TOKENS` value of each byte span ``data[s:e]``, 0 for any other token."""
+    return _key_signs(span_keys(data, starts, ends))
+
+
+def find_spans(data, starts, ends, names, signs):
+    """``(index, values)`` of byte spans of the UTF-8 text ``data``: the index in
+    ``names`` (distinct strings) of each span, or -1 where no name equals the span's
+    text, and the :data:`SIGN_TOKENS` value of each span of ``signs``, a further
+    ``(starts, ends)`` pair (0 for any other token).
 
     The names are encoded with ``surrogatepass``, so one holding a lone surrogate
-    gets bytes no UTF-8 text holds and matches nothing. Names and spans are keyed
-    together (:func:`span_keys`), then one ``searchsorted`` over the sorted name
-    keys finds each span.
+    gets bytes no UTF-8 text holds and matches nothing. Names and both sets of
+    spans are keyed together (:func:`span_keys`), from one word buffer; one
+    ``searchsorted`` over the sorted name keys finds each span, and each sign
+    span's value is read from its key.
     """
-    if not names:
-        return np.full(starts.size, -1, dtype=np.int64)
+    sign_starts, sign_ends = signs
     encoded = [name.encode("utf-8", "surrogatepass") for name in names]
-    name_ends = len(data) + np.cumsum(np.fromiter(map(len, encoded), np.int64, len(encoded)))
-    name_starts = np.append(len(data), name_ends[:-1])
-    keys = span_keys(data + b"".join(encoded), np.concatenate((name_starts, starts)),
-                     np.concatenate((name_ends, ends)))
-    order = np.argsort(keys[:len(names)])
-    known, wanted = keys[order], keys[len(names):]
-    # searchsorted starts each search of a sorted query from where the last one ended:
-    # with the sort, 340k queries of 20k names take 0.020 s, not 0.046 s (2 vCPUs)
-    asked = np.argsort(wanted)
-    at = np.empty(wanted.size, dtype=np.int64)
-    at[asked] = np.searchsorted(known, wanted[asked])
-    at = at.clip(max=known.size - 1)
-    return np.where(known[at] == wanted, order[at], -1)
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    name_ends = len(data) + np.cumsum(lengths)
+    name_starts = name_ends - lengths
+    keys = span_keys(data + b"".join(encoded),
+                     np.concatenate((name_starts, starts, sign_starts)),
+                     np.concatenate((name_ends, ends, sign_ends)))
+    known, wanted, tokens = np.split(keys, [len(names), len(names) + starts.size])
+    if names:
+        order = np.argsort(known)
+        known = known[order]
+        # searchsorted starts each search of a sorted query from where the last one ended:
+        # with the sort, 340k queries of 20k names take 0.020 s, not 0.046 s (2 vCPUs)
+        asked = np.argsort(wanted)
+        at = np.empty(wanted.size, dtype=np.int64)
+        at[asked] = np.searchsorted(known, wanted[asked])
+        at = at.clip(max=known.size - 1)
+        found = np.where(known[at] == wanted, order[at], -1)
+    else:
+        found = np.full(starts.size, -1, dtype=np.int64)
+    return found, _key_signs(tokens)
 
 
 def _runs(mask):
@@ -730,6 +750,17 @@ class EdgeSplit(JsonContainer):
     array is left as it was), and computes the training and test edge
     indices once, at construction: :meth:`training_indices` and
     :meth:`test_indices` return the same read-only arrays on every call.
+
+    Split container, version 2 (what :meth:`save` writes), is one JSON object::
+
+        {"format": "edgesign-split", "version": 2, "edge_count": m,
+         "fraction": f, "seed": s,
+         "training_mask": base64 of the mask's ⌈m/8⌉ packed bytes}
+
+    Edge e is bit ``7 - e % 8`` of byte ``e // 8`` (``np.packbits`` order:
+    the first edge is the most significant bit), 1 for a training edge; the
+    pad bits after edge m-1 are 0. Version 1 listed the training edges as
+    ``training_edges``, a JSON integer list; it is still read.
     """
 
     training_mask: np.ndarray
@@ -761,13 +792,14 @@ class EdgeSplit(JsonContainer):
                 and self.fraction == other.fraction and self.seed == other.seed)
 
     def to_json_dict(self):
+        packed = np.packbits(self.training_mask).tobytes()
         return {
             "format": SPLIT_FORMAT,
-            "version": 1,
+            "version": 2,
             "edge_count": int(self.training_mask.size),
             "fraction": self.fraction,
             "seed": self.seed,
-            "training_edges": self.training_indices().tolist(),
+            "training_mask": base64.b64encode(packed).decode("ascii"),
         }
 
     @classmethod
@@ -777,23 +809,40 @@ class EdgeSplit(JsonContainer):
 
     @classmethod
     def from_json_dict(cls, d, edge_count=None):
-        """Read a split container; training indices must be distinct and in range.
+        """Read a version-1 or version-2 split container.
 
         With ``edge_count``, a split of another edge count is a DataError,
-        raised before any array of the size the container claims is allocated.
+        raised before the mask is decoded or allocated. A version-2 mask must
+        be strict base64 of exactly ⌈m/8⌉ bytes with zero pad bits; version-1
+        training indices must be distinct and in range.
         """
-        check_container(d, SPLIT_FORMAT, keys=("training_edges",),
-                        values={"edge_count": COUNT, "seed": COUNT, "fraction": NUMBER})
+        what = f"{SPLIT_FORMAT} container"
+        version = check_container(d, SPLIT_FORMAT, (1, 2), values={
+            "edge_count": COUNT, "seed": COUNT, "fraction": NUMBER})
         m = d["edge_count"]
-        (train,) = number_lists(d, ("training_edges",), np.int64)
-        if train.size and (train.min() < 0 or train.max() >= m):
-            raise DataError(f"{SPLIT_FORMAT} container: training_edges index out of range [0, {m})")
-        if sorted_unique(train).size != train.size:
-            raise DataError(f"{SPLIT_FORMAT} container: training_edges lists an edge twice")
         if edge_count is not None and m != edge_count:
             raise DataError("split does not match the graph's edge count")
-        mask = np.zeros(m, dtype=bool)
-        mask[train] = True
+        if version == 1:
+            check_keys(d, what, ("training_edges",))
+            (train,) = number_lists(d, ("training_edges",), np.int64)
+            if train.size and (train.min() < 0 or train.max() >= m):
+                raise DataError(f"{what}: training_edges index out of range [0, {m})")
+            if sorted_unique(train).size != train.size:
+                raise DataError(f"{what}: training_edges lists an edge twice")
+            mask = np.zeros(m, dtype=bool)
+            mask[train] = True
+        else:
+            kind = "base64 of packed bits"
+            check_container(d, SPLIT_FORMAT, (2,), values={
+                "training_mask": (lambda v: isinstance(v, str), kind)})
+            raw = _b64decode(what, "training_mask", d["training_mask"], kind)
+            if len(raw) != -(-m // 8):
+                raise DataError(f"{what}: training_mask must be {kind} of edge_count = {m} "
+                                f"edges, {-(-m // 8)} bytes, got {len(raw)} bytes")
+            if m % 8 and raw[-1] & 0xFF >> m % 8:
+                raise DataError(f"{what}: training_mask must end in zero pad bits, "
+                                f"got last byte {raw[-1]:#010b} for {m} edges")
+            mask = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=m).view(bool)
         return cls(mask, float(d["fraction"]), d["seed"])
 
 

@@ -329,7 +329,11 @@ class TestGraphFiles:
                                      "node_count": g.node_count, "src": g.src.tolist(),
                                      "dst": g.dst.tolist(), "labels": g.labels.tolist(),
                                      "node_ids": g.node_ids}))
-        sample_split(g, 0.3, 1).save(split)
+        # a version-1 split lists its training edges as integers
+        split.write_text(json.dumps({"format": "edgesign-split", "version": 1,
+                                     "edge_count": g.edge_count, "fraction": 0.3, "seed": 1,
+                                     "training_edges": sample_split(g, 0.3, 1)
+                                     .training_indices().tolist()}))
         damaged = {"training_edges": split, "src": graph}[key]
         d = json.loads(damaged.read_text())
         d[key] = [True] + d[key][1:]
@@ -597,14 +601,17 @@ class TestPredictionFiles:
         pred.to_csv(buffer, node_ids=node_ids)
         assert buffer.getvalue() == prediction_csv_reference(pred, node_ids)
 
-    def test_predict_refuses_to_write_a_lone_surrogate_id(self, graph_path, tmp_path):
+    def test_predict_refuses_to_write_a_lone_surrogate_id(self, graph_path, tmp_path, capsys):
         common = ["--fraction", "0.3", "--seed", "1"]
         d = json.loads(graph_path.read_text())
         lone = tmp_path / "lone.json"
         lone.write_text(json.dumps({**d, "node_ids": ["\ud800", *d["node_ids"][1:]]}))
         model, pred = tmp_path / "m.json", tmp_path / "p.csv"
         assert run_cli("train", lone, "--method", "blc", *common, "-o", model) == 0
-        assert run_cli("predict", lone, model, *common, "-o", pred) == cli.EXIT_ARGUMENT
+        capsys.readouterr()
+        assert run_cli("predict", lone, model, *common, "-o", pred) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (f"error: {pred}: node id '\\ud800' holds a lone "
+                                           f"surrogate, which UTF-8 cannot write\n")
         assert not pred.exists()
 
     def test_malformed_prediction_files_are_data_errors(self, graph_path, tmp_path, capsys):
@@ -614,9 +621,14 @@ class TestPredictionFiles:
         assert run_cli("predict", graph_path, model, *common, "-o", pred) == 0
         header, *rows = pred.read_text().splitlines(keepends=True)
         assert run_cli("eval", graph_path, pred, *common) == 0
+        g = SignedDigraph.load(graph_path)
+        e = sample_split(g, 0.3, 1).training_indices()[0]
+        trained = (g.node_ids[g.src[e]], g.node_ids[g.dst[e]])
         cases = {"does not cover test edge": [header, *rows[1:]],
                  "twice": [header, *rows, rows[0]],
+                 f"lists edge {trained!r} twice": [header, *rows, *[",".join(trained) + ",0.5,1\n"] * 2],
                  "different edge set": [header, *rows, "nobody,0,0.5,1\n"],
+                 "covers a different edge set": [header, *rows, *["nobody,0,0.5,1\n"] * 2],
                  "bad label": [header, rows[0].rsplit(",", 1)[0] + ",2\n", *rows[1:]],
                  "expected 4 fields": [header, "0,1,1\n", *rows],
                  "line 3: expected 4 fields, got 0": [header, rows[0], "\n", *rows[1:]],
@@ -659,8 +671,13 @@ class TestPredictionFiles:
         lone = tmp_path / "lone.json"
         lone.write_text(json.dumps({**d, "node_count": d["node_count"] + 1,
                                     "node_ids": [*d["node_ids"], "\ud800"]}))
+        header, *rows = text.splitlines(keepends=True)
+        shuffled = [rows[k] for k in np.random.default_rng(5).permutation(len(rows))]
         cases = {"no final line break": (graph_path, text.rstrip("\n")),
                  "CRLF line ends": (graph_path, text.replace("\n", "\r\n")),
+                 # rows are matched to test edges by edge, not by position
+                 "rows reversed": (graph_path, "".join([header, *rows[::-1]])),
+                 "rows shuffled": (graph_path, "".join([header, *shuffled])),
                  "ids over 8 bytes": (widths, wide.read_text(encoding="utf-8")),
                  "a lone surrogate in the graph": (lone, text)}
         for name, (graph, case) in cases.items():

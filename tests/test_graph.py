@@ -323,13 +323,17 @@ class TestByteSpans:
     def test_find_spans_matches_a_dict_lookup(self):
         names = ["a", "", "a\x00", "é", "\ud800", "node-id-0123", "node-id-0124", "x" * 300, "b"]
         asked = ["a", "a\x00", "", "node-id-0124", "node-id-012", "x" * 300, "x" * 299, "é",
-                 "\udc80 ", "c", "b", "a"]
+                 "\udc80 ", "c", "b", "a", "1", "-1", "+1"]
         # "\udc80 " stands for bytes no name encodes to
         pieces = [t.encode("utf-8", "surrogateescape") for t in asked]
         index = dict(zip(names, range(len(names))))
-        found = graph.find_spans(*self.spans(pieces), names)
+        data, starts, ends = self.spans(pieces)
+        # every span asked for both as a name and as a sign token
+        found, signs = graph.find_spans(data, starts, ends, names, (starts, ends))
         assert found.tolist() == [index.get(t, -1) for t in asked]
-        assert graph.find_spans(*self.spans(pieces), []).tolist() == [-1] * len(asked)
+        assert signs.tolist() == [graph.SIGN_TOKENS.get(t, 0) for t in asked]
+        found, signs = graph.find_spans(data, starts, ends, [], (starts[:0], ends[:0]))
+        assert found.tolist() == [-1] * len(asked) and signs.size == 0
 
 
 def _v2_payload(g):
@@ -544,7 +548,7 @@ class TestSampleSplit:
                        {"training_edges": [4, 0, 4]}, {"edge_count": -1},
                        {"edge_count": 2.5}, {"training_edges": [0.5]},
                        {"training_edges": "0,4"}, {"training_edges": [True, 5]},
-                       {"version": 2}, {"seed": "x"},
+                       {"version": 3}, {"seed": "x"},
                        {"seed": 1.7}, {"seed": True}, {"fraction": None}, {"fraction": "0.3"}):
             (key,) = change
             with pytest.raises(DataError, match=rf"\b{key}\b"):
@@ -559,4 +563,33 @@ class TestSampleSplit:
         split = sample_split(g, 0.25, seed=5)
         path = tmp_path / "split.json"
         split.save(path)
+        assert json.loads(path.read_text())["version"] == 2
         assert EdgeSplit.load(path) == split
+        v1 = {"format": "edgesign-split", "version": 1, "edge_count": g.edge_count,
+              "fraction": 0.25, "seed": 5, "training_edges": split.training_indices().tolist()}
+        assert EdgeSplit.from_json_dict(v1) == split
+        # edge e is bit 7 - e % 8 of byte e // 8; the pad bits are 0
+        mask = EdgeSplit(np.arange(10) % 9 == 0, 0.2, 1).to_json_dict()["training_mask"]
+        assert base64.b64decode(mask) == bytes([0b10000000, 0b01000000])
+
+    def test_damaged_version_2_split_is_a_data_error_naming_its_key(self):
+        g = random_graph(20, 61, seed=4)  # 61 edges: 8 bytes, the last with 3 pad bits
+        split = sample_split(g, 0.25, seed=5)
+        d = split.to_json_dict()
+        raw = base64.b64decode(d["training_mask"])
+
+        def packed(data):
+            return base64.b64encode(data).decode("ascii")
+
+        cases = {"bad base64": {"training_mask": "!" + d["training_mask"][1:]},
+                 "one byte short": {"training_mask": packed(raw[:-1])},
+                 "a pad bit set": {"training_mask": packed(raw[:-1] + bytes([raw[-1] | 1]))},
+                 "unpacked": {"training_mask": split.training_mask.tolist()},
+                 "edge_count past the mask": {"edge_count": g.edge_count + 8}}
+        for name, change in cases.items():
+            with pytest.raises(DataError, match=r"\btraining_mask\b"):
+                EdgeSplit.from_json_dict({**d, **change})
+                pytest.fail(name)
+        # a split of another edge count is refused before its mask is decoded
+        with pytest.raises(DataError, match="split does not match the graph's edge count"):
+            EdgeSplit.from_json_dict({**d, "training_mask": "!!!!"}, g.edge_count + 1)
