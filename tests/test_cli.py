@@ -624,9 +624,10 @@ class TestPredictionFiles:
         g = SignedDigraph.load(graph_path)
         e = sample_split(g, 0.3, 1).training_indices()[0]
         trained = (g.node_ids[g.src[e]], g.node_ids[g.dst[e]])
+        trained_row = ",".join(trained) + ",0.5,1\n"
         cases = {"does not cover test edge": [header, *rows[1:]],
                  "twice": [header, *rows, rows[0]],
-                 f"lists edge {trained!r} twice": [header, *rows, *[",".join(trained) + ",0.5,1\n"] * 2],
+                 f"lists edge {trained!r} twice": [header, *rows, trained_row, trained_row],
                  "different edge set": [header, *rows, "nobody,0,0.5,1\n"],
                  "covers a different edge set": [header, *rows, *["nobody,0,0.5,1\n"] * 2],
                  "bad label": [header, rows[0].rsplit(",", 1)[0] + ",2\n", *rows[1:]],
