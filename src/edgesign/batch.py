@@ -84,16 +84,16 @@ class Prediction:
         """Write `src,dst,score,label` rows, assembled as bytes (:func:`graph.write_rows`).
 
         Endpoints are ``node_ids`` entries when given, else compact ids. Each id
-        is encoded once, a lone surrogate with ``surrogatepass`` (a path refuses
-        it only when a row names it). When the ids' bytes hold a comma, a double
-        quote or a line break, each id holding one is quoted as in RFC 4180, so
-        the ``csv`` module reads it back intact. A score is its shortest
-        round-trip ``repr``, made once per distinct float64 bit pattern (which
-        keeps ``-0.0`` apart from ``0.0``), so it reads back as the same float64.
+        is encoded once, before anything is written. When the ids' bytes hold a
+        comma, a double quote or a line break, each id holding one is quoted as
+        in RFC 4180, so the ``csv`` module reads it back intact. A score is its
+        shortest round-trip ``repr``, made once per distinct float64 bit pattern
+        (which keeps ``-0.0`` apart from ``0.0``), so it reads back as the same
+        float64.
         """
         if node_ids is None:
             node_ids = range(max(self.src.max(initial=-1), self.dst.max(initial=-1)) + 1)
-        names = [str(t).encode("utf-8", "surrogatepass") for t in node_ids]
+        names = [str(t).encode() for t in node_ids]
         ids = b"".join(names)
         if any(c in ids for c in (b",", b'"', b"\r", b"\n")):
             names = [b'"' + t.replace(b'"', b'""') + b'"' if t.translate(None, b',"\r\n') != t

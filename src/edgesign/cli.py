@@ -96,15 +96,7 @@ def cmd_predict(args):
     split = _get_split(g, args)
     model = batch.load_model(args.model)
     pred = model.predict_split(g, split)
-    try:
-        pred.to_csv(args.output, node_ids=g.node_ids)
-    except UnicodeEncodeError:
-        # UTF-8 encodes every character but a lone surrogate, which a JSON graph may hold
-        lone = [any("\ud800" <= c <= "\udfff" for c in name) for name in g.node_ids]
-        ends = np.stack((pred.src, pred.dst), axis=1).ravel()
-        name = g.node_ids[ends[np.asarray(lone)[ends]][0]]
-        raise DataError(f"{args.output}: node id {name!r} holds a lone surrogate, "
-                        f"which UTF-8 cannot write") from None
+    pred.to_csv(args.output, node_ids=g.node_ids)
     print(f"predictions\t{args.output}")
     return 0
 
@@ -118,6 +110,7 @@ def _read_predictions_csv(path, node_ids):
     add_src, add_dst, add_token = src.append, dst.append, tokens.append
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
+        limit = csv.field_size_limit(sys.maxsize)  # a field of any length, for this call only
         try:
             if next(reader, None) != PREDICTION_HEADER:
                 raise DataError("prediction file lacks the src,dst,score,label header")
@@ -132,6 +125,8 @@ def _read_predictions_csv(path, node_ids):
                 add_token(token)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise DataError(f"prediction file is not CSV text ({exc})") from exc
+        finally:
+            csv.field_size_limit(limit)
     labels = np.fromiter(map(SIGN_TOKENS.get, tokens, repeat(0)), np.int8, len(tokens))
     bad = np.flatnonzero(labels == 0)
     if bad.size:
@@ -155,9 +150,8 @@ def _read_predictions(path, node_ids):
     and labels are keyed together, from one word buffer: ids are found with
     one ``searchsorted`` over the packed ``node_ids`` and labels read from
     their keys (:func:`graph.find_spans`); no field becomes a ``str``. A file
-    holding a ``"``, a ``\\r`` or a NUL byte, one that is not UTF-8, and one
-    with a line longer than ``csv.field_size_limit()`` bytes are read by the
-    ``csv`` module instead, with the same results and errors.
+    holding a ``"``, a ``\\r`` or a NUL byte, or one that is not UTF-8, is read
+    by the ``csv`` module instead, with the same results and errors.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -173,12 +167,9 @@ def _read_predictions(path, node_ids):
     if not (data.startswith(header) and seps.size % 4 == 0
             and (seps.view("<u4") == _ROW_SEPARATORS).all()):
         _refuse_lines(data, cuts[seps == ord("\n")], cuts[seps == ord(",")])
-        return _read_predictions_csv(path, node_ids)
     cuts = cuts.reshape(-1, 4)
     starts, cuts = cuts[:-1, 3] + 1, cuts[1:]
     ends = cuts[:, 3]
-    if (ends - starts).max(initial=0) > csv.field_size_limit():
-        return _read_predictions_csv(path, node_ids)
     found, labels = find_spans(data, np.concatenate((starts, cuts[:, 0] + 1)),
                                np.concatenate((cuts[:, 0], cuts[:, 1])), node_ids,
                                signs=(cuts[:, 2] + 1, ends))
@@ -191,11 +182,8 @@ def _read_predictions(path, node_ids):
 
 def _refuse_lines(data, breaks, commas):
     """Raise the DataError of a prediction file (ending in ``\\n``) whose separators
-    are not the header's and each row's ``,,,\\n``. Return if a line is longer than
-    ``csv.field_size_limit()`` bytes, for the ``csv`` module to read the file."""
+    are not the header's and each row's ``,,,\\n``."""
     starts, ends = np.append(0, breaks[:-1] + 1), breaks
-    if (ends - starts).max(initial=0) > csv.field_size_limit():
-        return
     if data[:ends[0]] != ",".join(PREDICTION_HEADER).encode():
         raise DataError("prediction file lacks the src,dst,score,label header")
     # commas before a row's end, less those before the previous row's (the header has three)

@@ -15,7 +15,7 @@ JSON object::
      "src":    {"dtype": "<i4", "data": base64 of m little-endian int32},
      "dst":    {"dtype": "<i4", "data": base64 of m little-endian int32},
      "labels": {"dtype": "<i1", "data": base64 of m int8, each +1 or -1},
-     "node_ids": [n distinct strings; index = compact id]}
+     "node_ids": [n distinct strings UTF-8 can encode; index = compact id]}
 
 so it holds at most 2³¹−1 nodes. The reader checks each array's dtype tag
 and that it holds exactly m values, then validates the graph: endpoints in
@@ -46,9 +46,22 @@ SIGN_TOKENS = {"1": 1, "+1": 1, "-1": -1}
 
 #: dtype tag of each packed array in a version-2 graph container.
 _PACKED = {"src": "<i4", "dst": "<i4", "labels": "<i1"}
-#: Check of a graph container's ``node_ids``.
-_NODE_IDS = (lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)
-             and len(set(v)) == len(v), "a list of distinct strings")
+
+
+def _node_ids_ok(ids):
+    """Whether a graph container's ``node_ids`` is a list of distinct strings. An id
+    UTF-8 cannot encode, one holding a lone surrogate as JSON allows, is a DataError."""
+    if not isinstance(ids, list):
+        return False
+    try:
+        "".join(ids).encode()
+    except TypeError:  # an id that is not a str
+        return False
+    except UnicodeEncodeError as exc:
+        bad = ids[np.searchsorted(np.cumsum([len(t) for t in ids]), exc.start, side="right")]
+        raise DataError(f"{GRAPH_FORMAT} container: node_ids must be strings UTF-8 can "
+                        f"encode, got {bad!r}") from None
+    return len(set(ids)) == len(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -57,13 +70,10 @@ _NODE_IDS = (lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v
 
 def write_text(path_or_file, data):
     """Write UTF-8 bytes to a path opened ``"wb"`` (every ``\\n`` as is), or decoded
-    with ``surrogatepass`` to a text file object. For a path, the bytes of a lone
-    surrogate (lead byte 0xED) raise :class:`UnicodeEncodeError` before it is opened."""
+    to a text file object."""
     if hasattr(path_or_file, "write"):
-        path_or_file.write(data.decode("utf-8", "surrogatepass"))
+        path_or_file.write(data.decode())
         return
-    if b"\xed" in data:
-        data.decode("utf-8", "surrogatepass").encode("utf-8")
     with open(path_or_file, "wb") as f:
         f.write(data)
 
@@ -352,8 +362,9 @@ class SignedDigraph(JsonContainer):
     @classmethod
     def from_json_dict(cls, d):
         """Read a version-1 or version-2 container and validate the graph."""
+        ids = (_node_ids_ok, "a list of distinct strings")
         version = check_container(d, GRAPH_FORMAT, (1, 2), ("src", "dst", "labels"),
-                                  values={"node_count": COUNT, "node_ids": _NODE_IDS})
+                                  values={"node_count": COUNT, "node_ids": ids})
         n, node_ids = d["node_count"], d["node_ids"]
         if version == 1:
             arrays = number_lists(d, tuple(_PACKED), np.int64)
@@ -480,14 +491,12 @@ def find_spans(data, starts, ends, names, signs):
     text, and the :data:`SIGN_TOKENS` value of each span of ``signs``, a further
     ``(starts, ends)`` pair (0 for any other token).
 
-    The names are encoded with ``surrogatepass``, so one holding a lone surrogate
-    gets bytes no UTF-8 text holds and matches nothing. Names and both sets of
-    spans are keyed together (:func:`span_keys`), from one word buffer; one
-    ``searchsorted`` over the sorted name keys finds each span, and each sign
-    span's value is read from its key.
+    Names and both sets of spans are keyed together (:func:`span_keys`), from
+    one word buffer; one ``searchsorted`` over the sorted name keys finds each
+    span, and each sign span's value is read from its key.
     """
     sign_starts, sign_ends = signs
-    encoded = [name.encode("utf-8", "surrogatepass") for name in names]
+    encoded = [name.encode() for name in names]
     lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
     name_ends = len(data) + np.cumsum(lengths)
     name_starts = name_ends - lengths
@@ -530,9 +539,7 @@ def _intern(keys):
 
 
 def _edge_list_input(source):
-    """An edge list's bytes: a path's or a binary file's, checked to be UTF-8, or a
-    str's or text file's, encoded with ``surrogatepass`` so a lone surrogate gets
-    bytes no UTF-8 file holds."""
+    """An edge list's bytes, checked to be UTF-8: a path's, a file's, or a str's."""
     if isinstance(source, str) and "\n" in source:
         data = source
     elif hasattr(source, "read"):
@@ -540,8 +547,8 @@ def _edge_list_input(source):
     else:
         with open(source, "rb") as f:
             data = f.read()
-    if isinstance(data, str):
-        return data.encode("utf-8", "surrogatepass")
+    if isinstance(data, str):  # a lone surrogate gets bytes that fail the check, as in a file
+        data = data.encode("utf-8", "surrogatepass")
     exc = utf8_error(data)
     if exc:
         line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
@@ -559,7 +566,7 @@ def utf8_error(data):
     return None
 
 
-def _edge_records_bytes(data, delimiter):
+def _edge_records_bytes(data, sep):
     """(u, v, signs, node_ids) of an edge list's records, read from its UTF-8 bytes.
 
     Tokens are the runs of bytes that are not whitespace: ASCII 9–13 and 28–32,
@@ -569,10 +576,10 @@ def _edge_records_bytes(data, delimiter):
     U+2029, ``\\r\\n`` counting once, as ``str.split`` and ``str.splitlines``
     define them. A record line's first token does not start with ``#``; its
     fields are its tokens, or the cuts of the span from its first token to its
-    last at each match of ``delimiter``'s UTF-8 bytes, which may be any number
-    of bytes. A match counts only when it ends inside that span, and of
-    overlapping matches (``::`` in ``a:::b``) the leftmost that do not overlap
-    count, as in ``str.split``.
+    last at each match of the bytes ``sep`` (None: whitespace fields), which may
+    be any number of bytes. A match counts only when it ends inside that span,
+    and of overlapping matches (``::`` in ``a:::b``) the leftmost that do not
+    overlap count, as in ``str.split``.
     """
     b = np.frombuffer(data, dtype=np.uint8)
     in_token = ((b - 9) > 4) & ((b - 28) > 4)
@@ -598,13 +605,12 @@ def _edge_records_bytes(data, delimiter):
     width = np.diff(head, append=starts.size)
     record = b[starts[head]] != ord("#")
     first = starts[head[record]]  # where each record line's text starts
-    if delimiter is None:
+    if sep is None:
         counts = width[record]
         fields = np.repeat(record, width)
         starts, ends = starts[fields], ends[fields]
     else:
         last = ends[(head + width - 1)[record]]
-        sep = delimiter.encode("utf-8", "surrogatepass")
         step = np.zeros(b.size + 1, dtype=np.int8)
         step[first], step[last] = 1, -1
         # no UTF-8 text holds byte 0xFE or 0xFF: 0xFE outside the record spans stops every
@@ -630,15 +636,14 @@ def _edge_records_bytes(data, delimiter):
     bad_sign = np.flatnonzero(signs == 0)
     if bad_sign.size:
         k = int(bad_sign[0])
-        token = data[starts[at[k]]:ends[at[k]]].decode("utf-8", "surrogatepass")
+        token = data[starts[at[k]]:ends[at[k]]].decode()
         raise EdgeListParseError(line_number(k), f"bad sign token {token!r}")
     if whole < counts.size:
         raise EdgeListParseError(line_number(whole), f"expected 3 fields, got {counts[whole]}")
 
     starts, ends = (a.reshape(-1, 3)[:, :2].ravel() for a in (starts, ends))
     ids, first = _intern(span_keys(data, starts, ends))
-    node_ids = [data[s:e].decode("utf-8", "surrogatepass")
-                for s, e in zip(starts[first].tolist(), ends[first].tolist())]
+    node_ids = [data[s:e].decode() for s, e in zip(starts[first].tolist(), ends[first].tolist())]
     return ids[0::2], ids[1::2], signs, node_ids
 
 
@@ -652,10 +657,10 @@ def load_edge_list(source, delimiter=None):
     the Unicode ones included: U+0085, U+2028 and U+2029 end a line, and
     they, U+00A0, U+1680, U+2000–U+200A, U+202F, U+205F and U+3000 separate
     fields (:data:`UNICODE_SPACES`). A ``delimiter`` of any length, such as
-    ``::`` or ``é``, cuts the fields as ``str.split`` does. A file that is not
-    UTF-8 (a path or a binary file) is an :class:`EdgeListParseError` naming
-    the line of the first undecodable byte; a str or text-file source may
-    hold lone surrogates.
+    ``::`` or ``é``, cuts the fields as ``str.split`` does; one UTF-8 cannot
+    encode is a ValueError. A source that is not UTF-8 text, a str or text
+    file holding a lone surrogate included, is an :class:`EdgeListParseError`
+    naming the line of the first character that does not decode.
 
     Cleaning rules: self-loops are dropped; duplicate (src, dst) records of
     the same sign are merged into one edge; (src, dst) pairs recorded with
@@ -685,7 +690,11 @@ def load_edge_list(source, delimiter=None):
     """
     if delimiter == "":
         raise ValueError("delimiter must not be empty")
-    u, v, signs, node_ids = _edge_records_bytes(_edge_list_input(source), delimiter)
+    try:
+        sep = None if delimiter is None else delimiter.encode()
+    except UnicodeEncodeError:  # argv bytes that are not UTF-8 arrive as lone surrogates
+        raise ValueError(f"delimiter must be UTF-8 text, got {delimiter!r}") from None
+    u, v, signs, node_ids = _edge_records_bytes(_edge_list_input(source), sep)
     n = len(node_ids)
 
     report = LoadReport()
@@ -737,7 +746,7 @@ def write_edge_list(g, path_or_file):
         if (name.splitlines() != [name] or name != name.strip()
                 or name.startswith("#") or "\t" in name):
             raise DataError(f"node id {name!r} cannot be written to a tab-separated edge list")
-    names = [name.encode("utf-8", "surrogatepass") for name in names]
+    names = [name.encode() for name in names]
     signs = ([b"-1", b"1"], (g.labels > 0).view(np.int8))
     write_rows(path_or_file, [(names, g.src), (names, g.dst), signs], b"\t")
 

@@ -260,6 +260,14 @@ class TestGraphFiles:
         assert capsys.readouterr().err == "error: delimiter must not be empty\n"
         assert not out.exists()
 
+    def test_a_delimiter_that_is_not_utf8_is_an_argument_error(self, tmp_path, capsys):
+        edges, out = tmp_path / "g.tsv", tmp_path / "g.json"
+        edges.write_text("a b 1\n")
+        # a command-line byte that is not UTF-8 arrives as a lone surrogate
+        assert run_cli("ingest", edges, out, "--delimiter", "\udcff") == cli.EXIT_ARGUMENT
+        assert capsys.readouterr().err == "error: delimiter must be UTF-8 text, got '\\udcff'\n"
+        assert not out.exists()
+
     def test_an_edge_list_that_is_not_utf8_is_a_data_error_naming_its_line(self, tmp_path, capsys):
         edges, out = tmp_path / "g.tsv", tmp_path / "g.json"
         edges.write_bytes(b"a b 1\r\nb c -1\n# \xe2\x80\xa8\n\xffc a 1\n")
@@ -574,8 +582,8 @@ class TestPredictionFiles:
         assert buffer.getvalue().encode("utf-8") == expected
 
     def test_writer_matches_the_per_row_reference_beyond_one_block(self, tmp_path):
-        """More rows than two blocks: lprop scores (nearly all distinct), ids of 1 to
-        40 characters, some needing quotes, and an isolated "\\ud800" no row names."""
+        """More rows than two blocks: lprop scores (nearly all distinct), and ids of 1 to
+        40 characters, some needing quotes."""
         g, _ = make_synthetic(2500, UniformPrior(), 10, seed=24)
         split = sample_split(g, 0.15, 24)
         pred = METHODS["lprop"].fit(g, split).predict_split(g, split)
@@ -584,7 +592,6 @@ class TestPredictionFiles:
         rng = np.random.default_rng(24)
         chars = list('abz09-é,"\r\n ')
         node_ids = ["".join(rng.choice(chars, size)) for size in rng.integers(1, 41, g.node_count)]
-        node_ids.append("\ud800")
         assert sum(any(c in t for c in ',"\r\n') for t in node_ids) > 100
         expected = prediction_csv_reference(pred, node_ids)
         path, buffer = tmp_path / "p.csv", io.StringIO(newline="")
@@ -592,27 +599,43 @@ class TestPredictionFiles:
         assert path.read_bytes() == expected.encode("utf-8")
         pred.to_csv(buffer, node_ids=node_ids)
         assert buffer.getvalue() == expected
-        # a row naming "\ud800": a path refuses it before the file is opened, text takes it
-        pred.dst[-1] = g.node_count
-        named, buffer = tmp_path / "named.csv", io.StringIO(newline="")
+        # an id UTF-8 cannot encode: a path write raises before the file is opened
+        named = tmp_path / "named.csv"
         with pytest.raises(UnicodeEncodeError):
-            pred.to_csv(named, node_ids=node_ids)
+            pred.to_csv(named, node_ids=[*node_ids, "\ud800"])
         assert not named.exists()
-        pred.to_csv(buffer, node_ids=node_ids)
-        assert buffer.getvalue() == prediction_csv_reference(pred, node_ids)
 
-    def test_predict_refuses_to_write_a_lone_surrogate_id(self, graph_path, tmp_path, capsys):
-        common = ["--fraction", "0.3", "--seed", "1"]
+    def test_a_lone_surrogate_id_is_refused_on_load(self, graph_path, tmp_path, capsys):
         d = json.loads(graph_path.read_text())
         lone = tmp_path / "lone.json"
         lone.write_text(json.dumps({**d, "node_ids": ["\ud800", *d["node_ids"][1:]]}))
-        model, pred = tmp_path / "m.json", tmp_path / "p.csv"
-        assert run_cli("train", lone, "--method", "blc", *common, "-o", model) == 0
-        capsys.readouterr()
-        assert run_cli("predict", lone, model, *common, "-o", pred) == cli.EXIT_DATA
-        assert capsys.readouterr().err == (f"error: {pred}: node id '\\ud800' holds a lone "
-                                           f"surrogate, which UTF-8 cannot write\n")
-        assert not pred.exists()
+        model = tmp_path / "m.json"
+        assert run_cli("train", lone, "--method", "blc", "--fraction", "0.3", "--seed", "1",
+                       "-o", model) == cli.EXIT_DATA
+        assert capsys.readouterr().err == ("error: edgesign-graph container: node_ids must be "
+                                           "strings UTF-8 can encode, got '\\ud800'\n")
+        assert not model.exists()
+
+    @pytest.mark.parametrize("name", ["x" * 200_000, "x," * 100_000], ids=["plain", "quoted"])
+    def test_ids_longer_than_the_csv_field_limit_round_trip(self, graph_path, tmp_path, name):
+        """An id over ``csv.field_size_limit()`` characters, written plain or quoted,
+        evaluates as a short one, and the limit is as it was after the read."""
+        common = ["--fraction", "0.3", "--seed", "1"]
+        d = json.loads(graph_path.read_text())
+        long = tmp_path / "long.json"
+        long.write_text(json.dumps({**d, "node_ids": [name, *d["node_ids"][1:]]}))
+        limit = csv.field_size_limit()
+        assert len(name) > limit
+        results = []
+        for g in (graph_path, long):
+            model, pred, out = tmp_path / "m.json", tmp_path / "p.csv", tmp_path / "e.json"
+            assert run_cli("train", g, "--method", "blc", *common, "-o", model) == 0
+            assert run_cli("predict", g, model, *common, "-o", pred) == 0
+            assert run_cli("eval", g, pred, *common, "-o", out) == 0
+            results.append(out.read_bytes())
+        assert name.encode() in pred.read_bytes()
+        assert results[0] == results[1]
+        assert csv.field_size_limit() == limit
 
     def test_malformed_prediction_files_are_data_errors(self, graph_path, tmp_path, capsys):
         common = ["--fraction", "0.3", "--seed", "1"]
@@ -645,8 +668,7 @@ class TestPredictionFiles:
         assert "not CSV text" in capsys.readouterr().err
 
     def test_every_line_form_and_id_width_gives_the_same_eval(self, graph_path, tmp_path):
-        """The byte reader and the csv module agree, on every id width and on a
-        graph whose ids UTF-8 cannot encode."""
+        """The byte reader and the csv module agree, on every id width."""
         common = ["--fraction", "0.3", "--seed", "1"]
         model = tmp_path / "m.json"
         assert run_cli("train", graph_path, "--method", "blc", *common, "-o", model) == 0
@@ -668,10 +690,6 @@ class TestPredictionFiles:
                                                         for k in range(d["node_count"])]}))
         wide = tmp_path / "wide.csv"
         assert run_cli("predict", widths, model, *common, "-o", wide) == 0
-        # an isolated node "\ud800" that no prediction names
-        lone = tmp_path / "lone.json"
-        lone.write_text(json.dumps({**d, "node_count": d["node_count"] + 1,
-                                    "node_ids": [*d["node_ids"], "\ud800"]}))
         header, *rows = text.splitlines(keepends=True)
         shuffled = [rows[k] for k in np.random.default_rng(5).permutation(len(rows))]
         cases = {"no final line break": (graph_path, text.rstrip("\n")),
@@ -679,8 +697,7 @@ class TestPredictionFiles:
                  # rows are matched to test edges by edge, not by position
                  "rows reversed": (graph_path, "".join([header, *rows[::-1]])),
                  "rows shuffled": (graph_path, "".join([header, *shuffled])),
-                 "ids over 8 bytes": (widths, wide.read_text(encoding="utf-8")),
-                 "a lone surrogate in the graph": (lone, text)}
+                 "ids over 8 bytes": (widths, wide.read_text(encoding="utf-8"))}
         for name, (graph, case) in cases.items():
             assert evaluate(graph, case, name.replace(" ", "-")) == expected, name
 

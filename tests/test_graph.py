@@ -20,7 +20,7 @@ from oracles import load_edge_list_reference
 # ":" makes runs of colons that "::" matches in overlapping places
 TOKENS = ["a", "b", "c", "d", "é", "1", "-1", "#h", "a\x00", "node-id-0123", "node-id-0124",
           "ü" * 5, ":", "x y"]
-#: Tokens with a lone surrogate, which a str holds and no UTF-8 file does.
+#: Tokens with a lone surrogate, which a str holds and UTF-8 cannot encode.
 SURROGATES = ["a\ud800", "\udc80"]
 SIGNS = ["1", "+1", "-1"]
 BAD_SIGNS = ["2", "+", "--1", "1.0"]
@@ -33,7 +33,7 @@ def edge_list_texts(draw):
     """Edge-list text with comments, blank lines, mixed separators and line
     ends, self-loops, duplicates and conflicts, plus its delimiter. About half
     the texts also hold malformed records, about a quarter hold U+00A0 or
-    U+2028, and about a quarter hold lone surrogates."""
+    U+2028, and about a quarter hold lone surrogates, which make the text not UTF-8."""
     delimiter = draw(st.sampled_from([None, None, ",", "\t", "::"]))
     malformed = draw(st.booleans())
     unicode = draw(st.sampled_from([False, False, False, True]))
@@ -85,19 +85,21 @@ def graph_over(ids):
 
 
 def assert_reads_as_reference(text, delimiter, directory):
-    """``load_edge_list`` reads ``text`` as a StringIO, and as a UTF-8 file in ``directory``
-    unless it holds a lone surrogate, as :func:`load_edge_list_reference` reads it: the
-    same graph and counts, or the same error at the same line."""
+    """``load_edge_list`` reads ``text`` as a StringIO, and as a UTF-8 file in ``directory``,
+    as :func:`load_edge_list_reference` reads it: the same graph and counts, or the same
+    error at the same line. A text holding a lone surrogate, which UTF-8 cannot encode, is
+    refused as a file that is not UTF-8 is, at the line of its first one."""
     sources = [io.StringIO(text)]
-    try:
-        data = text.encode("utf-8")
-    except UnicodeEncodeError:  # a lone surrogate
-        pass
-    else:
+    lone = re.search("[\ud800-\udfff]", text)
+    if not lone:
         path = directory / "edges.txt"
-        path.write_bytes(data)
+        path.write_bytes(text.encode("utf-8"))
         sources.append(path)
     try:
+        if lone:
+            line = len((text[:lone.start()] + "x").splitlines())
+            raise EdgeListParseError(line, "not UTF-8 text: byte 0xed "
+                                           "(invalid continuation byte)")
         node_ids, edges, counts = load_edge_list_reference(text, delimiter)
     except EdgeListParseError as expected:
         for source in sources:
@@ -321,7 +323,7 @@ class TestByteSpans:
         assert signs.tolist() == [graph.SIGN_TOKENS.get(t, 0) for t in tokens]
 
     def test_find_spans_matches_a_dict_lookup(self):
-        names = ["a", "", "a\x00", "é", "\ud800", "node-id-0123", "node-id-0124", "x" * 300, "b"]
+        names = ["a", "", "a\x00", "é", "node-id-0123", "node-id-0124", "x" * 300, "b"]
         asked = ["a", "a\x00", "", "node-id-0124", "node-id-012", "x" * 300, "x" * 299, "é",
                  "\udc80 ", "c", "b", "a", "1", "-1", "+1"]
         # "\udc80 " stands for bytes no name encodes to
@@ -377,6 +379,7 @@ class TestGraphContainerChecks:
             "node_ids too short": {"node_ids": g.node_ids[:-1]},
             "repeated node id": {"node_ids": [g.node_ids[0]] * n},
             "non-string node id": {"node_ids": list(range(n))},
+            "lone-surrogate node id": {"node_ids": ["\ud800", *g.node_ids[1:]]},
             "missing labels": {"labels": None},
             "unknown version": {"version": 3},
             "other format": {"format": "edgesign-split"},
