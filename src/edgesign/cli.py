@@ -24,8 +24,8 @@ from .errors import ConvergenceError, DataError
 from .features import regularity_report
 from .genmodel import PRIORS, make_synthetic, prior_from_json_dict
 from .graph import (COUNT, SIGN_TOKENS, EdgeSplit, check_keys, check_known_keys, check_values,
-                    find_spans, is_number, json_number, load_edge_list, load_graph, read_json,
-                    sample_split, utf8_error, write_json)
+                    intern_spans, is_number, json_number, load_edge_list, load_graph, read_json,
+                    sample_split, span_signs, utf8_error, write_json)
 from .metrics import accuracy, confusion, mcc
 
 EXIT_ARGUMENT = 2
@@ -104,6 +104,12 @@ def cmd_predict(args):
 PREDICTION_HEADER = ["src", "dst", "score", "label"]
 
 
+def _node_index(node_ids, names):
+    """The index in ``node_ids`` of each name, -1 for a name it lacks."""
+    index = dict(zip(node_ids, range(len(node_ids))))
+    return np.fromiter(map(index.get, names, repeat(-1)), np.int64, len(names))
+
+
 def _read_predictions_csv(path, node_ids):
     """:func:`_read_predictions` by the ``csv`` module, one ``str`` per field."""
     src, dst, tokens = [], [], []
@@ -131,9 +137,8 @@ def _read_predictions_csv(path, node_ids):
     bad = np.flatnonzero(labels == 0)
     if bad.size:
         raise DataError(f"prediction file row {bad[0] + 1}: bad label {tokens[bad[0]]!r}")
-    index = dict(zip(node_ids, range(len(node_ids))))
-    u, v = (np.fromiter(map(index.get, ids, repeat(-1)), np.int64, len(ids)) for ids in (src, dst))
-    return u, v, labels
+    found = _node_index(node_ids, src + dst)
+    return found[:len(src)], found[len(src):], labels
 
 
 #: The separators of a well-formed file: the header's, then each row's.
@@ -146,17 +151,16 @@ def _read_predictions(path, node_ids):
 
     The file is read as bytes. One scan finds every ``\\n`` and ``,``; when
     they repeat as ``,,,\\n`` from the header on, they are the rows and fields.
-    Otherwise each line's field count is counted to word the error. The ids
-    and labels are keyed together, from one word buffer: ids are found with
-    one ``searchsorted`` over the packed ``node_ids`` and labels read from
-    their keys (:func:`graph.find_spans`); no field becomes a ``str``. A file
-    holding a ``"``, a ``\\r`` or a NUL byte, or one that is not UTF-8, is read
-    by the ``csv`` module instead, with the same results and errors.
+    Otherwise each line's field count is counted to word the error. Labels are
+    read from their bytes (:func:`graph.span_signs`); the id fields are interned
+    (:func:`graph.intern_spans`), so each distinct id is decoded and looked up
+    once. A file holding a ``"`` or a ``\\r``, or one that is not UTF-8, is
+    read by the ``csv`` module instead, with the same results and errors.
     """
     with open(path, "rb") as f:
         data = f.read()
     # the csv module reads a file faster than the same text from an io.StringIO
-    if any(c in data for c in (b'"', b"\r", b"\0")) or utf8_error(data):
+    if b'"' in data or b"\r" in data or utf8_error(data):
         return _read_predictions_csv(path, node_ids)
     if not data.endswith(b"\n"):  # the last line's break is optional
         data += b"\n"
@@ -170,13 +174,14 @@ def _read_predictions(path, node_ids):
     cuts = cuts.reshape(-1, 4)
     starts, cuts = cuts[:-1, 3] + 1, cuts[1:]
     ends = cuts[:, 3]
-    found, labels = find_spans(data, np.concatenate((starts, cuts[:, 0] + 1)),
-                               np.concatenate((cuts[:, 0], cuts[:, 1])), node_ids,
-                               signs=(cuts[:, 2] + 1, ends))
+    labels = span_signs(data, cuts[:, 2] + 1, ends)
     bad = np.flatnonzero(labels == 0)
     if bad.size:
         token = data[cuts[bad[0], 2] + 1:ends[bad[0]]].decode("utf-8")
         raise DataError(f"prediction file row {bad[0] + 1}: bad label {token!r}")
+    ids, names = intern_spans(data, np.concatenate((starts, cuts[:, 0] + 1)),
+                              np.concatenate((cuts[:, 0], cuts[:, 1])))
+    found = _node_index(node_ids, names)[ids]
     return found[:starts.size], found[starts.size:], labels
 
 

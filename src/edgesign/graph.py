@@ -472,51 +472,16 @@ _SIGN_KEYS = {int.from_bytes(token.encode("ascii"), "little") | len(token) << 56
               for token, sign in SIGN_TOKENS.items()}
 
 
-def _key_signs(keys):
-    """The :data:`SIGN_TOKENS` value of each :func:`span_keys` key, 0 for any other span."""
+def span_signs(data, starts, ends):
+    """The :data:`SIGN_TOKENS` value of each byte span ``data[s:e]``, 0 for any other token.
+
+    Each span's value is read from its :func:`span_keys` key.
+    """
+    keys = span_keys(data, starts, ends)
     signs = np.zeros(keys.size, dtype=np.int8)
     for key, sign in _SIGN_KEYS.items():
         signs[keys == np.uint64(key)] = sign
     return signs
-
-
-def span_signs(data, starts, ends):
-    """The :data:`SIGN_TOKENS` value of each byte span ``data[s:e]``, 0 for any other token."""
-    return _key_signs(span_keys(data, starts, ends))
-
-
-def find_spans(data, starts, ends, names, signs):
-    """``(index, values)`` of byte spans of the UTF-8 text ``data``: the index in
-    ``names`` (distinct strings) of each span, or -1 where no name equals the span's
-    text, and the :data:`SIGN_TOKENS` value of each span of ``signs``, a further
-    ``(starts, ends)`` pair (0 for any other token).
-
-    Names and both sets of spans are keyed together (:func:`span_keys`), from
-    one word buffer; one ``searchsorted`` over the sorted name keys finds each
-    span, and each sign span's value is read from its key.
-    """
-    sign_starts, sign_ends = signs
-    encoded = [name.encode() for name in names]
-    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
-    name_ends = len(data) + np.cumsum(lengths)
-    name_starts = name_ends - lengths
-    keys = span_keys(data + b"".join(encoded),
-                     np.concatenate((name_starts, starts, sign_starts)),
-                     np.concatenate((name_ends, ends, sign_ends)))
-    known, wanted, tokens = np.split(keys, [len(names), len(names) + starts.size])
-    if names:
-        order = np.argsort(known)
-        known = known[order]
-        # searchsorted starts each search of a sorted query from where the last one ended:
-        # with the sort, 340k queries of 20k names take 0.020 s, not 0.046 s (2 vCPUs)
-        asked = np.argsort(wanted)
-        at = np.empty(wanted.size, dtype=np.int64)
-        at[asked] = np.searchsorted(known, wanted[asked])
-        at = at.clip(max=known.size - 1)
-        found = np.where(known[at] == wanted, order[at], -1)
-    else:
-        found = np.full(starts.size, -1, dtype=np.int64)
-    return found, _key_signs(tokens)
 
 
 def _runs(mask):
@@ -526,8 +491,14 @@ def _runs(mask):
     return bounds[first:-1:2], bounds[first + 1::2]
 
 
-def _intern(keys):
-    """First-seen compact id of each key, and the position of each id's first occurrence."""
+def intern_spans(data, starts, ends):
+    """``(ids, names)`` of byte spans of the UTF-8 text ``data``: each span's compact
+    id in first-seen order, and the text of each id.
+
+    The spans' :func:`span_keys` keys are sorted once; each distinct span is
+    decoded once, at its first occurrence. A span must be whole UTF-8 text.
+    """
+    keys = span_keys(data, starts, ends)
     order = np.argsort(keys)
     head = run_heads(keys[order])
     first = np.minimum.reduceat(order, np.flatnonzero(head)) if keys.size else order
@@ -535,7 +506,8 @@ def _intern(keys):
     rank[np.argsort(first)] = np.arange(first.size)
     ids = np.empty(keys.size, dtype=np.int64)
     ids[order] = rank[np.cumsum(head) - 1]
-    return ids, np.sort(first)
+    first = np.sort(first)
+    return ids, [data[s:e].decode() for s, e in zip(starts[first].tolist(), ends[first].tolist())]
 
 
 def _edge_list_input(source):
@@ -579,7 +551,8 @@ def _edge_records_bytes(data, sep):
     last at each match of the bytes ``sep`` (None: whitespace fields), which may
     be any number of bytes. A match counts only when it ends inside that span,
     and of overlapping matches (``::`` in ``a:::b``) the leftmost that do not
-    overlap count, as in ``str.split``.
+    overlap count, as in ``str.split``. Signs are read by :func:`span_signs` and
+    ids numbered by :func:`intern_spans`.
     """
     b = np.frombuffer(data, dtype=np.uint8)
     in_token = ((b - 9) > 4) & ((b - 28) > 4)
@@ -642,8 +615,7 @@ def _edge_records_bytes(data, sep):
         raise EdgeListParseError(line_number(whole), f"expected 3 fields, got {counts[whole]}")
 
     starts, ends = (a.reshape(-1, 3)[:, :2].ravel() for a in (starts, ends))
-    ids, first = _intern(span_keys(data, starts, ends))
-    node_ids = [data[s:e].decode() for s, e in zip(starts[first].tolist(), ends[first].tolist())]
+    ids, node_ids = intern_spans(data, starts, ends)
     return ids[0::2], ids[1::2], signs, node_ids
 
 

@@ -690,6 +690,11 @@ class TestPredictionFiles:
                                                         for k in range(d["node_count"])]}))
         wide = tmp_path / "wide.csv"
         assert run_cli("predict", widths, model, *common, "-o", wide) == 0
+        # an id holding NUL, which predict writes unquoted
+        nul = tmp_path / "nul.json"
+        nul.write_text(json.dumps({**d, "node_ids": ["a\x00b", *d["node_ids"][1:]]}))
+        nul_pred = tmp_path / "nul.csv"
+        assert run_cli("predict", nul, model, *common, "-o", nul_pred) == 0
         header, *rows = text.splitlines(keepends=True)
         shuffled = [rows[k] for k in np.random.default_rng(5).permutation(len(rows))]
         cases = {"no final line break": (graph_path, text.rstrip("\n")),
@@ -697,7 +702,8 @@ class TestPredictionFiles:
                  # rows are matched to test edges by edge, not by position
                  "rows reversed": (graph_path, "".join([header, *rows[::-1]])),
                  "rows shuffled": (graph_path, "".join([header, *shuffled])),
-                 "ids over 8 bytes": (widths, wide.read_text(encoding="utf-8"))}
+                 "ids over 8 bytes": (widths, wide.read_text(encoding="utf-8")),
+                 "an id holding NUL": (nul, nul_pred.read_text(encoding="utf-8"))}
         for name, (graph, case) in cases.items():
             assert evaluate(graph, case, name.replace(" ", "-")) == expected, name
 

@@ -280,7 +280,7 @@ class TestLoadEdgeList:
 
 
 class TestByteSpans:
-    """The byte kernel under both readers: span keys, sign tokens and name lookup."""
+    """The byte kernel under both readers: span keys, sign tokens and id interning."""
 
     @staticmethod
     def spans(pieces):
@@ -322,20 +322,15 @@ class TestByteSpans:
         signs = graph.span_signs(*self.spans([t.encode() for t in tokens]))
         assert signs.tolist() == [graph.SIGN_TOKENS.get(t, 0) for t in tokens]
 
-    def test_find_spans_matches_a_dict_lookup(self):
-        names = ["a", "", "a\x00", "é", "node-id-0123", "node-id-0124", "x" * 300, "b"]
+    def test_intern_spans_numbers_each_text_at_its_first_span(self):
         asked = ["a", "a\x00", "", "node-id-0124", "node-id-012", "x" * 300, "x" * 299, "é",
-                 "\udc80 ", "c", "b", "a", "1", "-1", "+1"]
-        # "\udc80 " stands for bytes no name encodes to
-        pieces = [t.encode("utf-8", "surrogateescape") for t in asked]
-        index = dict(zip(names, range(len(names))))
-        data, starts, ends = self.spans(pieces)
-        # every span asked for both as a name and as a sign token
-        found, signs = graph.find_spans(data, starts, ends, names, (starts, ends))
-        assert found.tolist() == [index.get(t, -1) for t in asked]
-        assert signs.tolist() == [graph.SIGN_TOKENS.get(t, 0) for t in asked]
-        found, signs = graph.find_spans(data, starts, ends, [], (starts[:0], ends[:0]))
-        assert found.tolist() == [-1] * len(asked) and signs.size == 0
+                 "c", "b", "a", "1", "-1", "+1", "node-id-0123", "", "é", "x" * 300, "a\x00"]
+        data, starts, ends = self.spans([t.encode() for t in asked])
+        ids, names = graph.intern_spans(data, starts, ends)
+        assert names == list(dict.fromkeys(asked))
+        assert [names[k] for k in ids.tolist()] == asked
+        ids, names = graph.intern_spans(data, starts[:0], ends[:0])
+        assert ids.size == 0 and names == []
 
 
 def _v2_payload(g):
