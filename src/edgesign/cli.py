@@ -151,11 +151,11 @@ def _read_predictions(path, node_ids):
 
     The file is read as bytes. One scan finds every ``\\n`` and ``,``; when
     they repeat as ``,,,\\n`` from the header on, they are the rows and fields.
-    Otherwise each line's field count is counted to word the error. Labels are
-    read from their bytes (:func:`graph.span_signs`); the id fields are interned
-    (:func:`graph.intern_spans`), so each distinct id is decoded and looked up
-    once. A file holding a ``"`` or a ``\\r``, or one that is not UTF-8, is
-    read by the ``csv`` module instead, with the same results and errors.
+    Labels are read from their bytes (:func:`graph.span_signs`); the id fields
+    are interned (:func:`graph.intern_spans`), so each distinct id is decoded
+    and looked up once. A file whose separators do not repeat so, or that holds
+    a ``"`` or a ``\\r``, or that is not UTF-8, is read by the ``csv`` module
+    instead, which gives the same results and words the errors.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -170,7 +170,7 @@ def _read_predictions(path, node_ids):
     header = ",".join(PREDICTION_HEADER).encode() + b"\n"
     if not (data.startswith(header) and seps.size % 4 == 0
             and (seps.view("<u4") == _ROW_SEPARATORS).all()):
-        _refuse_lines(data, cuts[seps == ord("\n")], cuts[seps == ord(",")])
+        return _read_predictions_csv(path, node_ids)  # it words the error
     cuts = cuts.reshape(-1, 4)
     starts, cuts = cuts[:-1, 3] + 1, cuts[1:]
     ends = cuts[:, 3]
@@ -183,20 +183,6 @@ def _read_predictions(path, node_ids):
                               np.concatenate((cuts[:, 0], cuts[:, 1])))
     found = _node_index(node_ids, names)[ids]
     return found[:starts.size], found[starts.size:], labels
-
-
-def _refuse_lines(data, breaks, commas):
-    """Raise the DataError of a prediction file (ending in ``\\n``) whose separators
-    are not the header's and each row's ``,,,\\n``."""
-    starts, ends = np.append(0, breaks[:-1] + 1), breaks
-    if data[:ends[0]] != ",".join(PREDICTION_HEADER).encode():
-        raise DataError("prediction file lacks the src,dst,score,label header")
-    # commas before a row's end, less those before the previous row's (the header has three)
-    fields = np.diff(np.searchsorted(commas, ends[1:]), prepend=3) + 1
-    fields[starts[1:] == ends[1:]] = 0  # the csv module reads an empty line as no field
-    bad = np.flatnonzero(fields != 4)
-    raise DataError(f"prediction file line {bad[0] + 2}: "
-                    f"expected 4 fields, got {fields[bad[0]]}")
 
 
 def cmd_eval(args):

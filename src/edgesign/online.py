@@ -212,7 +212,7 @@ def run_online(g, labeling=None, order="random", seed=0):
     Parameters
     ----------
     labeling : ±1 array per edge; required unless ``order`` is an
-        :class:`AdversarySequence` (which carries its own labels).
+        :class:`AdversarySequence`, whose labels are its ``labels()``.
     order : "random" (seeded shuffle), an explicit edge-id permutation
         covering every edge exactly once, or an AdversarySequence drawn for
         this graph. For an adversary the forced prefix drives the headline
@@ -239,7 +239,7 @@ def run_online(g, labeling=None, order="random", seed=0):
     m = g.edge_count
     if isinstance(order, AdversarySequence):
         labels, edges, round_labels = _sequence_rounds(order, m)
-        headline = len(order.forced)
+        headline = len(order.order)
         order_name = f"adversary(K={order.budget})"
     else:
         if labeling is None:
@@ -287,39 +287,37 @@ def run_online(g, labeling=None, order="random", seed=0):
 
 
 def _sequence_rounds(seq, m):
-    """Check an adversary sequence against a graph with m edges and its own labeling.
+    """Check an adversary sequence against a graph with m edges.
 
-    Returns (labeling, edge id per round, label per round) for the forced
-    prefix followed by the tail, if the sequence has one.
+    Labels are read from ``seq.labels()`` only, so the rounds cannot
+    contradict them. Returns (labeling, edge id per round, label per round)
+    for ``order`` followed by the tail, if the sequence has one.
     """
     if seq.edge_count != m:
         raise ProtocolError(
             f"sequence was drawn for {seq.edge_count} edges, the graph has {m}")
-    # the label column keeps its type, so a label such as 0.5 fails the ±1 check
-    forced = np.asarray(seq.forced).reshape(-1, 2)
-    forced_edges = forced[:, 0].astype(np.int64)
-    tail = np.asarray([] if seq.tail is None else seq.tail, dtype=np.int64)
-    for ids in (forced_edges, tail, np.asarray(seq.negative_edges)):
+    order = np.asarray(seq.order)
+    tail = np.empty(0, np.int64) if seq.tail is None else np.asarray(seq.tail)
+    for ids in (order, tail, np.asarray(seq.negative_edges)):
+        if ids.dtype.kind not in "iu" or ids.ndim != 1:  # a bool array would index as a mask
+            raise ProtocolError(f"sequence edge ids must be a 1-D integer array, "
+                                f"got {ids.ndim}-D {ids.dtype}")
         if ids.size and (ids.min() < 0 or ids.max() >= m):
             raise ProtocolError(f"sequence names edge ids outside [0, {m})")
-    edges = np.concatenate([forced_edges, tail])
+    edges = np.concatenate([order, tail]).astype(np.int64, copy=False)
     repeated = np.flatnonzero(np.bincount(edges, minlength=m) > 1)
     if repeated.size:
         raise ProtocolError(f"edge {int(repeated[0])} is revealed more than once")
-    if not np.all((forced[:, 1] == 1) | (forced[:, 1] == -1)):
-        raise ValueError("labels must be +1 or -1")
     labels = seq.labels()
     negatives = int(np.count_nonzero(labels == -1))
-    truth = labels[forced_edges]
     if seq.budget != negatives:
         raise ProtocolError(f"budget is {seq.budget}, the labeling has {negatives} negative edges")
-    if not np.array_equal(forced[:, 1], truth):
-        raise ProtocolError("a forced label differs from the sequence's labeling")
+    truth = labels[order]
     if np.count_nonzero(truth == -1) != negatives or not truth.size or truth[-1] != -1:
         raise ProtocolError("the forced rounds must reveal every negative edge and end on one")
     if seq.tail is not None and edges.size != m:
         raise ProtocolError("the forced rounds and the tail must cover every edge")
-    return labels, edges, np.concatenate([truth, labels[tail]])
+    return labels, edges, labels[edges]
 
 
 #: Rounds that :func:`run_online` computes at once; its temporaries grow with this, not |E|.
@@ -420,23 +418,33 @@ def _running_sums(start, x):
 class AdversarySequence:
     """Randomized reveal sequence with exactly ``budget`` negative labels.
 
-    ``forced`` lists (edge_id, label) pairs up to and including the round
-    that exposes the last negative; ``tail`` (optional) holds the remaining
-    edge ids in random order for callers that want a full pass. The induced
-    labeling always satisfies psi_g <= budget.
+    ``order`` holds the edge ids of the forced rounds, up to and including the
+    round that exposes the last negative; every label is read from
+    ``negative_edges`` by :meth:`labels`. ``tail`` (optional) holds the
+    remaining edge ids in random order for callers that want a full pass. It
+    is a field of its own because ``order`` alone may already cover every
+    edge, and a pass reports tail tallies only when a tail was asked for. The
+    induced labeling always satisfies psi_g <= budget.
     """
 
     edge_count: int
     budget: int
     seed: int
     negative_edges: np.ndarray
-    forced: list
+    order: np.ndarray
     tail: np.ndarray = None
 
     def labels(self):
         y = np.ones(self.edge_count, dtype=np.int8)
         y[self.negative_edges] = -1
         return y
+
+    @property
+    def forced(self):
+        """(edge_id, label) pairs of the forced rounds, read from ``order`` and
+        :meth:`labels`: the form ``perfbench/workloads.py`` reads, kept until
+        it reads ``order``."""
+        return list(zip(self.order.tolist(), self.labels()[self.order].tolist()))
 
 
 def adversary_generate(g, budget, seed, include_tail=False):
@@ -456,8 +464,8 @@ def adversary_generate(g, budget, seed, include_tail=False):
     if not 1 <= budget <= m // 2:
         raise ValueError(f"budget must lie in [1, |E|/2] = [1, {m // 2}], got {budget}")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(m)
-    negatives, positives = order[:budget], order[budget:]
+    shuffled = rng.permutation(m)
+    negatives, positives = shuffled[:budget], shuffled[budget:]
     heads = rng.integers(2, size=m, dtype=bool)
     negative = heads | (np.cumsum(~heads) > positives.size)
     rounds = int(np.flatnonzero(negative)[budget - 1]) + 1  # ends on the last negative
@@ -467,8 +475,7 @@ def adversary_generate(g, budget, seed, include_tail=False):
     edges[~negative] = positives[:rounds - budget]
     return AdversarySequence(
         edge_count=m, budget=int(budget), seed=int(seed), negative_edges=np.sort(negatives),
-        forced=list(zip(edges.tolist(), np.where(negative, -1, 1).tolist())),
-        tail=positives[rounds - budget:] if include_tail else None)
+        order=edges, tail=positives[rounds - budget:] if include_tail else None)
 
 
 def adversary_expected_mistakes(budget, r_max):

@@ -56,16 +56,28 @@ class TestOnlineCommand:
             sum(r.expected_mistakes for r in direct) / 2, rel=1e-15)
         assert payload["mean_realized_mistakes"] == sum(r.realized_mistakes for r in direct) / 2
 
-    def test_adversary_full_pass_trials_equal_direct_runs(self, graph_path, tmp_path):
-        payload = run_cli_online(graph_path, tmp_path, "--adversary-k", "7", "--full-pass")
+    @staticmethod
+    def check_adversary_trials(graph_path, tmp_path, full_pass):
+        flags = ["--full-pass"] if full_pass else []
+        payload = run_cli_online(graph_path, tmp_path, "--adversary-k", "7", *flags)
         g = SignedDigraph.load(graph_path)
-        direct = [run_online(g, order=adversary_generate(g, 7, 5 + t, include_tail=True),
+        direct = [run_online(g, order=adversary_generate(g, 7, 5 + t, include_tail=full_pass),
                              seed=5 + t) for t in range(2)]
         assert payload["trials"] == [r.to_json_dict() for r in direct]
         for trial in payload["trials"]:
             assert trial["order"] == "adversary(K=7)"
-            assert trial["edges_predicted"] == g.edge_count
-            assert "tail_expected" in trial
+            if full_pass:
+                assert trial["edges_predicted"] == g.edge_count
+                assert "tail_expected" in trial
+            else:
+                assert trial["edges_predicted"] == trial["forced_len"] < g.edge_count
+                assert not {"tail_realized", "tail_expected"} & trial.keys()
+
+    def test_adversary_full_pass_trials_equal_direct_runs(self, graph_path, tmp_path):
+        self.check_adversary_trials(graph_path, tmp_path, full_pass=True)
+
+    def test_adversary_forced_only_trials_equal_direct_runs(self, graph_path, tmp_path):
+        self.check_adversary_trials(graph_path, tmp_path, full_pass=False)
 
     def test_budget_above_half_the_edges_is_an_argument_error(self, graph_path, tmp_path,
                                                               capsys):

@@ -57,10 +57,10 @@ def run_and_replay(g, kind, seed, budget=1):
         return report, None, stream(g, [(e, g.labels[e]) for e in perm], rng)
     seq = adversary_generate(g, budget, seed, include_tail=kind == "adversary+tail")
     report = run_online(g, order=seq, seed=seed)
-    head = stream(g, seq.forced, rng)
+    labels = seq.labels()
+    head = stream(g, [(e, labels[e]) for e in seq.order], rng)
     head_tallies = (head.realized_mistakes, head.expected_mistakes)
     if seq.tail is not None:
-        labels = seq.labels()
         for e in seq.tail:
             edge = (int(g.src[e]), int(g.dst[e]))
             online.online_predict(head, edge, rng)
@@ -264,28 +264,19 @@ class TestRunOnlineRejects:
         with pytest.raises(ValueError):
             run_online(self.g, labels, "random", seed=0)
 
-    @pytest.mark.parametrize("label", [2, 0, 0.5])
-    def test_adversary_label_outside_plus_minus_one(self, label):
-        seq = adversary_generate(self.g, 3, seed=2)
-        forced = list(seq.forced)
-        forced[0] = (forced[0][0], label)
-        with pytest.raises(ValueError):
-            run_online(self.g, order=dataclasses.replace(seq, forced=forced), seed=0)
-
     def test_sequence_that_repeats_an_edge(self):
         seq = adversary_generate(self.g, 3, seed=2)
         with pytest.raises(ProtocolError, match="more than once"):
-            run_online(self.g, order=dataclasses.replace(seq, forced=seq.forced * 2), seed=0)
-        tail = np.array([seq.forced[0][0]])
+            run_online(self.g, order=dataclasses.replace(seq, order=np.tile(seq.order, 2)), seed=0)
+        tail = seq.order[:1]
         with pytest.raises(ProtocolError, match="more than once"):
             run_online(self.g, order=dataclasses.replace(seq, tail=tail), seed=0)
 
     @pytest.mark.parametrize("damage,message", [
-        (lambda seq: {"forced": [(e, -y) for e, y in seq.forced]}, "forced label differs"),
-        (lambda seq: {"forced": seq.forced[:-1]}, "reveal every negative edge"),
+        (lambda seq: {"order": seq.order[:-1]}, "reveal every negative edge"),
         (lambda seq: {"budget": 3}, "budget is 3, the labeling has 5"),
         (lambda seq: {"tail": seq.tail[:-1]}, "cover every edge"),
-    ], ids=["flipped-labels", "short-prefix", "wrong-budget", "short-tail"])
+    ], ids=["short-prefix", "wrong-budget", "short-tail"])
     def test_sequence_that_contradicts_its_labeling(self, damage, message):
         seq = adversary_generate(self.g, 5, seed=2, include_tail=True)
         with pytest.raises(ProtocolError, match=message):
@@ -299,19 +290,25 @@ class TestRunOnlineRejects:
         with pytest.raises(ProtocolError, match="drawn for"):
             run_online(self.g, order=seq, seed=0)
 
-    @pytest.mark.parametrize("field", ["forced", "tail", "negative_edges"])
-    def test_sequence_with_edge_ids_out_of_range(self, field):
+    @pytest.mark.parametrize("field,ids,message", [
+        ("order", lambda m: np.array([m, 0]), "outside"),
+        ("tail", lambda m: np.r_[np.arange(2, m - 1), m], "outside"),
+        ("negative_edges", lambda m: np.array([m]), "outside"),
+        # not integers: truncated to ids, or used as a mask
+        ("order", lambda m: np.array([1.0, 0.0]), "integer array"),
+        ("tail", lambda m: np.arange(2, m) + 0.4, "integer array"),
+        ("negative_edges", lambda m: np.array([0.0]), "integer array"),
+        ("negative_edges", lambda m: np.arange(m) == 0, "integer array"),
+        ("order", lambda m: np.array([[1, 0]]), "1-D"),
+    ], ids=["order", "tail", "negative_edges", "order-float", "tail-float",
+            "negative_edges-float", "negative_edges-bool", "order-2d"])
+    def test_sequence_with_edge_ids_out_of_range(self, field, ids, message):
         m = self.g.edge_count
-        seq = AdversarySequence(edge_count=m, budget=1, seed=0,
-                                negative_edges=np.array([0]), forced=[(1, 1), (0, -1)],
-                                tail=np.arange(2, m))
-        if field == "forced":
-            seq.forced = [(m, 1), (0, -1)]
-        elif field == "tail":
-            seq.tail = np.r_[np.arange(2, m - 1), m]
-        else:
-            seq.negative_edges = np.array([m])
-        with pytest.raises(ProtocolError, match="outside"):
+        seq = AdversarySequence(edge_count=m, budget=1, seed=0, negative_edges=np.array([0]),
+                                order=np.array([1, 0]), tail=np.arange(2, m))
+        run_online(self.g, order=seq, seed=0)  # sound before the damage
+        setattr(seq, field, ids(m))
+        with pytest.raises(ProtocolError, match=message):
             run_online(self.g, order=seq, seed=0)
 
 
@@ -456,17 +453,29 @@ def test_adversary_draws_the_documented_process():
     lengths, first, negative = np.zeros(7), np.zeros(6), np.zeros(6)
     for seed in range(draws):
         seq = adversary_generate(g, budget, seed, include_tail=True)
-        forced = [e for e, _ in seq.forced]
-        assert sorted(forced + seq.tail.tolist()) == list(range(6))
-        assert seq.forced[-1][1] == -1
+        assert sorted(seq.order.tolist() + seq.tail.tolist()) == list(range(6))
+        assert seq.labels()[seq.order[-1]] == -1
         assert psi_g(g, seq.labels())[2] <= budget
-        lengths[len(forced)] += 1
-        first[forced[0]] += 1
+        lengths[seq.order.size] += 1
+        first[seq.order[0]] += 1
         negative[seq.negative_edges] += 1
     for counts, p in ((lengths, [0, 0, 0, 1 / 8, 3 / 16, 3 / 16, 1 / 2]),
                       (first, 1 / 6), (negative, 1 / 2)):
         p = np.broadcast_to(p, counts.shape)
         assert np.all(np.abs(counts / draws - p) <= 5 * np.sqrt(p * (1 - p) / draws)), counts
+
+
+def test_forced_view_reads_as_the_benchmark_reads_it():
+    # perfbench/workloads.py reads the forced rounds as (edge, label) pairs: by len,
+    # by iteration and by [-1][1]
+    g = random_graph(30, 120, seed=4)
+    seq = adversary_generate(g, 8, seed=4)
+    forced = seq.forced
+    assert len(forced) == seq.order.size
+    assert [e for e, _ in forced] == seq.order.tolist()
+    assert {e for e, y in forced if y == -1} == set(seq.negative_edges.tolist())
+    assert {y for _, y in forced} == {-1, 1} and forced[-1][1] == -1
+    assert all(type(e) is int and type(y) is int for e, y in forced)
 
 
 def test_adversary_closed_form_tends_to_budget():
