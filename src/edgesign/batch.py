@@ -19,18 +19,22 @@ Every model predicts a test edge as sgn(score − threshold), with sgn(0) = +1.
 logreg, lprop and unreg tune their threshold by empirical risk minimization
 over the training scores (:func:`tune_threshold`). ``tol`` and ``max_iter``
 bound the lprop and unreg solvers; blc and logreg ignore them.
+:meth:`Prediction.to_csv` writes a prediction file, :func:`read_predictions` reads one.
 """
 
 from __future__ import annotations
 
+import csv
 import sys
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ConvergenceError, DataError, DegenerateFitError
 from .features import box_fit_edges, label_targets, troll_trust
-from .graph import NUMBER, check_container, number_lists, read_json, write_json, write_rows
+from .graph import (NUMBER, SIGN_TOKENS, check_container, intern_spans, number_lists, read_json,
+                    span_signs, utf8_error, write_json, write_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +107,94 @@ class Prediction:
         texts = [repr(x).encode("ascii") for x in bits.view(np.float64).tolist()]
         write_rows(path_or_file, [(names, self.src), (names, self.dst), (texts, score_index),
                                   ([b"-1", b"1"], (self.labels > 0).view(np.int8))],
-                   b",", head=b"src,dst,score,label\n")
+                   b",", head=PREDICTION_HEADER)
+
+
+#: The first line of a prediction file.
+PREDICTION_HEADER = b"src,dst,score,label\n"
+
+#: The separators of a well-formed prediction file: the header's, then each row's.
+_ROW_SEPARATORS = int.from_bytes(b",,,\n", "little")
+
+
+def _node_index(node_ids, names):
+    """The index in ``node_ids`` of each name, -1 for a name it lacks."""
+    index = dict(zip(node_ids, range(len(node_ids))))
+    return np.fromiter(map(index.get, names, repeat(-1)), np.int64, len(names))
+
+
+def _prediction_rows(node_ids, labels, token, names, ids=slice(None)):
+    """(u, v, labels) of a prediction file's rows: ``names[ids]`` is every row's src,
+    then every row's dst; a label of 0 is a bad one, whose text is ``token(row)``."""
+    bad = np.flatnonzero(labels == 0)
+    if bad.size:
+        raise DataError(f"prediction file row {bad[0] + 1}: bad label {token(bad[0])!r}")
+    found = _node_index(node_ids, names)[ids]
+    return found[:labels.size], found[labels.size:], labels
+
+
+def _read_predictions_csv(path, node_ids):
+    """:func:`read_predictions` by the ``csv`` module, one ``str`` per field."""
+    src, dst, tokens = [], [], []
+    add_src, add_dst, add_token = src.append, dst.append, tokens.append
+    header = PREDICTION_HEADER.decode().rstrip("\n")
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        limit = csv.field_size_limit(sys.maxsize)  # a field of any length, for this call only
+        try:
+            if next(reader, None) != header.split(","):
+                raise DataError(f"prediction file lacks the {header} header")
+            for row in reader:
+                try:
+                    u, v, _, token = row
+                except ValueError:
+                    raise DataError(f"prediction file line {reader.line_num}: "
+                                    f"expected 4 fields, got {len(row)}") from None
+                add_src(u)
+                add_dst(v)
+                add_token(token)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"prediction file is not CSV text ({exc})") from exc
+        finally:
+            csv.field_size_limit(limit)
+    labels = np.fromiter(map(SIGN_TOKENS.get, tokens, repeat(0)), np.int8, len(tokens))
+    return _prediction_rows(node_ids, labels, tokens.__getitem__, src + dst)
+
+
+def read_predictions(path, node_ids):
+    """(u, v, labels) of a prediction file, such as :meth:`Prediction.to_csv` writes:
+    each row's src and dst as indices into ``node_ids`` (-1 for an id it lacks),
+    and its ±1 label.
+
+    The file is read as bytes. One scan finds every ``\\n`` and ``,``; when
+    they repeat as ``,,,\\n`` from the header on, they are the rows and fields.
+    Labels are read from their bytes (:func:`graph.span_signs`); the id fields
+    are interned (:func:`graph.intern_spans`), so each distinct id is decoded
+    and looked up once. A file whose separators do not repeat so, or that holds
+    a ``"`` or a ``\\r``, or that is not UTF-8, is read by the ``csv`` module
+    instead, which gives the same results and words the errors.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    # the csv module reads a file faster than the same text from an io.StringIO
+    if b'"' in data or b"\r" in data or utf8_error(data):
+        return _read_predictions_csv(path, node_ids)
+    if not data.endswith(b"\n"):  # the last line's break is optional
+        data += b"\n"
+    b = np.frombuffer(data, dtype=np.uint8)
+    cuts = np.flatnonzero((b == ord("\n")) | (b == ord(",")))
+    seps = b[cuts]
+    if not (data.startswith(PREDICTION_HEADER) and seps.size % 4 == 0
+            and (seps.view("<u4") == _ROW_SEPARATORS).all()):
+        return _read_predictions_csv(path, node_ids)  # it words the error
+    cuts = cuts.reshape(-1, 4)
+    starts, cuts = cuts[:-1, 3] + 1, cuts[1:]
+    ends = cuts[:, 3]
+    labels = span_signs(data, cuts[:, 2] + 1, ends)
+    ids, names = intern_spans(data, np.concatenate((starts, cuts[:, 0] + 1)),
+                              np.concatenate((cuts[:, 0], cuts[:, 1])))
+    return _prediction_rows(node_ids, labels,
+                            lambda k: data[cuts[k, 2] + 1:ends[k]].decode("utf-8"), names, ids)
 
 
 class _FittedModel:

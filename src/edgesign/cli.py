@@ -1,21 +1,20 @@
 """Command-line frontend.
 
 Subcommands: ingest, stats, split, train, predict, eval, sweep, synth,
-online. Every randomized command requires an explicit --seed. Exit codes:
-0 success, 2 argument error, 3 data error, 4 convergence error, 141 standard
+online. Every randomized command requires an explicit --seed; train, predict
+and eval read the split file that split writes (--split). Exit codes: 0
+success, 2 argument error, 3 data error, 4 convergence error, 141 standard
 output closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from dataclasses import fields
-from itertools import repeat
 
 import numpy as np
 
@@ -23,9 +22,8 @@ from . import batch, harness, online
 from .errors import ConvergenceError, DataError
 from .features import regularity_report
 from .genmodel import PRIORS, make_synthetic, prior_from_json_dict
-from .graph import (COUNT, SIGN_TOKENS, EdgeSplit, check_keys, check_known_keys, check_values,
-                    intern_spans, is_number, json_number, load_edge_list, load_graph, read_json,
-                    sample_split, span_signs, utf8_error, write_json)
+from .graph import (COUNT, EdgeSplit, check_keys, check_known_keys, check_values, is_number,
+                    json_number, load_edge_list, load_graph, read_json, sample_split, write_json)
 from .metrics import accuracy, confusion, mcc
 
 EXIT_ARGUMENT = 2
@@ -68,21 +66,13 @@ def cmd_split(args):
     return 0
 
 
-def _get_split(g, args):
-    if args.split:
-        return EdgeSplit.load(args.split, g.edge_count)
-    if args.fraction is None or args.seed is None:
-        raise DataError("either --split or both --fraction and --seed are required")
-    return sample_split(g, args.fraction, args.seed)
-
-
 def cmd_train(args):
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
     if args.max_iter is not None and args.max_iter < 1:
         raise ValueError(f"--max-iter must be at least 1, got {args.max_iter}")
     g = load_graph(args.graph)
-    split = _get_split(g, args)
+    split = EdgeSplit.load(args.split, g.edge_count)
     # a bound the user leaves out takes the method's own default
     bounds = {k: v for k, v in (("tol", args.tol), ("max_iter", args.max_iter)) if v is not None}
     model = batch.METHODS[args.method].fit(g, split, **bounds)
@@ -93,7 +83,7 @@ def cmd_train(args):
 
 def cmd_predict(args):
     g = load_graph(args.graph)
-    split = _get_split(g, args)
+    split = EdgeSplit.load(args.split, g.edge_count)
     model = batch.load_model(args.model)
     pred = model.predict_split(g, split)
     pred.to_csv(args.output, node_ids=g.node_ids)
@@ -101,95 +91,11 @@ def cmd_predict(args):
     return 0
 
 
-PREDICTION_HEADER = ["src", "dst", "score", "label"]
-
-
-def _node_index(node_ids, names):
-    """The index in ``node_ids`` of each name, -1 for a name it lacks."""
-    index = dict(zip(node_ids, range(len(node_ids))))
-    return np.fromiter(map(index.get, names, repeat(-1)), np.int64, len(names))
-
-
-def _read_predictions_csv(path, node_ids):
-    """:func:`_read_predictions` by the ``csv`` module, one ``str`` per field."""
-    src, dst, tokens = [], [], []
-    add_src, add_dst, add_token = src.append, dst.append, tokens.append
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        limit = csv.field_size_limit(sys.maxsize)  # a field of any length, for this call only
-        try:
-            if next(reader, None) != PREDICTION_HEADER:
-                raise DataError("prediction file lacks the src,dst,score,label header")
-            for row in reader:
-                try:
-                    u, v, _, token = row
-                except ValueError:
-                    raise DataError(f"prediction file line {reader.line_num}: "
-                                    f"expected 4 fields, got {len(row)}") from None
-                add_src(u)
-                add_dst(v)
-                add_token(token)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise DataError(f"prediction file is not CSV text ({exc})") from exc
-        finally:
-            csv.field_size_limit(limit)
-    labels = np.fromiter(map(SIGN_TOKENS.get, tokens, repeat(0)), np.int8, len(tokens))
-    bad = np.flatnonzero(labels == 0)
-    if bad.size:
-        raise DataError(f"prediction file row {bad[0] + 1}: bad label {tokens[bad[0]]!r}")
-    found = _node_index(node_ids, src + dst)
-    return found[:len(src)], found[len(src):], labels
-
-
-#: The separators of a well-formed file: the header's, then each row's.
-_ROW_SEPARATORS = int.from_bytes(b",,,\n", "little")
-
-
-def _read_predictions(path, node_ids):
-    """(u, v, labels) of a ``src,dst,score,label`` file: each row's src and dst
-    as indices into ``node_ids`` (-1 for an id it lacks), and its ±1 label.
-
-    The file is read as bytes. One scan finds every ``\\n`` and ``,``; when
-    they repeat as ``,,,\\n`` from the header on, they are the rows and fields.
-    Labels are read from their bytes (:func:`graph.span_signs`); the id fields
-    are interned (:func:`graph.intern_spans`), so each distinct id is decoded
-    and looked up once. A file whose separators do not repeat so, or that holds
-    a ``"`` or a ``\\r``, or that is not UTF-8, is read by the ``csv`` module
-    instead, which gives the same results and words the errors.
-    """
-    with open(path, "rb") as f:
-        data = f.read()
-    # the csv module reads a file faster than the same text from an io.StringIO
-    if b'"' in data or b"\r" in data or utf8_error(data):
-        return _read_predictions_csv(path, node_ids)
-    if not data.endswith(b"\n"):  # the last line's break is optional
-        data += b"\n"
-    b = np.frombuffer(data, dtype=np.uint8)
-    cuts = np.flatnonzero((b == ord("\n")) | (b == ord(",")))
-    seps = b[cuts]
-    header = ",".join(PREDICTION_HEADER).encode() + b"\n"
-    if not (data.startswith(header) and seps.size % 4 == 0
-            and (seps.view("<u4") == _ROW_SEPARATORS).all()):
-        return _read_predictions_csv(path, node_ids)  # it words the error
-    cuts = cuts.reshape(-1, 4)
-    starts, cuts = cuts[:-1, 3] + 1, cuts[1:]
-    ends = cuts[:, 3]
-    labels = span_signs(data, cuts[:, 2] + 1, ends)
-    bad = np.flatnonzero(labels == 0)
-    if bad.size:
-        token = data[cuts[bad[0], 2] + 1:ends[bad[0]]].decode("utf-8")
-        raise DataError(f"prediction file row {bad[0] + 1}: bad label {token!r}")
-    ids, names = intern_spans(data, np.concatenate((starts, cuts[:, 0] + 1)),
-                              np.concatenate((cuts[:, 0], cuts[:, 1])))
-    found = _node_index(node_ids, names)[ids]
-    return found[:starts.size], found[starts.size:], labels
-
-
 def cmd_eval(args):
     g = load_graph(args.graph)
-    split = _get_split(g, args)
+    split = EdgeSplit.load(args.split, g.edge_count)
     test = split.test_indices()
-    u, v, labels = _read_predictions(args.predictions, g.node_ids)
+    u, v, labels = batch.read_predictions(args.predictions, g.node_ids)
     n = np.int64(g.node_count)
     # rows naming a node the graph lacks get key -1 and match no test edge
     have = np.where((u >= 0) & (v >= 0), u * n + v, -1)
@@ -355,9 +261,7 @@ def build_parser():
         else:
             p.add_argument("predictions")
             p.add_argument("-o", "--output", default=None)
-        p.add_argument("--split", default=None)
-        p.add_argument("--fraction", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--split", required=True)
         p.set_defaults(func={"train": cmd_train, "predict": cmd_predict,
                              "eval": cmd_eval}[name])
 

@@ -832,13 +832,13 @@ def sample_split(g, fraction, seed):
 
     Implemented as a seeded full permutation (Fisher-Yates) truncated to the
     first k entries, so every k-subset is equally likely and the draw is
-    reproducible given the seed.
+    reproducible given the seed. A graph with no edges is a DataError.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie strictly in (0, 1), got {fraction}")
     m = g.edge_count
     if m < 1:
-        raise ValueError("graph has no edges to split")
+        raise DataError("graph has no edges to split")
     k = int(round(fraction * m))
     rng = np.random.default_rng(seed)
     mask = np.zeros(m, dtype=bool)

@@ -20,7 +20,8 @@ from edgesign.errors import DataError
 from edgesign.genmodel import (BetaPrior, GenParams, TwoPointPrior, UniformPrior, make_synthetic,
                                prior_from_json_dict)
 from edgesign.features import psi_g
-from edgesign.graph import EdgeSplit, SignedDigraph, read_json, sample_split, write_edge_list
+from edgesign.graph import (EdgeSplit, SignedDigraph, load_graph, read_json, sample_split,
+                            write_edge_list)
 from edgesign.metrics import confusion, mcc
 from edgesign.online import adversary_generate, run_online
 
@@ -34,6 +35,17 @@ def graph_path(tmp_path):
     path = tmp_path / "graph.json"
     g.save(path)
     return path
+
+
+@pytest.fixture
+def split_file(tmp_path):
+    """``split_file(graph, fraction, seed)``: the path of a split file of the graph
+    file ``graph``, holding ``sample_split(g, fraction, seed)`` as ``split`` writes it."""
+    def write(graph, fraction=0.3, seed=1):
+        path = tmp_path / f"split-{graph.stem}-{fraction}-{seed}.json"
+        sample_split(load_graph(graph), fraction, seed).save(path)
+        return path
+    return write
 
 
 def run_cli_online(graph_path, tmp_path, *flags):
@@ -103,13 +115,14 @@ def read_predictions(path):
 
 
 @pytest.mark.parametrize("method", list(METHODS))
-def test_train_and_predict_are_the_method_tables_fit_and_predict(graph_path, tmp_path, method):
+def test_train_and_predict_are_the_method_tables_fit_and_predict(graph_path, tmp_path,
+                                                                  split_file, method):
     model_path, pred_path = tmp_path / "model.json", tmp_path / "pred.csv"
-    assert cli.main(["train", str(graph_path), "--method", method, "--fraction", "0.3",
-                     "--seed", "1", "-o", str(model_path)]) == 0
+    assert cli.main(["train", str(graph_path), "--method", method,
+                     "--split", str(split_file(graph_path, 0.3, 1)), "-o", str(model_path)]) == 0
     assert type(load_model(model_path)) is METHODS[method]
-    assert cli.main(["predict", str(graph_path), str(model_path), "--fraction", "0.3",
-                     "--seed", "2", "-o", str(pred_path)]) == 0
+    assert cli.main(["predict", str(graph_path), str(model_path),
+                     "--split", str(split_file(graph_path, 0.3, 2)), "-o", str(pred_path)]) == 0
     g = SignedDigraph.load(graph_path)
     # without --tol and --max-iter, train fits with the method's own defaults
     model = METHODS[method].fit(g, sample_split(g, 0.3, 1))
@@ -124,25 +137,26 @@ def test_train_and_predict_are_the_method_tables_fit_and_predict(graph_path, tmp
                                    ("--tol", "inf"), ("--max-iter", "-3"), ("--max-iter", "0")],
                          ids=lambda b: " ".join(b))
 def test_train_bound_outside_its_range_is_an_argument_error(tmp_path, capsys, method, bound):
-    # the graph file is not JSON, so reading it first would exit 3
-    graph, model = tmp_path / "graph.json", tmp_path / "model.json"
+    # neither the graph file nor the split file is JSON, so reading either first would exit 3
+    graph, split, model = tmp_path / "graph.json", tmp_path / "split.json", tmp_path / "model.json"
     graph.write_text("not a graph")
-    code = run_cli("train", graph, "--method", method, "--fraction", "0.3", "--seed", "1",
-                   *bound, "-o", model)
+    split.write_text("not a split")
+    code = run_cli("train", graph, "--method", method, "--split", split, *bound, "-o", model)
     assert code == cli.EXIT_ARGUMENT
     assert f"{bound[0]} must be" in capsys.readouterr().err
     assert not model.exists()
 
 
 class TestUnregModel:
-    def test_predict_on_another_split_scores_that_split(self, graph_path, tmp_path):
+    def test_predict_on_another_split_scores_that_split(self, graph_path, tmp_path, split_file):
         model_path, pred_path = tmp_path / "unreg.json", tmp_path / "pred.csv"
-        assert cli.main(["train", str(graph_path), "--method", "unreg", "--fraction", "0.3",
-                         "--seed", "1", "--tol", str(UnregOptions.tol),
-                         "-o", str(model_path)]) == 0
-        # same test-set size, different edges
-        assert cli.main(["predict", str(graph_path), str(model_path), "--fraction", "0.3",
-                         "--seed", "2", "-o", str(pred_path)]) == 0
+        assert cli.main(["train", str(graph_path), "--method", "unreg",
+                         "--split", str(split_file(graph_path, 0.3, 1)),
+                         "--tol", str(UnregOptions.tol), "-o", str(model_path)]) == 0
+        # a second split file: same test-set size, different edges
+        assert cli.main(["predict", str(graph_path), str(model_path),
+                         "--split", str(split_file(graph_path, 0.3, 2)),
+                         "-o", str(pred_path)]) == 0
         g = SignedDigraph.load(graph_path)
         fitted = unreg_solve(g, sample_split(g, 0.3, 1))
         model = load_model(model_path)
@@ -186,23 +200,23 @@ class TestPredictChecksTheModel:
     @pytest.mark.parametrize("method", ["blc", "logreg", "lprop", "unreg"])
     @pytest.mark.parametrize("other_nodes", [200, 60])
     def test_model_for_another_node_count_is_a_data_error(self, graph_path, tmp_path, capsys,
-                                                         method, other_nodes):
+                                                         split_file, method, other_nodes):
         model = tmp_path / f"{method}.json"
-        assert run_cli("train", graph_path, "--method", method, "--fraction", "0.3",
-                       "--seed", "1", "-o", model) == 0
+        assert run_cli("train", graph_path, "--method", method, "--split", split_file(graph_path),
+                       "-o", model) == 0
         other = tmp_path / "other.json"
         make_synthetic(other_nodes, TwoPointPrior(0.1, 0.9), 6, seed=4)[0].save(other)
         out = tmp_path / "pred.csv"
         capsys.readouterr()
-        code = run_cli("predict", other, model, "--fraction", "0.3", "--seed", "1", "-o", out)
+        code = run_cli("predict", other, model, "--split", split_file(other), "-o", out)
         assert code == cli.EXIT_DATA == 3
         assert "80 nodes" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_model_files_are_dispatched_on_format(self, graph_path, tmp_path, capsys):
-        model = tmp_path / "m.json"
-        assert run_cli("train", graph_path, "--method", "lprop", "--fraction", "0.3",
-                       "--seed", "1", "-o", model) == 0
+    def test_model_files_are_dispatched_on_format(self, graph_path, tmp_path, capsys, split_file):
+        model, split = tmp_path / "m.json", split_file(graph_path)
+        assert run_cli("train", graph_path, "--method", "lprop", "--split", split,
+                       "-o", model) == 0
         d = json.loads(model.read_text())
         cases = {"edgesign-tree": {**d, "format": "edgesign-tree"},
                  "version 2": {**d, "version": 2},
@@ -213,7 +227,7 @@ class TestPredictChecksTheModel:
             model.write_text(json.dumps(payload))
             with pytest.raises(DataError, match=expected):
                 load_model(model)
-            assert run_cli("predict", graph_path, model, "--fraction", "0.3", "--seed", "1",
+            assert run_cli("predict", graph_path, model, "--split", split,
                            "-o", tmp_path / "p.csv") == cli.EXIT_DATA
         model.write_text("[]")
         with pytest.raises(DataError, match="not a JSON container"):
@@ -329,16 +343,19 @@ class TestGraphFiles:
         assert peak < 4 * 2**20, peak
         assert not model.exists()
 
-    @pytest.mark.parametrize("flags", [[], ["--fraction", "0.3"], ["--seed", "1"]],
-                             ids=["neither", "no-seed", "no-fraction"])
-    def test_train_needs_a_split_or_a_fraction_and_a_seed(self, graph_path, tmp_path, capsys,
-                                                          flags):
-        model = tmp_path / "m.json"
+    @pytest.mark.parametrize("command", ["train", "predict", "eval"])
+    def test_train_predict_and_eval_need_a_split_file(self, graph_path, tmp_path, capsys,
+                                                       command):
+        out = tmp_path / "out"
+        inputs = {"train": ["--method", "blc"], "predict": [tmp_path / "m.json"],
+                  "eval": [tmp_path / "p.csv"]}[command]
         capsys.readouterr()
-        assert run_cli("train", graph_path, "--method", "blc", *flags,
-                       "-o", model) == cli.EXIT_DATA
-        assert "either --split or both --fraction and --seed" in capsys.readouterr().err
-        assert not model.exists()
+        # --fraction and --seed draw a split only at the split command
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, graph_path, *inputs, "--fraction", "0.3", "--seed", "1", "-o", out)
+        assert exc.value.code == cli.EXIT_ARGUMENT
+        assert "--split" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["training_edges", "src"])
     def test_a_boolean_in_an_integer_list_is_a_data_error_naming_its_key(self, graph_path,
@@ -547,10 +564,11 @@ def predictions(draw):
 
 
 class TestPredictionFiles:
-    def test_odd_ids_round_trip_through_predict_and_eval(self, odd_graph_path, tmp_path):
+    def test_odd_ids_round_trip_through_predict_and_eval(self, odd_graph_path, tmp_path,
+                                                         split_file):
         g = SignedDigraph.load(odd_graph_path)
         assert sorted(g.node_ids) == sorted(ODD_IDS)
-        common = ["--fraction", "0.3", "--seed", "2"]
+        common = ["--split", split_file(odd_graph_path, 0.3, 2)]
         model, pred, result = tmp_path / "m.json", tmp_path / "p.csv", tmp_path / "e.json"
         assert run_cli("train", odd_graph_path, "--method", "blc", *common, "-o", model) == 0
         assert run_cli("predict", odd_graph_path, model, *common, "-o", pred) == 0
@@ -583,7 +601,7 @@ class TestPredictionFiles:
         expected = prediction_csv_reference(pred, node_ids).encode("utf-8")
         assert path.read_bytes() == expected
         names = [str(k) for k in range(20)] if node_ids is None else node_ids
-        u, v, labels = cli._read_predictions(path, names)
+        u, v, labels = batch.read_predictions(path, names)
         # drawn names may repeat: each row must point at a node of its own name
         for found, ends in ((u, pred.src), (v, pred.dst)):
             assert found.min(initial=0) >= 0
@@ -617,22 +635,24 @@ class TestPredictionFiles:
             pred.to_csv(named, node_ids=[*node_ids, "\ud800"])
         assert not named.exists()
 
-    def test_a_lone_surrogate_id_is_refused_on_load(self, graph_path, tmp_path, capsys):
+    def test_a_lone_surrogate_id_is_refused_on_load(self, graph_path, tmp_path, capsys,
+                                                    split_file):
         d = json.loads(graph_path.read_text())
         lone = tmp_path / "lone.json"
         lone.write_text(json.dumps({**d, "node_ids": ["\ud800", *d["node_ids"][1:]]}))
         model = tmp_path / "m.json"
-        assert run_cli("train", lone, "--method", "blc", "--fraction", "0.3", "--seed", "1",
+        assert run_cli("train", lone, "--method", "blc", "--split", split_file(graph_path),
                        "-o", model) == cli.EXIT_DATA
         assert capsys.readouterr().err == ("error: edgesign-graph container: node_ids must be "
                                            "strings UTF-8 can encode, got '\\ud800'\n")
         assert not model.exists()
 
     @pytest.mark.parametrize("name", ["x" * 200_000, "x," * 100_000], ids=["plain", "quoted"])
-    def test_ids_longer_than_the_csv_field_limit_round_trip(self, graph_path, tmp_path, name):
+    def test_ids_longer_than_the_csv_field_limit_round_trip(self, graph_path, tmp_path,
+                                                            split_file, name):
         """An id over ``csv.field_size_limit()`` characters, written plain or quoted,
         evaluates as a short one, and the limit is as it was after the read."""
-        common = ["--fraction", "0.3", "--seed", "1"]
+        common = ["--split", split_file(graph_path)]
         d = json.loads(graph_path.read_text())
         long = tmp_path / "long.json"
         long.write_text(json.dumps({**d, "node_ids": [name, *d["node_ids"][1:]]}))
@@ -649,8 +669,9 @@ class TestPredictionFiles:
         assert results[0] == results[1]
         assert csv.field_size_limit() == limit
 
-    def test_malformed_prediction_files_are_data_errors(self, graph_path, tmp_path, capsys):
-        common = ["--fraction", "0.3", "--seed", "1"]
+    def test_malformed_prediction_files_are_data_errors(self, graph_path, tmp_path, capsys,
+                                                        split_file):
+        common = ["--split", split_file(graph_path)]
         model, pred = tmp_path / "m.json", tmp_path / "p.csv"
         assert run_cli("train", graph_path, "--method", "blc", *common, "-o", model) == 0
         assert run_cli("predict", graph_path, model, *common, "-o", pred) == 0
@@ -679,9 +700,10 @@ class TestPredictionFiles:
         assert run_cli("eval", graph_path, pred, *common) == cli.EXIT_DATA
         assert "not CSV text" in capsys.readouterr().err
 
-    def test_every_line_form_and_id_width_gives_the_same_eval(self, graph_path, tmp_path):
+    def test_every_line_form_and_id_width_gives_the_same_eval(self, graph_path, tmp_path,
+                                                              split_file):
         """The byte reader and the csv module agree, on every id width."""
-        common = ["--fraction", "0.3", "--seed", "1"]
+        common = ["--split", split_file(graph_path)]
         model = tmp_path / "m.json"
         assert run_cli("train", graph_path, "--method", "blc", *common, "-o", model) == 0
 
@@ -771,14 +793,25 @@ class TestStrictJsonOutputs:
         assert all(isinstance(cells["blc"][k], float)
                    for k in ("mcc_mean", "acc_mean", "seconds_mean"))
 
-    def test_stats_of_an_empty_graph_and_eval_of_an_empty_test_set(self, tmp_path):
+    def test_stats_of_an_empty_graph_and_eval_of_an_empty_test_set(self, tmp_path, capsys,
+                                                                   split_file):
         empty, one = tmp_path / "empty.tsv", tmp_path / "one.tsv"
         empty.write_text("# no edges\n")
         one.write_text("a\tb\t1\n")
         assert run_cli("stats", empty, "-o", tmp_path / "stats.json") == 0
         assert strict_json((tmp_path / "stats.json").read_text())["positive_fraction"] is None
+        # a graph without edges cannot be split: a data error, at split and in a sweep
+        spec, split, report = tmp_path / "spec.json", tmp_path / "s.json", tmp_path / "rep.json"
+        spec.write_text(json.dumps({"dataset": str(empty), "methods": ["blc"],
+                                    "fractions": [0.5], "repetitions": 1}))
+        for argv, out in ((["split", empty, "--fraction", "0.5", "--seed", "1", "-o", split],
+                           split), (["sweep", spec, "-o", report], report)):
+            capsys.readouterr()
+            assert run_cli(*argv) == cli.EXIT_DATA, argv[0]
+            assert capsys.readouterr().err == "error: graph has no edges to split\n"
+            assert not out.exists()
         # one edge at fraction 0.9: the training set takes it, the test set is empty
-        common = ["--fraction", "0.9", "--seed", "1"]
+        common = ["--split", split_file(one, 0.9, 1)]
         model, pred, out = tmp_path / "m.json", tmp_path / "p.csv", tmp_path / "eval.json"
         assert run_cli("train", one, "--method", "blc", *common, "-o", model) == 0
         assert run_cli("predict", one, model, *common, "-o", pred) == 0
